@@ -232,7 +232,8 @@ def read_state_csv(path: str, kind: str) -> np.ndarray:
     with open(path, "r", encoding="utf-8") as fh:
         first = fh.readline().strip()
     check_schema(first.lstrip("# "), kind)
-    return np.genfromtxt(path, delimiter=",", comments="#", names=True)
+    # the schema comment would otherwise be taken for the header row
+    return np.genfromtxt(path, delimiter=",", skip_header=1, names=True)
 
 
 # ---------------------------------------------------------------------------
@@ -330,9 +331,10 @@ def cmd_estimate(cfg: ScenarioConfig, out_dir: str,
     path = measurements_path or os.path.join(out_dir, "measurements.json")
     measurements = load_measurements(path)
     post, factors = _estimate(cfg, measurements)
+    # the covariance is computed lazily and times itself into the report
+    marg = post.node_marginals
     report = _report_dict(post.report, factors)
     _dump_json(report, os.path.join(out_dir, "report.json"))
-    marg = post.node_marginals
     stds = np.sqrt(np.maximum(np.einsum("...ii->...i", marg), 0.0))
     grid = post.grid
     rows = [state_row(float(grid.s_knots[n]), float(grid.t_knots[k]),

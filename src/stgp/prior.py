@@ -26,9 +26,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .liegroup import (Pose, ad6, adjoint, dleft_jacobian_inv_vec, se3_exp,
-                       se3_left_jacobian, se3_left_jacobian_inv, se3_log,
-                       so3_exp, so3_log, so3_left_jacobian,
-                       so3_left_jacobian_inv, hat3)
+                       se3_left_jacobian, se3_left_jacobian_inv, so3_log,
+                       so3_left_jacobian_inv)
 
 CHART_ANGLE_LIMIT = 0.9 * np.pi
 
@@ -232,6 +231,16 @@ class StateArrays:
         return StateArrays(self.R[idx], self.t[idx], self.eps[idx],
                            self.vel[idx], self.sv[idx])
 
+    def chart_origin(self) -> np.ndarray:
+        """(B, 24) charts of the states about their own poses."""
+        return np.concatenate([np.zeros_like(self.eps), self.eps, self.vel,
+                               self.sv], axis=-1)
+
+    def to_states(self):
+        return [NodeState(Pose(self.R[b], self.t[b]), self.eps[b],
+                          self.vel[b], self.sv[b])
+                for b in range(len(self.t))]
+
 
 def _relative_chart(R: np.ndarray, t: np.ndarray, Rb: np.ndarray,
                     tb: np.ndarray) -> np.ndarray:
@@ -248,29 +257,29 @@ def _relative_chart(R: np.ndarray, t: np.ndarray, Rb: np.ndarray,
     return np.concatenate([v, phi], axis=-1)
 
 
-def chart_encode_batch(sa: StateArrays, Rb: np.ndarray, tb: np.ndarray) -> np.ndarray:
-    xi = _relative_chart(sa.R, sa.t, Rb, tb)
-    jli = se3_left_jacobian_inv(xi)
-    z = np.empty(xi.shape[:-1] + (24,))
-    z[..., 0:6] = xi
-    z[..., 6:12] = np.squeeze(jli @ sa.eps[..., None], -1)
-    z[..., 12:18] = np.squeeze(jli @ sa.vel[..., None], -1)
-    z[..., 18:24] = np.squeeze(jli @ sa.sv[..., None], -1)
-    return z
-
-
 def chart_encode(x: NodeState, base: Pose) -> np.ndarray:
     """24-vector chart of x about the base pose."""
-    return chart_encode_batch(StateArrays.from_state(x), base.R[None], base.t[None])[0]
+    return encode_with_jacobians_batch(StateArrays.from_state(x), base.R[None],
+                                       base.t[None], want_jac=False)[0][0]
+
+
+def chart_decode_batch(z: np.ndarray, Rb: np.ndarray,
+                       tb: np.ndarray) -> StateArrays:
+    """Inverse of the chart for stacked (B, 24) charts about base poses."""
+    xi = z[..., 0:6]
+    T = se3_exp(xi)
+    Re = T[..., :3, :3]
+    d = se3_left_jacobian(xi)[..., None, :, :] \
+        @ z[..., 6:].reshape(z.shape[:-1] + (3, 6, 1))
+    return StateArrays(Re @ Rb, np.squeeze(Re @ tb[..., None], -1)
+                       + T[..., :3, 3], d[..., 0, :, 0], d[..., 1, :, 0],
+                       d[..., 2, :, 0])
 
 
 def chart_decode(z: np.ndarray, base: Pose) -> NodeState:
     """Inverse of chart_encode for the same base."""
-    z = np.asarray(z, dtype=float).reshape(24)
-    xi = z[0:6]
-    jl = se3_left_jacobian(xi)
-    pose = Pose.from_matrix(se3_exp(xi)) @ base
-    return NodeState(pose, jl @ z[6:12], jl @ z[12:18], jl @ z[18:24])
+    z = np.asarray(z, dtype=float).reshape(1, 24)
+    return chart_decode_batch(z, base.R[None], base.t[None]).to_states()[0]
 
 
 def retract(x: NodeState, delta: np.ndarray) -> NodeState:
@@ -282,17 +291,8 @@ def retract_all(states, delta: np.ndarray):
     """Batched retract over a list of states; delta is (B, 24)."""
     sa = StateArrays.from_states(states)
     delta = np.asarray(delta, dtype=float).reshape(len(states), 24)
-    xi = delta[:, 0:6]
-    T = se3_exp(xi)
-    Re, te = T[:, :3, :3], T[:, :3, 3]
-    Rn = Re @ sa.R
-    tn = np.squeeze(Re @ sa.t[:, :, None], -1) + te
-    jl = se3_left_jacobian(xi)
-    eps = np.squeeze(jl @ (sa.eps + delta[:, 6:12])[:, :, None], -1)
-    vel = np.squeeze(jl @ (sa.vel + delta[:, 12:18])[:, :, None], -1)
-    sv = np.squeeze(jl @ (sa.sv + delta[:, 18:24])[:, :, None], -1)
-    return [NodeState(Pose(Rn[b], tn[b]), eps[b], vel[b], sv[b])
-            for b in range(len(states))]
+    z = sa.chart_origin() + delta
+    return chart_decode_batch(z, sa.R, sa.t).to_states()
 
 
 def _deriv_triplet(sa: StateArrays):
@@ -344,21 +344,6 @@ def encode_self_jacobian_batch(sa: StateArrays) -> np.ndarray:
     return out
 
 
-def encode_with_jacobians(x: NodeState, base: Pose, want_jac: bool = True):
-    """Single-state chart about `base` with encode and base-motion Jacobians."""
-    z, enc, bm = encode_with_jacobians_batch(StateArrays.from_state(x),
-                                             base.R[None], base.t[None],
-                                             want_jac)
-    if not want_jac:
-        return z[0], None, None
-    return z[0], enc[0], bm[0]
-
-
-def encode_self_jacobian(x: NodeState) -> np.ndarray:
-    """d/d(own perturbation) of a state's chart about its own pose."""
-    return encode_self_jacobian_batch(StateArrays.from_state(x))[0]
-
-
 def phi_s_batch(ds: np.ndarray) -> np.ndarray:
     ds = np.asarray(ds, dtype=float)
     out = np.broadcast_to(_I24, ds.shape + (24, 24)).copy()
@@ -399,9 +384,7 @@ def binary_batch(sa_a: StateArrays, sa_b: StateArrays, phi: np.ndarray,
     """Shared core of the spatial and temporal two-node factors; `phi` is the
     (B, 24, 24) transition over the step."""
     z_b, enc_b, bm_b = encode_with_jacobians_batch(sa_b, sa_a.R, sa_a.t, want_jac)
-    z_a = np.concatenate([np.zeros_like(sa_a.eps), sa_a.eps, sa_a.vel, sa_a.sv],
-                         axis=-1)
-    e = z_b - np.squeeze(phi @ z_a[..., None], -1)
+    e = z_b - np.squeeze(phi @ sa_a.chart_origin()[..., None], -1)
     if not want_jac:
         return e, None, None
     j_a = -(phi @ encode_self_jacobian_batch(sa_a))
@@ -420,11 +403,9 @@ def quaternary_batch(sa00: StateArrays, sa10: StateArrays, sa01: StateArrays,
     z10, enc10, bm10 = encode_with_jacobians_batch(sa10, sa00.R, sa00.t, want_jac)
     z01, enc01, bm01 = encode_with_jacobians_batch(sa01, sa00.R, sa00.t, want_jac)
     z11, enc11, bm11 = encode_with_jacobians_batch(sa11, sa00.R, sa00.t, want_jac)
-    z00 = np.concatenate([np.zeros_like(sa00.eps), sa00.eps, sa00.vel, sa00.sv],
-                         axis=-1)
     e = (z11 - np.squeeze(ps @ z01[..., None], -1)
          - np.squeeze(pt @ z10[..., None], -1)
-         + np.squeeze(pc @ z00[..., None], -1))
+         + np.squeeze(pc @ sa00.chart_origin()[..., None], -1))
     if not want_jac:
         return e, None, None, None, None
     j11 = enc11

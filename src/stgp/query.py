@@ -1,28 +1,35 @@
 """Continuous posterior queries at arbitrary (s, t) inside the grid hull.
 
-Interpolation is two-stage and touches exactly one cell: a 1D conditioning in
-time on each of the cell's two columns, then a 1D conditioning in arclength
-between the two column results.  Each 1D stage conditions the bridge value on
-its endpoints, with gain Lam(u) = Q(u) phi(D-u)^T Q(D)^-1 and residual
-R(u) = Q(u) - Lam(u) Q(D) Lam(u)^T.
+A point binds to the corners of the one cell that contains it: one node on a
+grid node, two on a knot line (along s or along t), four inside a cell.
+Interpolation runs in up to two stages: a 1D conditioning in time on each of
+the cell's columns, then a 1D conditioning in arclength between the two
+column results.  Each stage conditions the bridge value on its endpoints,
+with gain Lam(u) = Q(u) phi(D-u)^T Q(D)^-1 and residual
+R(u) = Q(u) - Lam(u) Q(D) Lam(u)^T; a coordinate on a knot drops its stage.
 
-The nonlinear evaluation decodes the temporal stage in each column's own
-local chart before the spatial stage runs in a chart about the left column's
-result.  On cell edges the gains collapse onto the shared nodes exactly, so
-adjacent cells evaluate boundary queries through literally the same chain and
-queries are continuous across the whole hull.
+The gains depend only on the cell size and the offset, never on the state,
+so `make_interpolant` computes them once per point.  `interpolate` is the
+one nonlinear chain, batched over points of one binding shape: the temporal
+stage of both columns of every point runs as one batch, decoded in each
+column's own chart, and the spatial stage then runs in a chart about the
+left column's result.  Posterior queries call it with a batch of one; the
+interpolated measurement factors call it once per sensor kind and binding
+shape.  On cell edges the gains collapse onto the shared nodes exactly, so
+adjacent cells evaluate boundary queries through the same chain and queries
+are continuous across the whole hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence, Tuple
+from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-from .liegroup import Pose
-from .prior import (NodeState, PriorParams, chart_decode, k_matrix,
-                    encode_self_jacobian, encode_with_jacobians, phi_s, phi_t)
+from .prior import (NodeState, PriorParams, StateArrays, chart_decode_batch,
+                    encode_self_jacobian_batch, encode_with_jacobians_batch,
+                    k_matrix)
 
 HULL_TOL = 1e-9
 
@@ -100,34 +107,84 @@ def interp_weights(ds: float, dt: float, sigma: float, tau: float,
 # ---------------------------------------------------------------------------
 # nonlinear interpolation chain
 
+Gain = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _pair_state(x_a: NodeState, x_b: NodeState, lam: np.ndarray,
-                psi: np.ndarray, want_jac: bool):
-    """Condition the bridge state on endpoints (x_a, x_b) in x_a's chart and
-    decode.  Returns (state, J_a, J_b, S) where the Jacobians map endpoint
-    chart perturbations to the result's own chart and S maps chart-level
-    residual noise into the result's own chart."""
-    z_b, enc_b, bm_b = encode_with_jacobians(x_b, x_a.pose, want_jac)
-    z_m = psi @ x_a.derivative_vector() + lam @ z_b
-    x_m = chart_decode(z_m, x_a.pose)
+
+def _T(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, want_jac: bool):
+    """Condition bridge states on endpoint pairs (a, b) in each a's chart and
+    decode.  `gain` holds the stacked (B, 24, 24) stage operators
+    (Lam, Psi, R).  Returns (states, J_a, J_b, S) where the Jacobians map
+    endpoint chart perturbations to each result's own chart and S maps
+    chart-level residual noise into it."""
+    lam, psi, _ = gain
+    z_b, enc_b, bm_b = encode_with_jacobians_batch(b, a.R, a.t, want_jac)
+    z_m = np.squeeze(psi @ a.chart_origin()[..., None]
+                     + lam @ z_b[..., None], -1)
+    x_m = chart_decode_batch(z_m, a.R, a.t)
     if not want_jac:
         return x_m, None, None, None
-    _, enc_m, bm_m = encode_with_jacobians(x_m, x_a.pose, True)
-    j_a = psi @ encode_self_jacobian(x_a)
-    j_a[:, 0:6] += lam @ bm_b - bm_m
-    j_b = lam @ enc_b
+    _, enc_m, bm_m = encode_with_jacobians_batch(x_m, a.R, a.t)
+    j_a = psi @ encode_self_jacobian_batch(a)
+    j_a[..., 0:6] += lam @ bm_b - bm_m
     s = np.linalg.inv(enc_m)
-    return x_m, s @ j_a, s @ j_b, s
+    return x_m, s @ j_a, s @ (lam @ enc_b), s
+
+
+def interpolate(sa: StateArrays, nodes: np.ndarray, temporal: Optional[Gain],
+                spatial: Optional[Gain], want_jac: bool):
+    """Interpolated states of B points that share one binding shape.
+
+    `nodes` is (m, B): row i holds each point's i-th corner, indexing `sa`,
+    in (00, 10, 01, 11) order with subscripts (spatial, temporal).
+    `temporal`/`spatial` are the stacked stage gains, None for a dropped
+    stage.  Returns (states, jacobians, residual): with `want_jac`, a list of
+    m (B, 24, 24) maps from each corner's chart to the point's own chart and
+    the (B, 24, 24) conditioning residual in that chart; otherwise Nones.
+    """
+    B = nodes.shape[1]
+    if temporal is None and spatial is None:
+        x = sa.take(nodes[0])
+        if not want_jac:
+            return x, None, None
+        return x, [np.broadcast_to(np.eye(24), (B, 24, 24))], \
+            np.zeros((B, 24, 24))
+    if temporal is None or spatial is None:
+        gain = temporal if spatial is None else spatial
+        x, j_a, j_b, s = _pair_state(sa.take(nodes[0]), sa.take(nodes[1]),
+                                     gain, want_jac)
+        if not want_jac:
+            return x, None, None
+        return x, [j_a, j_b], s @ gain[2] @ _T(s)
+
+    # both columns' temporal stages as one batch: left (00, 01), right (10, 11)
+    cols, jc_a, jc_b, s_c = _pair_state(
+        sa.take(np.concatenate([nodes[0], nodes[1]])),
+        sa.take(np.concatenate([nodes[2], nodes[3]])),
+        tuple(np.concatenate([g, g]) for g in temporal), want_jac)
+    left, right = cols.take(np.arange(B)), cols.take(np.arange(B, 2 * B))
+    x, jq_l, jq_r, s_q = _pair_state(left, right, spatial, want_jac)
+    if not want_jac:
+        return x, None, None
+    jacs = [jq_l @ jc_a[:B], jq_r @ jc_a[B:], jq_l @ jc_b[:B],
+            jq_r @ jc_b[B:]]
+    tl, tr = jq_l @ s_c[:B], jq_r @ s_c[B:]
+    r_t = temporal[2]
+    resid = tl @ r_t @ _T(tl) + tr @ r_t @ _T(tr) + s_q @ spatial[2] @ _T(s_q)
+    return x, jacs, 0.5 * (resid + _T(resid))
 
 
 @dataclass
 class Interpolant:
-    """One query's interpolation chain: corner node ids (flat, in the order
-    weights apply) and the per-stage gain operators."""
+    """One point's binding: corner node ids (flat, in the order the chain
+    uses them) and the per-stage gain operators."""
 
     node_ids: Tuple[int, ...]
-    temporal: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
-    spatial: Optional[Tuple[np.ndarray, np.ndarray, np.ndarray]]
+    temporal: Optional[Gain]
+    spatial: Optional[Gain]
 
     def state(self, states: Sequence[NodeState]) -> NodeState:
         return self._chain(states, want_jac=False)[0]
@@ -135,40 +192,17 @@ class Interpolant:
     def state_with_jacobians(self, states: Sequence[NodeState]):
         """(state, jacobians onto each node's chart, residual in the state's
         own chart)."""
-        return self._chain(states, want_jac=True)
+        x, jacs, resid = self._chain(states, want_jac=True)
+        return x, [J[0] for J in jacs], resid[0]
 
     def _chain(self, states: Sequence[NodeState], want_jac: bool):
-        xs = [states[i] for i in self.node_ids]
-        if self.temporal is None and self.spatial is None:
-            x = xs[0]
-            return (x, [np.eye(24)], np.zeros((24, 24))) if want_jac \
-                else (x, None, None)
-        if self.spatial is None:
-            lam_t, psi_t, r_t = self.temporal
-            x_q, j_a, j_b, s = _pair_state(xs[0], xs[1], lam_t, psi_t, want_jac)
-            if not want_jac:
-                return x_q, None, None
-            return x_q, [j_a, j_b], (s @ r_t @ s.T)
-        if self.temporal is None:
-            lam_s, psi_s, r_s = self.spatial
-            x_q, j_a, j_b, s = _pair_state(xs[0], xs[1], lam_s, psi_s, want_jac)
-            if not want_jac:
-                return x_q, None, None
-            return x_q, [j_a, j_b], (s @ r_s @ s.T)
-
-        lam_t, psi_t, r_t = self.temporal
-        lam_s, psi_s, r_s = self.spatial
-        x00, x10, x01, x11 = xs
-        x_l, jl_00, jl_01, s_l = _pair_state(x00, x01, lam_t, psi_t, want_jac)
-        x_r, jr_10, jr_11, s_r = _pair_state(x10, x11, lam_t, psi_t, want_jac)
-        x_q, jq_l, jq_r, s_q = _pair_state(x_l, x_r, lam_s, psi_s, want_jac)
-        if not want_jac:
-            return x_q, None, None
-        jacs = [jq_l @ jl_00, jq_r @ jr_10, jq_l @ jl_01, jq_r @ jr_11]
-        tl = jq_l @ s_l
-        tr = jq_r @ s_r
-        resid = tl @ r_t @ tl.T + tr @ r_t @ tr.T + s_q @ r_s @ s_q.T
-        return x_q, jacs, 0.5 * (resid + resid.T)
+        # a batch of one over the corner states only
+        one = lambda g: None if g is None else tuple(op[None] for op in g)
+        x, jacs, resid = interpolate(
+            StateArrays.from_states([states[i] for i in self.node_ids]),
+            np.arange(len(self.node_ids))[:, None], one(self.temporal),
+            one(self.spatial), want_jac)
+        return x.to_states()[0], jacs, resid
 
 
 def _snap_knot(knots: np.ndarray, idx: int, off: float) -> Optional[int]:
@@ -247,22 +281,15 @@ def query_mean(posterior, s: float, t: float,
 
 def query_covariance(posterior, s: float, t: float,
                      cell: Optional[Tuple[int, int]] = None) -> np.ndarray:
-    """Posterior covariance of the state at (s, t), in that state's own chart:
-    corner joint pushed through the interpolation chain plus the two-stage
-    conditioning residual."""
-    grid = posterior.grid
-    interp = make_interpolant(grid.s_knots, grid.t_knots, posterior.params,
-                              s, t, cell)
-    _, jacs, resid = interp.state_with_jacobians(grid.states)
-    joint = posterior.cov.joint(interp.node_ids)
-    U = np.hstack(jacs)
-    cov = U @ joint @ U.T + resid
-    return 0.5 * (cov + cov.T)
+    """Posterior covariance of the state at (s, t), in that state's own
+    chart."""
+    return query_state(posterior, s, t, cell)[1]
 
 
 def query_state(posterior, s: float, t: float,
                 cell: Optional[Tuple[int, int]] = None):
-    """(mean state, covariance) in one pass over the cell."""
+    """(mean state, covariance) in one pass over the cell: the corner joint
+    pushed through the interpolation chain plus the conditioning residual."""
     grid = posterior.grid
     interp = make_interpolant(grid.s_knots, grid.t_knots, posterior.params,
                               s, t, cell)

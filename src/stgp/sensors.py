@@ -6,12 +6,22 @@ Four kinds:
   gyro3      body-frame angular rate
   strain6    body-frame strain, optionally masked to a component subset
 
-A measurement taken at a grid node attaches directly to that node.  Anywhere
-else inside the hull it attaches to the containing cell's corners through the
-query-interpolation chain, so the factor constrains the nodes that determine
-the continuous state at the sample point.  The interpolated factor evaluated
-at a node-coincident sample reduces to the on-node factor exactly because the
-interpolation weights collapse onto that corner.
+A measurement at a grid node binds to that node.  Anywhere else inside the
+hull it binds to the containing cell's corners through the query
+interpolation chain (two nodes on a knot line, four inside a cell), so the
+factor constrains the nodes that determine the continuous state at the
+sample point.
+
+Every measurement goes through one batched path.  `group_measurements`
+stacks the factors once by sensor kind and binding shape, together with the
+interpolation gains of each binding.  `MeasurementGroup.evaluate` runs the
+batched chain (`query.interpolate`), then `sensor_model`, which evaluates
+all four kinds with one branch per kind, and composes the Jacobians.  A
+masked strain factor keeps all six error rows and a weight that is zero
+outside its mask.  `measurement_model` and the factors' `error`/`jacobians`
+are one-row calls into the same code.  A factor whose sample coincides with
+a node reduces to the on-node factor exactly, because the gains collapse
+onto that corner.
 """
 
 from __future__ import annotations
@@ -22,9 +32,9 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .graph import Grid
-from .liegroup import Pose, ad6, hat3, se3_left_jacobian_inv
-from .prior import NodeState, PriorParams
-from .query import HULL_TOL, Interpolant, make_interpolant
+from .liegroup import Pose, ad6, hat3, se3_left_jacobian_inv, se3_log
+from .prior import NodeState, PriorParams, StateArrays
+from .query import HULL_TOL, Gain, Interpolant, interpolate, make_interpolant
 
 KINDS = ("pose6", "position3", "gyro3", "strain6")
 
@@ -72,6 +82,12 @@ class Measurement:
         np.linalg.cholesky(self.noise_cov)
 
     @property
+    def rows(self):
+        """The error rows this measurement observes: its strain mask, or
+        all of them."""
+        return slice(None) if self.mask is None else self.mask
+
+    @property
     def dim(self) -> int:
         if self.kind == "strain6":
             return int(np.count_nonzero(self.mask))
@@ -79,122 +95,130 @@ class Measurement:
 
 
 # ---------------------------------------------------------------------------
-# error models, each returning (error, d(error)/d(own chart perturbation))
+# the batched sensor model
 
 
-def _pose_model(x: NodeState, value: Pose, want_jac: bool):
-    e = (value @ x.pose.inverse()).log()
-    if not want_jac:
-        return e, None
-    J = np.zeros((6, 24))
-    J[:, 0:6] = -se3_left_jacobian_inv(-e)
+def _value_array(meas: Measurement) -> np.ndarray:
+    return meas.value.matrix() if meas.kind == "pose6" else meas.value
+
+
+def sensor_model(kind: str, x: StateArrays, values: np.ndarray):
+    """Stacked errors (B, d) of one sensor kind against states `x`, and their
+    Jacobians (B, d, 24) with respect to each state's own chart perturbation.
+    `values` holds (B, 4, 4) pose matrices for pose6 and (B, d) vectors
+    otherwise; strain6 always yields all six rows."""
+    B = len(x.t)
+    rt = np.swapaxes(x.R, 1, 2)
+    J = np.zeros((B, 6 if kind in ("pose6", "strain6") else 3, 24))
+    if kind == "pose6":
+        inv = np.zeros((B, 4, 4))
+        inv[:, :3, :3] = rt
+        inv[:, :3, 3] = -np.squeeze(rt @ x.t[..., None], -1)
+        inv[:, 3, 3] = 1.0
+        e = se3_log(values @ inv)
+        J[:, :, 0:6] = -se3_left_jacobian_inv(-e)
+    elif kind == "position3":
+        e = values - x.t
+        J[:, :, 0:3] = -np.eye(3)
+        J[:, :, 3:6] = hat3(x.t)
+    elif kind == "gyro3":
+        omega = x.vel[:, 3:6]
+        e = values - np.squeeze(rt @ omega[..., None], -1)
+        J[:, :, 3:6] = -0.5 * (rt @ hat3(omega))
+        J[:, :, 15:18] = -rt
+    else:
+        ad_inv = np.zeros((B, 6, 6))
+        ad_inv[:, 0:3, 0:3] = rt
+        ad_inv[:, 3:6, 3:6] = rt
+        ad_inv[:, 0:3, 3:6] = -(rt @ hat3(x.t))
+        e = values - np.squeeze(ad_inv @ x.eps[..., None], -1)
+        J[:, :, 0:6] = -0.5 * (ad_inv @ ad6(x.eps))
+        J[:, :, 6:12] = -ad_inv
     return e, J
-
-
-def _position_model(x: NodeState, value: np.ndarray, want_jac: bool):
-    e = value - x.pose.t
-    if not want_jac:
-        return e, None
-    J = np.zeros((3, 24))
-    J[:, 0:3] = -np.eye(3)
-    J[:, 3:6] = hat3(x.pose.t)
-    return e, J
-
-
-def _gyro_model(x: NodeState, value: np.ndarray, want_jac: bool):
-    R = x.pose.R
-    omega = x.velocity[3:6]
-    e = value - R.T @ omega
-    if not want_jac:
-        return e, None
-    J = np.zeros((3, 24))
-    J[:, 3:6] = -0.5 * (R.T @ hat3(omega))
-    J[:, 15:18] = -R.T
-    return e, J
-
-
-def _strain_model(x: NodeState, value: np.ndarray, mask: np.ndarray,
-                  want_jac: bool):
-    ad_inv = x.pose.inverse().adjoint()
-    body = ad_inv @ x.strain
-    e = (value - body)[mask]
-    if not want_jac:
-        return e, None
-    J = np.zeros((6, 24))
-    J[:, 0:6] = -0.5 * (ad_inv @ ad6(x.strain))
-    J[:, 6:12] = -ad_inv
-    return e, J[mask]
 
 
 def measurement_model(meas: Measurement, x: NodeState, want_jac: bool = True):
     """Error and chart Jacobian of `meas` against state `x`."""
-    if meas.kind == "pose6":
-        return _pose_model(x, meas.value, want_jac)
-    if meas.kind == "position3":
-        return _position_model(x, meas.value, want_jac)
-    if meas.kind == "gyro3":
-        return _gyro_model(x, meas.value, want_jac)
-    return _strain_model(x, meas.value, meas.mask, want_jac)
+    e, J = sensor_model(meas.kind, StateArrays.from_state(x),
+                        _value_array(meas)[None])
+    return e[0][meas.rows], (J[0][meas.rows] if want_jac else None)
 
 
-def strain_node_batch(sa, values: np.ndarray, want_jac: bool = True):
-    """Stacked unmasked strain errors/Jacobians for a batch of node states.
+@dataclass
+class MeasurementGroup:
+    """Measurement factors of one sensor kind and one binding shape, no two
+    of them on the same nodes, stacked.
 
-    Same model as `_strain_model` with a full mask; the per-state loop is the
-    dominant linearization cost when strain is measured at every node, so the
-    solver routes that group here.
+    `nodes` is (m, B): row i holds every factor's i-th bound node, so each
+    pair of rows has one fixed time-row offset.  `temporal`/`spatial` are
+    the stacked (Lam, Psi, R) stage gains, None where the binding drops the
+    stage.  Weights are (B, d, d), zero outside a strain mask.
     """
-    values = np.asarray(values, dtype=float)
-    rt = np.swapaxes(sa.R, 1, 2)
-    ad_inv = np.zeros((values.shape[0], 6, 6))
-    ad_inv[:, 0:3, 0:3] = rt
-    ad_inv[:, 3:6, 3:6] = rt
-    ad_inv[:, 0:3, 3:6] = -(rt @ hat3(sa.t))
-    e = values - np.einsum("bij,bj->bi", ad_inv, sa.eps)
-    if not want_jac:
-        return e, None
-    J = np.zeros((values.shape[0], 6, 24))
-    J[:, :, 0:6] = -0.5 * (ad_inv @ ad6(sa.eps))
-    J[:, :, 6:12] = -ad_inv
-    return e, J
+
+    kind: str
+    nodes: np.ndarray
+    values: np.ndarray
+    weights: np.ndarray
+    temporal: Optional[Gain]
+    spatial: Optional[Gain]
+
+    def evaluate(self, sa: StateArrays, want_jac: bool = True):
+        """(errors, J_0, ..., J_m-1) at node states `sa`; each J_i is the
+        (B, d, 24) Jacobian onto slot i's node chart, None without
+        `want_jac`."""
+        x, chain, _ = interpolate(sa, self.nodes, self.temporal, self.spatial,
+                                  want_jac)
+        e, Jm = sensor_model(self.kind, x, self.values)
+        if not want_jac:
+            return (e,) + (None,) * len(self.nodes)
+        return (e, *(Jm @ J for J in chain))
+
+
+def _full_weight(f) -> np.ndarray:
+    if f.meas.mask is None:
+        return f.weight
+    w = np.zeros((6, 6))
+    w[np.ix_(f.meas.mask, f.meas.mask)] = f.weight
+    return w
+
+
+def _stack_gains(gains) -> Optional[Gain]:
+    if gains[0] is None:
+        return None
+    return tuple(np.stack(ops) for ops in zip(*gains))
+
+
+def group_measurements(factors) -> List[MeasurementGroup]:
+    """Stack measurement factors by (sensor kind, binding shape), in order of
+    first appearance.  A factor whose kind and nodes repeat an earlier one's
+    opens a further group of the same key, so no two factors of a group
+    share a node and each group scatters into distinct blocks."""
+    buckets, repeats = {}, {}
+    for f in factors:
+        it = f.interp
+        bound = (f.meas.kind, it.node_ids)
+        rep = repeats[bound] = repeats.get(bound, -1) + 1
+        key = (f.meas.kind, it.temporal is None, it.spatial is None, rep)
+        buckets.setdefault(key, []).append(f)
+    groups = []
+    for (kind, *_), fs in buckets.items():
+        its = [f.interp for f in fs]
+        groups.append(MeasurementGroup(
+            kind, np.array([it.node_ids for it in its]).T,
+            np.stack([_value_array(f.meas) for f in fs]),
+            np.stack([_full_weight(f) for f in fs]),
+            _stack_gains([it.temporal for it in its]),
+            _stack_gains([it.spatial for it in its])))
+    return groups
 
 
 # ---------------------------------------------------------------------------
 # factors
 
 
-@dataclass
-class NodeMeasurementFactor:
-    """Measurement attached directly to one grid node."""
+class _BoundMeasurement:
+    """Per-factor view of the batched path, for tests and tools."""
 
-    node: int
-    meas: Measurement
-    weight: np.ndarray = field(init=False)
-    kind = "measurement"
-
-    def __post_init__(self):
-        self.weight = np.linalg.inv(self.meas.noise_cov)
-
-    @property
-    def nodes(self) -> Tuple[int, ...]:
-        return (self.node,)
-
-    def error(self, grid: Grid) -> np.ndarray:
-        return measurement_model(self.meas, grid.states[self.node], False)[0]
-
-    def jacobians(self, grid: Grid) -> List[np.ndarray]:
-        return [measurement_model(self.meas, grid.states[self.node], True)[1]]
-
-
-@dataclass
-class InterpolatedMeasurementFactor:
-    """Measurement at an off-node point, bound to the containing cell's
-    corners: the sampled state is the interpolation-chain state and the
-    measurement Jacobians compose with the chain's."""
-
-    interp: Interpolant
-    meas: Measurement
-    weight: np.ndarray = field(init=False)
     kind = "measurement"
 
     def __post_init__(self):
@@ -205,13 +229,39 @@ class InterpolatedMeasurementFactor:
         return self.interp.node_ids
 
     def error(self, grid: Grid) -> np.ndarray:
-        x_q = self.interp.state(grid.states)
-        return measurement_model(self.meas, x_q, False)[0]
+        return self._one_row(grid, False)[0]
 
     def jacobians(self, grid: Grid) -> List[np.ndarray]:
-        x_q, chain, _ = self.interp.state_with_jacobians(grid.states)
-        Jm = measurement_model(self.meas, x_q, True)[1]
-        return [Jm @ Ji for Ji in chain]
+        return self._one_row(grid, True)[1:]
+
+    def _one_row(self, grid: Grid, want_jac: bool):
+        (group,) = group_measurements([self])
+        out = group.evaluate(grid.state_arrays(), want_jac)
+        return [a[0][self.meas.rows] for a in out if a is not None]
+
+
+@dataclass
+class NodeMeasurementFactor(_BoundMeasurement):
+    """Measurement attached directly to one grid node."""
+
+    node: int
+    meas: Measurement
+    weight: np.ndarray = field(init=False)
+
+    @property
+    def interp(self) -> Interpolant:
+        return Interpolant((self.node,), None, None)
+
+
+@dataclass
+class InterpolatedMeasurementFactor(_BoundMeasurement):
+    """Measurement at an off-node point, bound to the containing cell's
+    corners: the sampled state is the interpolation-chain state and the
+    measurement Jacobians compose with the chain's."""
+
+    interp: Interpolant
+    meas: Measurement
+    weight: np.ndarray = field(init=False)
 
 
 def _nearest_knot(knots: np.ndarray, u: float) -> Optional[int]:

@@ -1,8 +1,17 @@
 """Batch MAP estimation over the space-time grid.
 
 Gauss-Newton with step halving on top of a block-banded normal-equations
-solver.  The normal equations are stored as K superblocks of size 24N (one per
-time row); the prior couples only adjacent time rows, so the superblock matrix
+solver.
+
+Linearization has one batched path for every factor.  `_family_geom` stacks
+the factors once per Gauss-Newton run into families: the unary, spatial,
+temporal and cell prior factors, and one measurement group per (sensor kind,
+binding shape).  Every pair of slots in a family has one fixed time-row
+offset, so each family costs one batched kernel call and one scatter of
+whole 24x24 blocks into the normal equations.
+
+The normal equations are stored as K superblocks of size 24N (one per time
+row); the prior couples only adjacent time rows, so the superblock matrix
 is block tridiagonal and a forward Cholesky sweep factorizes it in time linear
 in K.  The same factorization yields the selected inverse (all node marginals
 plus every block coupling adjacent time rows), which is exactly the set of
@@ -11,10 +20,8 @@ covariance blocks the interpolation layer needs.
 
 from __future__ import annotations
 
-import os
 import time
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
@@ -23,7 +30,7 @@ from scipy.linalg.blas import dsyrk, dtrmm
 from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
 from .graph import FactorSet, Grid
-from .sensors import strain_node_batch
+from .sensors import group_measurements
 from .prior import (ChartRangeError, PriorParams, binary_batch, phi_s_batch,
                     phi_t_batch, quaternary_batch, retract_all, unary_batch)
 
@@ -39,14 +46,6 @@ class NotPositiveDefiniteError(RuntimeError):
         if detail:
             msg += f" ({detail})"
         super().__init__(msg)
-
-
-def _thread_count() -> int:
-    raw = os.environ.get("STGP_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        return 1
 
 
 @dataclass
@@ -152,105 +151,82 @@ class BlockBandedSystem:
 # linearization
 
 
-def _scatter_family(system: BlockBandedSystem, nodes: Sequence[np.ndarray],
+def _scatter_family(system: BlockBandedSystem, nodes: np.ndarray,
                     jacs: Sequence[np.ndarray], weights: np.ndarray,
                     errors: np.ndarray):
-    """Accumulate J^T W J and -J^T W e for one batch of same-shape factors.
+    """Accumulate J^T W J and -J^T W e for one family of same-shape factors.
 
     `nodes[i]` is the (B,) flat-index array of the i-th slot, `jacs[i]` the
-    matching (B, m, 24) Jacobian stack.  Within a grid factor family every
-    slot pair has one fixed time-row offset and each batch item targets a
-    distinct block, so the scatter is a fancy-indexed add of whole 24x24
-    blocks; cross-row pairs are added only in the lower-to-higher orientation
-    and the within-row double loop covers both orderings, keeping the diagonal
-    superblocks symmetric.
+    matching (B, m, 24) Jacobian stack.  Every slot pair of a family has one
+    fixed time-row offset and each item targets a distinct block, so each
+    pair is one fancy-indexed add of whole 24x24 blocks.  Cross-row pairs
+    are added only in the lower-to-higher orientation and the within-row
+    double loop covers both orderings, keeping the diagonal superblocks
+    symmetric.
     """
-    N = system.N
     wj = [weights @ J for J in jacs]
-    we = np.squeeze(weights @ errors[..., None], -1)
-    nslots = len(nodes)
-    jt = [np.swapaxes(J, -1, -2) for J in jacs]
-    narr = [np.asarray(nd, dtype=int) % N for nd in nodes]
-    karr = [np.asarray(nd, dtype=int) // N for nd in nodes]
-    for i in range(nslots):
-        system.rhs[karr[i], narr[i]] += -(jt[i] @ we[..., None])[..., 0]
-        for j in range(nslots):
-            dk = karr[j] - karr[i]
-            if dk.size and np.all(dk == -1):
-                continue
-            blocks = jt[i] @ wj[j]
-            if not dk.size:
-                continue
-            if np.all(dk == 0):
-                system.diag[karr[i], narr[i], narr[j]] += blocks
-            elif np.all(dk == 1):
-                system.offdiag[karr[i], narr[i], narr[j]] += blocks
-            else:
-                for b in range(dk.size):
-                    if dk[b] >= 0:
-                        system.add_block(int(nodes[i][b]), int(nodes[j][b]),
-                                         blocks[b])
-
-
-def _chunks(B: int, n: int):
-    n = min(n, B) if B else 0
-    if n <= 1:
-        return [slice(0, B)] if B else []
-    bounds = np.linspace(0, B, n + 1).astype(int)
-    return [slice(int(a), int(b)) for a, b in zip(bounds[:-1], bounds[1:])
-            if b > a]
+    we = weights @ errors[..., None]
+    rows = [divmod(nd, system.N) for nd in nodes]
+    for (ki, ni), Ji in zip(rows, jacs):
+        jt = np.swapaxes(Ji, -1, -2)
+        system.rhs[ki, ni] -= (jt @ we)[..., 0]
+        for (kj, nj), WJj in zip(rows, wj):
+            dk = kj[0] - ki[0]
+            if dk >= 0:
+                target = system.diag if dk == 0 else system.offdiag
+                target[ki, ni, nj] += jt @ WJj
 
 
 def _family_geom(factors: FactorSet):
-    """Stack per-family node indices, geometry, and weights.
+    """Stack every factor family: (label, nodes, weights, run), where nodes
+    is (m, B) and run(state_arrays, want_jac) returns the errors and the m
+    per-slot Jacobian stacks.
 
     Everything here is state independent, so the Gauss-Newton loop builds it
     once and reuses it for every linearization and cost evaluation.
     """
-    out = {"unary": list(factors.unary)}
-    bs = factors.binary_spatial
-    if bs:
-        out["bs"] = (np.array([f.node_a for f in bs]),
-                     np.array([f.node_b for f in bs]),
-                     phi_s_batch(np.array([f.ds for f in bs])),
-                     np.stack([f.weight for f in bs]))
-    bt = factors.binary_temporal
-    if bt:
-        out["bt"] = (np.array([f.node_a for f in bt]),
-                     np.array([f.node_b for f in bt]),
-                     phi_t_batch(np.array([f.dt for f in bt])),
-                     np.stack([f.weight for f in bt]))
-    qf = factors.quaternary
-    if qf:
-        out["q"] = (np.array([[f.node00, f.node10, f.node01, f.node11]
-                              for f in qf]).T,
-                    np.array([f.ds for f in qf]),
-                    np.array([f.dt for f in qf]),
-                    np.stack([f.weight for f in qf]))
-    fast, slow = _split_measurements(factors)
-    if fast:
-        out["strain"] = (np.array([f.node for f in fast]),
-                         np.stack([f.meas.value for f in fast]),
-                         np.stack([f.weight for f in fast]))
-    out["slow"] = slow
-    return out
+    fams = []
+
+    def prior(label, kernel, fs, *args):
+        if fs:
+            nodes = np.array([f.nodes for f in fs]).T
+            fams.append((label, nodes, np.stack([f.weight for f in fs]),
+                         lambda sa, jac: kernel(*[sa.take(n) for n in nodes],
+                                                *args, want_jac=jac)))
+
+    for f in factors.unary:
+        prior("unary", unary_batch, [f], f.params)
+    bs, bt, qf = (factors.binary_spatial, factors.binary_temporal,
+                  factors.quaternary)
+    prior("spatial", binary_batch, bs,
+          phi_s_batch(np.array([f.ds for f in bs])))
+    prior("temporal", binary_batch, bt,
+          phi_t_batch(np.array([f.dt for f in bt])))
+    prior("cell", quaternary_batch, qf, np.array([f.ds for f in qf]),
+          np.array([f.dt for f in qf]))
+    for g in group_measurements(factors.measurement):
+        fams.append((f"{g.kind} measurement", g.nodes, g.weights, g.evaluate))
+    return fams
 
 
 def _quad_cost(weights: np.ndarray, errors: np.ndarray) -> float:
     return float(np.sum(errors[..., None, :] @ weights @ errors[..., None]))
 
 
-def _split_measurements(factors: FactorSet):
-    """Separate unmasked on-node strain factors (batchable) from the rest."""
-    fast, slow = [], []
-    for f in factors.measurement:
-        m = getattr(f, "meas", None)
-        if (getattr(f, "node", None) is not None and m is not None
-                and m.kind == "strain6" and bool(m.mask.all())):
-            fast.append(f)
-        else:
-            slow.append(f)
-    return fast, slow
+def _family_terms(geom, grid: Grid, want_jac: bool):
+    """(nodes, jacobians, weights, errors) of each family at the grid's
+    states.  A chart-range failure is re-raised with the offending factor's
+    nodes identified."""
+    sa = grid.state_arrays()
+    for label, nodes, weights, run in geom:
+        try:
+            e, *jacs = run(sa, want_jac)
+        except ChartRangeError as ex:
+            item = nodes[:, ex.index % nodes.shape[1]].tolist()
+            raise ChartRangeError(
+                ex.angle, ex.index,
+                f"while linearizing {label} factor at nodes {item}") from ex
+        yield nodes, jacs, weights, e
 
 
 def evaluate_cost(factors: FactorSet, grid: Grid) -> float:
@@ -259,134 +235,24 @@ def evaluate_cost(factors: FactorSet, grid: Grid) -> float:
 
 
 def _evaluate_cost(geom, grid: Grid) -> float:
-    sa = grid.state_arrays()
-    cost = 0.0
-    for f in geom["unary"]:
-        e, _ = unary_batch(sa.take([f.node]), f.params, want_jac=False)
-        cost += _quad_cost(np.asarray(f.weight)[None], e)
-    if "bs" in geom:
-        ia, ib, phi, w = geom["bs"]
-        e, _, _ = binary_batch(sa.take(ia), sa.take(ib), phi, want_jac=False)
-        cost += _quad_cost(w, e)
-    if "bt" in geom:
-        ia, ib, phi, w = geom["bt"]
-        e, _, _ = binary_batch(sa.take(ia), sa.take(ib), phi, want_jac=False)
-        cost += _quad_cost(w, e)
-    if "q" in geom:
-        idx, ds, dt, w = geom["q"]
-        e = quaternary_batch(sa.take(idx[0]), sa.take(idx[1]), sa.take(idx[2]),
-                             sa.take(idx[3]), ds, dt, want_jac=False)[0]
-        cost += _quad_cost(w, e)
-    if "strain" in geom:
-        nodes, values, w = geom["strain"]
-        e, _ = strain_node_batch(sa.take(nodes), values, want_jac=False)
-        cost += _quad_cost(w, e)
-    for f in geom["slow"]:
-        e = f.error(grid)
-        cost += float(e @ f.weight @ e)
-    return cost
+    return sum(_quad_cost(w, e)
+               for _, _, w, e in _family_terms(geom, grid, False))
 
 
 def linearize(factors: FactorSet, grid: Grid) -> BlockBandedSystem:
     """Assemble sum(J^T W J) and rhs = -sum(J^T W e) at the grid's states.
 
-    Batched per factor family; `STGP_THREADS` > 1 evaluates batch chunks on a
-    thread pool, with contributions merged in fixed chunk order so the result
-    does not depend on scheduling.  A chart-range failure is re-raised with
-    the offending factor identified.
+    One batched kernel call and one scatter per factor family.  A
+    chart-range failure is re-raised with the offending factor identified.
     """
     return _linearize(_family_geom(factors), grid)
 
 
 def _linearize(geom, grid: Grid) -> BlockBandedSystem:
     system = BlockBandedSystem.zeros(grid.N, grid.K)
-    sa = grid.state_arrays()
-    threads = _thread_count()
-
-    families = []
-    for f in geom["unary"]:
-        families.append(("unary", [f]))
-    for key in ("bs", "bt"):
-        if key in geom:
-            ia, ib, phi, w = geom[key]
-            families.append((key, [(ia[c], ib[c], phi[c], w[c])
-                                   for c in _chunks(len(ia), threads)]))
-    if "q" in geom:
-        idx, ds, dt, w = geom["q"]
-        families.append(("q", [(idx[:, c], ds[c], dt[c], w[c])
-                               for c in _chunks(len(ds), threads)]))
-
-    def run(kind, payload):
-        if kind == "unary":
-            f = payload
-            e, J = unary_batch(sa.take([f.node]), f.params)
-            return ([np.array([f.node])], [J], np.asarray(f.weight)[None], e)
-        if kind in ("bs", "bt"):
-            ia, ib, phi, w = payload
-            try:
-                e, ja, jb = binary_batch(sa.take(ia), sa.take(ib), phi)
-            except ChartRangeError as ex:
-                raise ChartRangeError(
-                    ex.angle, ex.index,
-                    f"while linearizing {kind} factor between nodes "
-                    f"{ia[ex.index]} and {ib[ex.index]}") from ex
-            return ([ia, ib], [ja, jb], w, e)
-        idx, ds, dt, w = payload
-        try:
-            e, j00, j10, j01, j11 = quaternary_batch(
-                sa.take(idx[0]), sa.take(idx[1]), sa.take(idx[2]),
-                sa.take(idx[3]), ds, dt)
-        except ChartRangeError as ex:
-            raise ChartRangeError(
-                ex.angle, ex.index,
-                f"while linearizing cell factor with corners "
-                f"{idx[:, ex.index].tolist()}") from ex
-        return (list(idx), [j00, j10, j01, j11], w, e)
-
-    jobs = [(kind, payload) for kind, chunks in families for payload in chunks]
-    if threads > 1 and len(jobs) > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            chunk_results = list(pool.map(lambda j: run(*j), jobs))
-    else:
-        chunk_results = [run(*j) for j in jobs]
-
-    # regroup chunks per family and scatter each family as one full batch, so
-    # the accumulation order (hence the bit pattern) is thread-count invariant
-    cost = 0.0
-    pos = 0
-    for kind, chunks in families:
-        res = chunk_results[pos:pos + len(chunks)]
-        pos += len(chunks)
-        if len(res) == 1:
-            nodes, jacs, w, e = res[0]
-        else:
-            nodes = [np.concatenate([r[0][i] for r in res])
-                     for i in range(len(res[0][0]))]
-            jacs = [np.concatenate([r[1][i] for r in res])
-                    for i in range(len(res[0][1]))]
-            w = np.concatenate([r[2] for r in res])
-            e = np.concatenate([r[3] for r in res])
+    for nodes, jacs, w, e in _family_terms(geom, grid, True):
         _scatter_family(system, nodes, jacs, w, e)
-        cost += _quad_cost(w, e)
-
-    if "strain" in geom:
-        nodes_f, values, w = geom["strain"]
-        e, J = strain_node_batch(sa.take(nodes_f), values, want_jac=True)
-        _scatter_family(system, [nodes_f], [J], w, e)
-        cost += _quad_cost(w, e)
-    for f in geom["slow"]:
-        e = f.error(grid)
-        jacs = f.jacobians(grid)
-        w = f.weight
-        cost += float(e @ w @ e)
-        N = grid.N
-        for i, ji in zip(f.nodes, jacs):
-            system.add_rhs(i, -(ji.T @ (w @ e)))
-            for j, jj in zip(f.nodes, jacs):
-                if j // N < i // N:
-                    continue
-                system.add_block(i, j, ji.T @ w @ jj)
-    system.cost = cost
+        system.cost += _quad_cost(w, e)
     return system
 
 

@@ -12,9 +12,10 @@ from scipy.integrate import quad
 
 import stgp.prior as P
 from stgp.liegroup import Pose, se3_exp
-from stgp.prior import (ChartRangeError, NodeState, PriorParams, chart_decode,
-                        chart_encode, k_matrix, phi_cell, phi_s, phi_t,
-                        q_binary_s, q_binary_t, q_quaternary, retract)
+from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
+                        chart_decode, chart_decode_batch, chart_encode,
+                        k_matrix, phi_cell, phi_s, phi_t, q_binary_s,
+                        q_binary_t, q_quaternary, retract)
 from conftest import random_state, random_states
 
 
@@ -164,6 +165,23 @@ def test_chart_roundtrip_100_states():
         assert np.max(np.abs(y.strain - x.strain)) < 1e-9
         assert np.max(np.abs(y.velocity - x.velocity)) < 1e-9
         assert np.max(np.abs(y.strain_velocity - x.strain_velocity)) < 1e-9
+
+
+def test_chart_decode_batch_roundtrip():
+    rng = np.random.default_rng(21)
+    states = random_states(22, 50, angle=2.0, trans=1.0, deriv=1.0)
+    bases = [random_state(rng, angle=0.5).pose for _ in states]
+    z = np.stack([chart_encode(x, b) for x, b in zip(states, bases)])
+    Rb = np.stack([b.R for b in bases])
+    tb = np.stack([b.t for b in bases])
+    got = chart_decode_batch(z, Rb, tb)
+    ref = StateArrays.from_states(states)
+    for f in ("R", "t", "eps", "vel", "sv"):
+        assert np.max(np.abs(getattr(got, f) - getattr(ref, f))) < 1e-9
+    # the one-row decode is a batch of one of the same code
+    one = chart_decode(z[3], bases[3])
+    assert np.array_equal(one.pose.R, got.R[3])
+    assert np.array_equal(one.strain_velocity, got.sv[3])
 
 
 def test_chart_range_error():

@@ -7,10 +7,10 @@ import pytest
 from stgp.graph import build_grid, build_prior_factors
 from stgp.liegroup import Pose, se3_exp
 from stgp.oracle import dense_condition_query
-from stgp.prior import NodeState, chart_encode, retract
-from stgp.sensors import (InterpolatedMeasurementFactor, Measurement,
+from stgp.prior import NodeState, StateArrays, chart_encode, retract
+from stgp.sensors import (KINDS, InterpolatedMeasurementFactor, Measurement,
                           NodeMeasurementFactor, build_measurement_factor,
-                          measurement_model, strain_node_batch)
+                          measurement_model, sensor_model)
 from stgp.solver import apply_update
 from conftest import random_state, random_states
 
@@ -130,16 +130,35 @@ def test_measurement_jacobians_fd(kind):
 
 
 def test_strain_node_batch_matches_scalar():
+    """The batched sensor model, one call per kind over a stack of states
+    (masked strain included), against per-state central differences."""
+    rng = np.random.default_rng(6)
     states = random_states(6, 8)
-    values = np.stack([s.strain * 0.9 + 0.05 for s in states])
-    from stgp.prior import StateArrays
     sa = StateArrays.from_states(states)
-    e_b, J_b = strain_node_batch(sa, values, want_jac=True)
-    for i, x in enumerate(states):
-        m = Measurement("strain6", 0, 0, values[i], np.eye(6))
-        e, J = measurement_model(m, x)
-        assert np.max(np.abs(e_b[i] - e)) < 1e-14
-        assert np.max(np.abs(J_b[i] - J)) < 1e-14
+    mask = np.array([True, False, True, False, False, True])
+    for kind in KINDS:
+        meas = []
+        for i, x in enumerate(states):
+            if kind == "pose6":
+                value = Pose.exp(0.1 * rng.standard_normal(6)) @ x.pose
+                meas.append(Measurement(kind, 0, 0, value, np.eye(6)))
+            elif kind == "strain6":
+                m = mask if i % 2 else None
+                dim = 6 if m is None else 3
+                meas.append(Measurement(kind, 0, 0, rng.standard_normal(6),
+                                        np.eye(dim), mask=m))
+            else:
+                meas.append(Measurement(kind, 0, 0, rng.standard_normal(3),
+                                        np.eye(3)))
+        values = np.stack([m.value.matrix() if kind == "pose6" else m.value
+                           for m in meas])
+        e_b, J_b = sensor_model(kind, sa, values)
+        for x, m, e, J in zip(states, meas, e_b, J_b):
+            e_ref = measurement_model(m, x, False)[0]
+            assert np.max(np.abs(e[m.rows] - e_ref)) < 1e-14
+            J_fd = fd_model_jacobian(m, x)
+            assert np.max(np.abs(J[m.rows] - J_fd)) \
+                < 1e-5 * (1 + np.max(np.abs(J_fd)))
 
 
 # off-grid binding

@@ -116,20 +116,37 @@ def brute_force_normal_equations(factors, grid):
 
 
 def test_linearize_matches_brute_force_with_measurements(params):
+    """Every measurement group against per-factor normal equations: each
+    sensor kind on a node, on both kinds of knot line and inside a cell,
+    masked strain, and groups with several factors on the same nodes."""
     s = np.linspace(0.0, 1.0, 3)
     t = np.linspace(0.0, 0.8, 2)
     states = random_states(11, 6, angle=0.15, trans=0.1, deriv=0.2)
     grid = build_grid(s, t, lambda si, ti: states.pop())
-    meas = [
-        Measurement("strain6", 0.5, 0.0, np.array([1.0, 0, 0, 0, 0, 0.3]),
-                    1e-4 * np.eye(6)),
-        Measurement("position3", 0.7, 0.5, np.array([0.65, 0.02, -0.01]),
-                    1e-6 * np.eye(3)),
-        Measurement("gyro3", 1.0, 0.8, np.array([0.1, -0.05, 0.2]),
-                    1e-4 * np.eye(3)),
-    ]
+    rng = np.random.default_rng(12)
+    mask = np.array([True, False, False, False, False, True])
+
+    def meas(kind, si, ti, masked=False):
+        if kind == "pose6":
+            return Measurement(kind, si, ti,
+                               Pose.exp(0.1 * rng.standard_normal(6)),
+                               1e-4 * np.eye(6))
+        dim = 2 if masked else (6 if kind == "strain6" else 3)
+        return Measurement(kind, si, ti, 0.1 * rng.standard_normal(
+            6 if kind == "strain6" else 3), 1e-4 * np.eye(dim),
+            mask=mask if masked else None)
+
+    points = [(0.5, 0.0), (1.0, 0.8),    # on a node
+              (0.5, 0.35), (0.5, 0.6),   # on an s knot: 2 nodes along t
+              (0.2, 0.8), (0.75, 0.0),   # on a t knot: 2 nodes along s
+              (0.7, 0.5), (0.3, 0.3)]    # inside a cell: 4 nodes
+    ms = [meas(kind, si, ti) for kind in ("pose6", "position3", "gyro3",
+                                          "strain6") for si, ti in points]
+    ms += [meas("strain6", si, ti, masked=True) for si, ti in points]
+    ms.append(meas("position3", 0.7, 0.5))  # a second factor on one cell
     factors = build_prior_factors(grid, params)
-    mf = build_measurement_factors(meas, grid, params)
+    mf = build_measurement_factors(ms, grid, params)
+    assert sorted({len(f.nodes) for f in mf}) == [1, 2, 4]
     factors = FactorSet(factors.unary, factors.binary_spatial,
                         factors.binary_temporal, factors.quaternary, mf)
     system = linearize(factors, grid)
@@ -306,28 +323,19 @@ def test_gn_update_applies_in_each_node_chart(params):
         assert np.max(np.abs(step - delta[BLOCK * i:BLOCK * (i + 1)])) < 1e-9
 
 
-class UphillFactor:
-    """Deliberately wrong-sign Jacobian: every Gauss-Newton step and every
-    halving of it increases the cost, exhausting the line search."""
-
-    kind = "stub"
-    nodes = (0,)
-    weight = np.eye(BLOCK)
-
-    def __init__(self, target):
-        self.target = target
-
-    def error(self, grid):
-        return chart_encode(grid.states[0], Pose.identity()) - self.target
-
-    def jacobians(self, grid):
-        return [-np.eye(BLOCK)]
-
-
-def test_gn_reports_step_halving_exhaustion(identity_params):
+def test_gn_reports_step_halving_exhaustion(identity_params, monkeypatch):
+    """A solve that returns the step with the wrong sign: every Gauss-Newton
+    step and every halving of it increases the cost, exhausting the line
+    search."""
+    import stgp.solver as solver
+    solve = solver.solve_factorized
+    monkeypatch.setattr(solver, "solve_factorized",
+                        lambda fact, rhs: -solve(fact, rhs))
     grid = build_grid([0.0], [0.0], NodeState.identity())
-    target = np.full(BLOCK, 0.3)
-    factors = FactorSet([], [], [], [], [UphillFactor(target)])
+    factors = build_prior_factors(grid, identity_params)
+    factors.measurement = build_measurement_factors(
+        [Measurement("pose6", 0.0, 0.0, Pose.exp(np.full(6, 0.3)),
+                     np.eye(6))], grid, identity_params)
     opts = SolverOptions(max_iters=10, tol=1e-10, max_step_halvings=4)
     post = gauss_newton(grid, factors, identity_params, opts)
     assert not post.report.converged
