@@ -1,4 +1,12 @@
-"""Experiment driver: simulate -> estimate -> query -> benchmark.
+"""Experiment driver: simulate -> estimate -> query.
+
+  simulate --config C --out D [--seed S]
+      writes measurements.json and ground_truth.csv (S overrides the config
+      seed, which draws the measurement noise)
+  estimate --config C --out D [--measurements M]
+      writes report.json, estimate.csv and posterior.bin
+  query --out D (--s S --t T | --grid SxT)
+      prints posterior state rows, with standard deviations, as CSV
 
 All artifacts are schema-versioned ("stgp.<kind>/<major>.<minor>"); readers
 reject unknown majors.  JSON files are written with sorted keys so identical
@@ -23,12 +31,10 @@ not positive definite.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
-import math
 import os
-import statistics
 import sys
-import time
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -42,8 +48,7 @@ from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
                   generate_measurements)
 from .solver import (ConvergenceReport, CornerCovariances,
                      NotPositiveDefiniteError, Posterior, SolverOptions,
-                     corner_covariances, factorize, gauss_newton, linearize,
-                     solve_factorized)
+                     gauss_newton)
 
 SCHEMA_MAJOR = 1
 SCHEMA_MINOR = 0
@@ -274,11 +279,8 @@ def load_posterior(path: str) -> Posterior:
                              prior_mean=mean)
         cov = CornerCovariances(N, K, z["sig_diag"], z["sig_off"])
         rep = json.loads(str(z["report"]))
-    report = ConvergenceReport(
-        converged=rep["converged"], iterations=rep["iterations"],
-        initial_cost=rep["initial_cost"], final_cost=rep["final_cost"],
-        cost_trace=rep["cost_trace"], update_norms=rep["update_norms"],
-        halvings=rep["halvings"], message=rep["message"])
+    fields = dataclasses.fields(ConvergenceReport)
+    report = ConvergenceReport(**{f.name: rep[f.name] for f in fields})
     return Posterior(Grid(s_knots, t_knots, states), params, cov, report)
 
 
@@ -383,86 +385,6 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
     return EXIT_OK
 
 
-def _parse_sweep(text: str) -> Tuple[str, List[int]]:
-    axis, _, values = text.partition("=")
-    axis = axis.strip().upper()
-    if axis not in ("K", "N", "NK") or not values:
-        raise ConfigError(f"--sweep expects K=..|N=..|NK=.., got {text!r}")
-    try:
-        sizes = [int(v) for v in values.split(",")]
-    except ValueError:
-        raise ConfigError(f"sweep sizes must be integers, got {values!r}")
-    if any(v < 1 for v in sizes):
-        raise ConfigError("sweep sizes must be >= 1")
-    return axis, sizes
-
-
-def _solve_cycle(grid, factors):
-    system = linearize(factors, grid)
-    fact = factorize(system)
-    solve_factorized(fact, system.rhs)
-    corner_covariances(fact)
-
-
-def benchmark_rows(cfg: ScenarioConfig, axis: str, sizes: Sequence[int],
-                   solve_reps: int = 5, query_reps: int = 100) -> List[dict]:
-    rows = []
-    rng = np.random.default_rng(cfg.seed)
-    for size in sizes:
-        kw = {}
-        if axis in ("N", "NK"):
-            kw["n_space"] = size
-        if axis in ("K", "NK"):
-            kw["n_time"] = size
-        sub = ScenarioConfig(
-            length=cfg.length, duration=cfg.duration, kappa0=cfg.kappa0,
-            kappa_a=cfg.kappa_a, period=cfg.period, qs_diag=cfg.qs_diag,
-            qt_diag=cfg.qt_diag, qst_diag=cfg.qst_diag, p0_diag=cfg.p0_diag,
-            seed=cfg.seed, refinement=cfg.refinement,
-            n_space=kw.get("n_space", cfg.n_space),
-            n_time=kw.get("n_time", cfg.n_time))
-        params = sub.prior_params()
-        grid = build_grid(sub.s_knots, sub.t_knots, params.prior_mean)
-        factors = build_prior_factors(grid, params)
-        times = []
-        for _ in range(solve_reps):
-            t0 = time.perf_counter()
-            _solve_cycle(grid, factors)
-            times.append(time.perf_counter() - t0)
-        system = linearize(factors, grid)
-        post = Posterior(grid, params,
-                         corner_covariances(factorize(system)),
-                         ConvergenceReport(True, 0, 0.0, 0.0, [], [], [], ""))
-        pts = np.column_stack([
-            rng.uniform(grid.s_knots[0], grid.s_knots[-1], query_reps),
-            rng.uniform(grid.t_knots[0], grid.t_knots[-1], query_reps)])
-        qtimes = []
-        for sv, tv in pts:
-            t0 = time.perf_counter()
-            query_state(post, float(sv), float(tv))
-            qtimes.append(time.perf_counter() - t0)
-        rows.append({"n_space": grid.N, "n_time": grid.K,
-                     "solve_median_s": statistics.median(times),
-                     "query_median_s": statistics.median(qtimes),
-                     "solve_ratio": None})
-    for prev, cur in zip(rows, rows[1:]):
-        cur["solve_ratio"] = cur["solve_median_s"] / prev["solve_median_s"]
-    return rows
-
-
-def cmd_benchmark(cfg: ScenarioConfig, out_dir: str,
-                  sweep: Optional[str]) -> int:
-    os.makedirs(out_dir, exist_ok=True)
-    if sweep is None:
-        axis, sizes = "K", [cfg.n_time]
-    else:
-        axis, sizes = _parse_sweep(sweep)
-    rows = benchmark_rows(cfg, axis, sizes)
-    _dump_json({"schema": schema_tag("bench"), "axis": axis, "rows": rows},
-               os.path.join(out_dir, "bench.json"))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # entry point
 
@@ -472,20 +394,19 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="stgp",
         description="Space-time GP state estimation for continuum robots")
     sub = p.add_subparsers(dest="command", required=True)
-    for name in ("simulate", "estimate", "query", "benchmark"):
+    for name in ("simulate", "estimate", "query"):
         sp = sub.add_parser(name)
         if name != "query":
             sp.add_argument("--config", required=True)
         sp.add_argument("--out", required=True)
-        sp.add_argument("--seed", type=int, default=None)
+        if name == "simulate":
+            sp.add_argument("--seed", type=int, default=None)
         if name == "estimate":
             sp.add_argument("--measurements", default=None)
         if name == "query":
             sp.add_argument("--s", type=float, default=None)
             sp.add_argument("--t", type=float, default=None)
             sp.add_argument("--grid", default=None)
-        if name == "benchmark":
-            sp.add_argument("--sweep", default=None)
     return p
 
 
@@ -496,14 +417,12 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             return cmd_query(args.out, s=args.s, t=args.t,
                              grid_arg=args.grid)
         cfg = load_config(args.config)
-        if args.seed is not None:
-            cfg.seed = args.seed
         if args.command == "simulate":
+            if args.seed is not None:
+                cfg.seed = args.seed
             return cmd_simulate(cfg, args.out)
-        if args.command == "estimate":
-            return cmd_estimate(cfg, args.out,
-                                measurements_path=args.measurements)
-        return cmd_benchmark(cfg, args.out, args.sweep)
+        return cmd_estimate(cfg, args.out,
+                            measurements_path=args.measurements)
     except (ConfigError, SchemaError, OutOfHullError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVALID

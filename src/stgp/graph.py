@@ -1,25 +1,31 @@
-"""Estimation grid and factor construction.
+"""Estimation grid and prior factor construction.
 
 Nodes live on an arclength x time lattice, flattened space-major:
 flat index = k * N + n for arclength index n and time index k.  The prior
 couples each node only to its immediate lattice neighbors, which is what
 keeps the normal equations block-banded with bandwidth N + 1.
+
+The prior is four factor kinds (unary, spatial binary, temporal binary and
+cell), each the same kernel applied at many lattice sites.
+`build_prior_factors` emits each kind as one stacked `PriorFamily`: its
+node indices, weights and per-item kernel arguments as arrays, evaluated by
+one batched kernel call.  Families share the (nodes, weights, evaluate)
+protocol of `sensors.MeasurementGroup`, so the solver treats prior and
+measurement factors alike.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Sequence, Union
+from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .prior import (NodeState, PriorParams, StateArrays, binary_spatial_error,
-                    binary_spatial_jacobians, binary_temporal_error,
-                    binary_temporal_jacobians, propagate_corner,
-                    propagate_spatial, propagate_temporal, q_binary_s,
-                    q_binary_s_inv, q_binary_t, q_binary_t_inv, q_quaternary,
-                    q_quaternary_inv, quaternary_error, quaternary_jacobians,
-                    unary_error, unary_jacobian)
+from .prior import (NodeState, PriorParams, StateArrays, binary_batch,
+                    phi_s_batch, phi_t_batch, propagate_corner,
+                    propagate_spatial, propagate_temporal, q_binary_s_inv,
+                    q_binary_t_inv, q_quaternary_inv, quaternary_batch,
+                    unary_batch)
 
 
 @dataclass
@@ -105,163 +111,82 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
 
 
 # ---------------------------------------------------------------------------
-# factors
+# prior factor families
 
 
 @dataclass
-class UnaryPriorFactor:
-    node: int
-    params: PriorParams
-    noise_cov: np.ndarray
-    weight: np.ndarray
+class PriorFamily:
+    """Every prior factor of one kind, stacked.
 
-    kind = "prior_unary"
+    `nodes` is (m, B): row i holds each factor's i-th node, so each pair of
+    rows has one fixed time-row offset.  `weights` is (B, 24, 24), the
+    inverse noise covariances.  `kernel` is the batched error function of
+    the kind, called with the m gathered node-state stacks followed by
+    `args`, its per-item arguments.
+    """
 
-    @property
-    def nodes(self):
-        return (self.node,)
+    kind: str
+    nodes: np.ndarray
+    weights: np.ndarray
+    kernel: Callable
+    args: tuple
 
-    def error(self, grid: Grid) -> np.ndarray:
-        return unary_error(grid.states[self.node], self.params)
+    def __len__(self) -> int:
+        return self.nodes.shape[1]
 
-    def jacobians(self, grid: Grid):
-        return [unary_jacobian(grid.states[self.node], self.params)]
-
-
-@dataclass
-class BinarySpatialFactor:
-    node_a: int
-    node_b: int
-    ds: float
-    noise_cov: np.ndarray
-    weight: np.ndarray
-
-    kind = "prior_binary_spatial"
-
-    @property
-    def nodes(self):
-        return (self.node_a, self.node_b)
-
-    def error(self, grid: Grid) -> np.ndarray:
-        return binary_spatial_error(grid.states[self.node_a],
-                                    grid.states[self.node_b], self.ds)
-
-    def jacobians(self, grid: Grid):
-        return list(binary_spatial_jacobians(grid.states[self.node_a],
-                                             grid.states[self.node_b], self.ds))
-
-
-@dataclass
-class BinaryTemporalFactor:
-    node_a: int
-    node_b: int
-    dt: float
-    noise_cov: np.ndarray
-    weight: np.ndarray
-
-    kind = "prior_binary_temporal"
-
-    @property
-    def nodes(self):
-        return (self.node_a, self.node_b)
-
-    def error(self, grid: Grid) -> np.ndarray:
-        return binary_temporal_error(grid.states[self.node_a],
-                                     grid.states[self.node_b], self.dt)
-
-    def jacobians(self, grid: Grid):
-        return list(binary_temporal_jacobians(grid.states[self.node_a],
-                                              grid.states[self.node_b], self.dt))
-
-
-@dataclass
-class QuaternaryFactor:
-    """Cell factor over corners (n00, n10, n01, n11); subscripts are
-    (spatial, temporal) offsets within the cell."""
-
-    node00: int
-    node10: int
-    node01: int
-    node11: int
-    ds: float
-    dt: float
-    noise_cov: np.ndarray
-    weight: np.ndarray
-
-    kind = "prior_quaternary"
-
-    @property
-    def nodes(self):
-        return (self.node00, self.node10, self.node01, self.node11)
-
-    def error(self, grid: Grid) -> np.ndarray:
-        s = grid.states
-        return quaternary_error(s[self.node00], s[self.node10], s[self.node01],
-                                s[self.node11], self.ds, self.dt)
-
-    def jacobians(self, grid: Grid):
-        s = grid.states
-        return list(quaternary_jacobians(s[self.node00], s[self.node10],
-                                         s[self.node01], s[self.node11],
-                                         self.ds, self.dt))
+    def evaluate(self, sa: StateArrays, want_jac: bool = True):
+        """(errors, J_0, ..., J_m-1) at node states `sa`; each J_i is the
+        (B, 24, 24) Jacobian onto slot i's node chart, None without
+        `want_jac`."""
+        return self.kernel(*[sa.take(n) for n in self.nodes], *self.args,
+                           want_jac=want_jac)
 
 
 @dataclass
 class FactorSet:
-    unary: List[UnaryPriorFactor] = field(default_factory=list)
-    binary_spatial: List[BinarySpatialFactor] = field(default_factory=list)
-    binary_temporal: List[BinaryTemporalFactor] = field(default_factory=list)
-    quaternary: List[QuaternaryFactor] = field(default_factory=list)
+    """The prior families (None for a kind the set leaves out) and the
+    measurement factors."""
+
+    unary: Optional[PriorFamily] = None
+    binary_spatial: Optional[PriorFamily] = None
+    binary_temporal: Optional[PriorFamily] = None
+    quaternary: Optional[PriorFamily] = None
     measurement: list = field(default_factory=list)
 
-    def all_factors(self):
-        yield from self.unary
-        yield from self.binary_spatial
-        yield from self.binary_temporal
-        yield from self.quaternary
-        yield from self.measurement
+    def prior_families(self) -> List[PriorFamily]:
+        """The non-empty prior families, in assembly order."""
+        return [f for f in (self.unary, self.binary_spatial,
+                            self.binary_temporal, self.quaternary) if f]
 
     def prior_count(self) -> int:
-        return (len(self.unary) + len(self.binary_spatial)
-                + len(self.binary_temporal) + len(self.quaternary))
-
-    def total_count(self) -> int:
-        return self.prior_count() + len(self.measurement)
+        return sum(len(f) for f in self.prior_families())
 
 
 def build_prior_factors(grid: Grid, params: PriorParams) -> FactorSet:
     """One unary factor at the first node, binary chains along the first time
-    row and first arclength column, and one cell factor per lattice cell."""
-    fs = FactorSet()
-    p0 = params.p0
-    fs.unary.append(UnaryPriorFactor(0, params, p0, np.linalg.inv(p0)))
+    row and first arclength column, and one cell factor per lattice cell
+    (time-major), each kind as one family."""
     N, K = grid.N, grid.K
-    for n in range(1, N):
-        ds = float(grid.s_knots[n] - grid.s_knots[n - 1])
-        fs.binary_spatial.append(BinarySpatialFactor(
-            grid.flat(n - 1, 0), grid.flat(n, 0), ds,
-            q_binary_s(ds, params), q_binary_s_inv(ds, params)))
-    for k in range(1, K):
-        dt = float(grid.t_knots[k] - grid.t_knots[k - 1])
-        fs.binary_temporal.append(BinaryTemporalFactor(
-            grid.flat(0, k - 1), grid.flat(0, k), dt,
-            q_binary_t(dt, params), q_binary_t_inv(dt, params)))
-    for k in range(1, K):
-        dt = float(grid.t_knots[k] - grid.t_knots[k - 1])
-        for n in range(1, N):
-            ds = float(grid.s_knots[n] - grid.s_knots[n - 1])
-            fs.quaternary.append(QuaternaryFactor(
-                grid.flat(n - 1, k - 1), grid.flat(n, k - 1),
-                grid.flat(n - 1, k), grid.flat(n, k), ds, dt,
-                q_quaternary(ds, dt, params), q_quaternary_inv(ds, dt, params)))
-    return fs
+    ds = np.diff(grid.s_knots)
+    dt = np.diff(grid.t_knots)
+    row, col = np.arange(N - 1), N * np.arange(K - 1)
+    c00 = (col[:, None] + row[None, :]).ravel()
+    cell_ds = np.tile(ds, K - 1)
+    cell_dt = np.repeat(dt, N - 1)
 
+    def weights(fn, *steps):
+        w = [fn(*d, params) for d in zip(*steps)]
+        return np.array(w).reshape(-1, 24, 24)
 
-def precision_pattern(factors: FactorSet, n_nodes: int) -> np.ndarray:
-    """Boolean block-sparsity pattern of J^T W J from factor membership."""
-    pat = np.zeros((n_nodes, n_nodes), dtype=bool)
-    for f in factors.all_factors():
-        for i in f.nodes:
-            for j in f.nodes:
-                pat[i, j] = True
-    return pat
+    return FactorSet(
+        PriorFamily("unary", np.zeros((1, 1), dtype=int),
+                    np.linalg.inv(params.p0)[None], unary_batch, (params,)),
+        PriorFamily("spatial", np.stack([row, row + 1]),
+                    weights(q_binary_s_inv, ds), binary_batch,
+                    (phi_s_batch(ds),)),
+        PriorFamily("temporal", np.stack([col, col + N]),
+                    weights(q_binary_t_inv, dt), binary_batch,
+                    (phi_t_batch(dt),)),
+        PriorFamily("cell", np.stack([c00, c00 + 1, c00 + N, c00 + N + 1]),
+                    weights(q_quaternary_inv, cell_ds, cell_dt),
+                    quaternary_batch, (cell_ds, cell_dt)))

@@ -361,12 +361,8 @@ def phi_t_batch(dt: np.ndarray) -> np.ndarray:
     return out
 
 
-def phi_cell_batch(ds: np.ndarray, dt: np.ndarray) -> np.ndarray:
-    return phi_t_batch(dt) @ phi_s_batch(ds)
-
-
 # ---------------------------------------------------------------------------
-# prior factor errors and Jacobians (batched cores; scalar wrappers below)
+# prior factor errors and Jacobians, batched over factors
 
 
 def unary_batch(sa: StateArrays, params: PriorParams, want_jac: bool = True):
@@ -414,57 +410,6 @@ def quaternary_batch(sa00: StateArrays, sa10: StateArrays, sa01: StateArrays,
     j00 = pc @ encode_self_jacobian_batch(sa00)
     j00[..., :, 0:6] += bm11 - ps @ bm01 - pt @ bm10
     return e, j00, j10, j01, j11
-
-
-def unary_error(x: NodeState, params: PriorParams) -> np.ndarray:
-    e, _ = unary_batch(StateArrays.from_state(x), params, want_jac=False)
-    return e[0]
-
-
-def unary_jacobian(x: NodeState, params: PriorParams) -> np.ndarray:
-    _, j = unary_batch(StateArrays.from_state(x), params, want_jac=True)
-    return j[0]
-
-
-def binary_spatial_error(x_a: NodeState, x_b: NodeState, ds: float) -> np.ndarray:
-    e, _, _ = binary_batch(StateArrays.from_state(x_a), StateArrays.from_state(x_b),
-                           phi_s(ds)[None], want_jac=False)
-    return e[0]
-
-
-def binary_spatial_jacobians(x_a: NodeState, x_b: NodeState, ds: float):
-    _, ja, jb = binary_batch(StateArrays.from_state(x_a), StateArrays.from_state(x_b),
-                             phi_s(ds)[None], want_jac=True)
-    return ja[0], jb[0]
-
-
-def binary_temporal_error(x_a: NodeState, x_b: NodeState, dt: float) -> np.ndarray:
-    e, _, _ = binary_batch(StateArrays.from_state(x_a), StateArrays.from_state(x_b),
-                           phi_t(dt)[None], want_jac=False)
-    return e[0]
-
-
-def binary_temporal_jacobians(x_a: NodeState, x_b: NodeState, dt: float):
-    _, ja, jb = binary_batch(StateArrays.from_state(x_a), StateArrays.from_state(x_b),
-                             phi_t(dt)[None], want_jac=True)
-    return ja[0], jb[0]
-
-
-def quaternary_error(x00: NodeState, x10: NodeState, x01: NodeState,
-                     x11: NodeState, ds: float, dt: float) -> np.ndarray:
-    e = quaternary_batch(StateArrays.from_state(x00), StateArrays.from_state(x10),
-                         StateArrays.from_state(x01), StateArrays.from_state(x11),
-                         np.array([ds]), np.array([dt]), want_jac=False)[0]
-    return e[0]
-
-
-def quaternary_jacobians(x00: NodeState, x10: NodeState, x01: NodeState,
-                         x11: NodeState, ds: float, dt: float):
-    _, j00, j10, j01, j11 = quaternary_batch(
-        StateArrays.from_state(x00), StateArrays.from_state(x10),
-        StateArrays.from_state(x01), StateArrays.from_state(x11),
-        np.array([ds]), np.array([dt]), want_jac=True)
-    return j00[0], j10[0], j01[0], j11[0]
 
 
 # ---------------------------------------------------------------------------

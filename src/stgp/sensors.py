@@ -18,10 +18,10 @@ interpolation gains of each binding.  `MeasurementGroup.evaluate` runs the
 batched chain (`query.interpolate`), then `sensor_model`, which evaluates
 all four kinds with one branch per kind, and composes the Jacobians.  A
 masked strain factor keeps all six error rows and a weight that is zero
-outside its mask.  `measurement_model` and the factors' `error`/`jacobians`
-are one-row calls into the same code.  A factor whose sample coincides with
-a node reduces to the on-node factor exactly, because the gains collapse
-onto that corner.
+outside its mask.  The factor objects only bind a measurement to nodes;
+they have no error or Jacobian of their own.  A factor whose sample
+coincides with a node reduces to the on-node factor exactly, because the
+gains collapse onto that corner.
 """
 
 from __future__ import annotations
@@ -33,7 +33,7 @@ import numpy as np
 
 from .graph import Grid
 from .liegroup import Pose, ad6, hat3, se3_left_jacobian_inv, se3_log
-from .prior import NodeState, PriorParams, StateArrays
+from .prior import PriorParams, StateArrays
 from .query import HULL_TOL, Gain, Interpolant, interpolate, make_interpolant
 
 KINDS = ("pose6", "position3", "gyro3", "strain6")
@@ -137,13 +137,6 @@ def sensor_model(kind: str, x: StateArrays, values: np.ndarray):
     return e, J
 
 
-def measurement_model(meas: Measurement, x: NodeState, want_jac: bool = True):
-    """Error and chart Jacobian of `meas` against state `x`."""
-    e, J = sensor_model(meas.kind, StateArrays.from_state(x),
-                        _value_array(meas)[None])
-    return e[0][meas.rows], (J[0][meas.rows] if want_jac else None)
-
-
 @dataclass
 class MeasurementGroup:
     """Measurement factors of one sensor kind and one binding shape, no two
@@ -217,9 +210,8 @@ def group_measurements(factors) -> List[MeasurementGroup]:
 
 
 class _BoundMeasurement:
-    """Per-factor view of the batched path, for tests and tools."""
-
-    kind = "measurement"
+    """A measurement, its weight (the inverse noise covariance) and the nodes
+    it binds to; `group_measurements` stacks these for evaluation."""
 
     def __post_init__(self):
         self.weight = np.linalg.inv(self.meas.noise_cov)
@@ -227,17 +219,6 @@ class _BoundMeasurement:
     @property
     def nodes(self) -> Tuple[int, ...]:
         return self.interp.node_ids
-
-    def error(self, grid: Grid) -> np.ndarray:
-        return self._one_row(grid, False)[0]
-
-    def jacobians(self, grid: Grid) -> List[np.ndarray]:
-        return self._one_row(grid, True)[1:]
-
-    def _one_row(self, grid: Grid, want_jac: bool):
-        (group,) = group_measurements([self])
-        out = group.evaluate(grid.state_arrays(), want_jac)
-        return [a[0][self.meas.rows] for a in out if a is not None]
 
 
 @dataclass

@@ -3,10 +3,12 @@
 Gauss-Newton with step halving on top of a block-banded normal-equations
 solver.
 
-Linearization has one batched path for every factor.  `_family_geom` stacks
-the factors once per Gauss-Newton run into families: the unary, spatial,
-temporal and cell prior factors, and one measurement group per (sensor kind,
-binding shape).  Every pair of slots in a family has one fixed time-row
+Linearization has one batched path for every factor.  A factor family is
+either a prior family, which `graph.build_prior_factors` emits already
+stacked (unary, spatial, temporal and cell), or a measurement group, which
+`sensors.group_measurements` stacks once per Gauss-Newton run by (sensor
+kind, binding shape).  Both expose (m, B) `nodes`, stacked `weights` and a
+batched `evaluate`.  Every pair of slots in a family has one fixed time-row
 offset, so each family costs one batched kernel call and one scatter of
 whole 24x24 blocks into the normal equations.
 
@@ -31,8 +33,7 @@ from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
 
 from .graph import FactorSet, Grid
 from .sensors import group_measurements
-from .prior import (ChartRangeError, PriorParams, binary_batch, phi_s_batch,
-                    phi_t_batch, quaternary_batch, retract_all, unary_batch)
+from .prior import ChartRangeError, PriorParams, retract_all
 
 BLOCK = 24
 
@@ -178,35 +179,15 @@ def _scatter_family(system: BlockBandedSystem, nodes: np.ndarray,
 
 
 def _family_geom(factors: FactorSet):
-    """Stack every factor family: (label, nodes, weights, run), where nodes
-    is (m, B) and run(state_arrays, want_jac) returns the errors and the m
+    """Every factor family: the non-empty prior families and the measurement
+    groups.  Each has (m, B) `nodes`, (B, d, d) `weights` and
+    `evaluate(state_arrays, want_jac)`, which returns the errors and the m
     per-slot Jacobian stacks.
 
     Everything here is state independent, so the Gauss-Newton loop builds it
     once and reuses it for every linearization and cost evaluation.
     """
-    fams = []
-
-    def prior(label, kernel, fs, *args):
-        if fs:
-            nodes = np.array([f.nodes for f in fs]).T
-            fams.append((label, nodes, np.stack([f.weight for f in fs]),
-                         lambda sa, jac: kernel(*[sa.take(n) for n in nodes],
-                                                *args, want_jac=jac)))
-
-    for f in factors.unary:
-        prior("unary", unary_batch, [f], f.params)
-    bs, bt, qf = (factors.binary_spatial, factors.binary_temporal,
-                  factors.quaternary)
-    prior("spatial", binary_batch, bs,
-          phi_s_batch(np.array([f.ds for f in bs])))
-    prior("temporal", binary_batch, bt,
-          phi_t_batch(np.array([f.dt for f in bt])))
-    prior("cell", quaternary_batch, qf, np.array([f.ds for f in qf]),
-          np.array([f.dt for f in qf]))
-    for g in group_measurements(factors.measurement):
-        fams.append((f"{g.kind} measurement", g.nodes, g.weights, g.evaluate))
-    return fams
+    return factors.prior_families() + group_measurements(factors.measurement)
 
 
 def _quad_cost(weights: np.ndarray, errors: np.ndarray) -> float:
@@ -218,15 +199,15 @@ def _family_terms(geom, grid: Grid, want_jac: bool):
     states.  A chart-range failure is re-raised with the offending factor's
     nodes identified."""
     sa = grid.state_arrays()
-    for label, nodes, weights, run in geom:
+    for fam in geom:
         try:
-            e, *jacs = run(sa, want_jac)
+            e, *jacs = fam.evaluate(sa, want_jac)
         except ChartRangeError as ex:
-            item = nodes[:, ex.index % nodes.shape[1]].tolist()
+            item = fam.nodes[:, ex.index % fam.nodes.shape[1]].tolist()
             raise ChartRangeError(
                 ex.angle, ex.index,
-                f"while linearizing {label} factor at nodes {item}") from ex
-        yield nodes, jacs, weights, e
+                f"while linearizing {fam.kind} factor at nodes {item}") from ex
+        yield fam.nodes, jacs, fam.weights, e
 
 
 def evaluate_cost(factors: FactorSet, grid: Grid) -> float:

@@ -1,10 +1,12 @@
-"""Shared helpers: seeded random states and small default prior parameters."""
+"""Shared helpers: seeded random states, small default prior parameters,
+and one measurement factor evaluated on its own."""
 
 import numpy as np
 import pytest
 
 from stgp.liegroup import Pose, se3_exp
 from stgp.prior import NodeState, PriorParams
+from stgp.sensors import group_measurements
 
 
 def random_state(rng: np.random.Generator, angle: float = 0.3,
@@ -21,6 +23,14 @@ def random_state(rng: np.random.Generator, angle: float = 0.3,
 def random_states(seed: int, n: int, **kw):
     rng = np.random.default_rng(seed)
     return [random_state(rng, **kw) for _ in range(n)]
+
+
+def factor_terms(f, grid, want_jac: bool = True):
+    """[error, J_0, ...] of one measurement factor at the grid's states,
+    evaluated as a group of one and cut to the rows it observes."""
+    (group,) = group_measurements([f])
+    out = group.evaluate(grid.state_arrays(), want_jac)
+    return [a[0][f.meas.rows] for a in out if a is not None]
 
 
 @pytest.fixture

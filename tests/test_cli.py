@@ -1,6 +1,7 @@
 """Artifacts of the simulate -> estimate commands read back through the CLI's
-own readers."""
+own readers, and the documented exit codes of the command-line entry point."""
 
+import dataclasses
 import json
 import os
 
@@ -9,6 +10,7 @@ import pytest
 
 from stgp import cli
 from stgp.sim import GroundTruth
+from stgp.solver import ConvergenceReport, NotPositiveDefiniteError
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
                       "linear.json")
@@ -54,3 +56,108 @@ def test_report_times_covariance(run_dir):
     assert report["time_covariance"] > 0
     with np.load(os.path.join(out, "posterior.bin")) as z:
         assert json.loads(str(z["report"])) == report
+
+
+def test_loaded_report_matches_report_json(run_dir):
+    """Every ConvergenceReport field of a loaded posterior, timings
+    included, equals report.json."""
+    _, out = run_dir
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    post = cli.load_posterior(os.path.join(out, "posterior.bin"))
+    for f in dataclasses.fields(ConvergenceReport):
+        assert getattr(post.report, f.name) == report[f.name], f.name
+    assert post.report.time_total > 0
+
+
+# exit codes, through the command-line entry point
+
+
+def write_config(tmp_path, name="config.json", **changes) -> str:
+    """configs/linear.json with top-level fields replaced."""
+    with open(CONFIG, encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw.update(changes)
+    path = str(tmp_path / name)
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    return path
+
+
+def test_exit_invalid_schema_major(tmp_path):
+    cfg = write_config(tmp_path, schema="stgp.config/2.0")
+    assert cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "run")]) == cli.EXIT_INVALID
+
+
+@pytest.mark.parametrize("args", [["--s", "2.0", "--t", "0.5"],
+                                  ["--s", "0.3", "--t", "-1.0"],
+                                  ["--grid", "0x3"]])
+def test_exit_invalid_query(run_dir, args, capsys):
+    _, out = run_dir
+    assert cli.main(["query", "--out", out] + args) == cli.EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_io_missing_files(tmp_path, capsys):
+    assert cli.main(["query", "--out", str(tmp_path), "--grid", "2x2"]) \
+        == cli.EXIT_IO
+    assert cli.main(["simulate", "--config", str(tmp_path / "none.json"),
+                     "--out", str(tmp_path)]) == cli.EXIT_IO
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_no_convergence_still_writes_artifacts(tmp_path, capsys):
+    cfg = write_config(tmp_path, max_iters=1)
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["estimate", "--config", cfg, "--out", out]) \
+        == cli.EXIT_NO_CONVERGENCE
+    assert "did not converge" in capsys.readouterr().err
+    with open(os.path.join(out, "report.json"), encoding="utf-8") as fh:
+        report = json.load(fh)
+    assert not report["converged"] and report["iterations"] == 1
+    est = cli.read_state_csv(os.path.join(out, "estimate.csv"), "estimate")
+    assert est.shape == (12,)
+    post = cli.load_posterior(os.path.join(out, "posterior.bin"))
+    assert not post.report.converged
+    assert post.node_marginals.shape == (12, 24, 24)
+
+
+def test_exit_not_positive_definite(run_dir, tmp_path, monkeypatch, capsys):
+    """A valid config cannot make the normal equations indefinite, so the
+    solver is replaced by one that reports it."""
+    _, out = run_dir
+
+    def indefinite(*args, **kwargs):
+        raise NotPositiveDefiniteError(3, "injected")
+
+    monkeypatch.setattr(cli, "gauss_newton", indefinite)
+    assert cli.main(["estimate", "--config", CONFIG, "--out", str(tmp_path),
+                     "--measurements",
+                     os.path.join(out, "measurements.json")]) \
+        == cli.EXIT_NOT_PD
+    assert "block row 3" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("n_space,n_time,duration,sample", [
+    (1, 3, 1.0, [0.0, 0.31]),    # a single arclength knot
+    (4, 1, 0.0, [0.31, 0.0]),    # a single time knot
+    (1, 1, 0.0, [0.0, 0.0]),     # a single node
+])
+def test_degenerate_grids_round_trip(tmp_path, capsys, n_space, n_time,
+                                     duration, sample):
+    sensors = [{"kind": "strain6", "std": 0.02, "rate": 2.0,
+                "locations": "knots"},
+               {"kind": "position3", "std": 0.002, "samples": [sample]}]
+    cfg = write_config(tmp_path, n_space=n_space, n_time=n_time,
+                       duration=duration, sensors=sensors)
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["estimate", "--config", cfg, "--out", out]) == 0
+    capsys.readouterr()
+    assert cli.main(["query", "--out", out, "--grid", "2x2"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()
+    assert len(rows) == 1 + 4
+    vals = np.array([[float(v) for v in r.split(",")] for r in rows[1:]])
+    assert np.all(np.isfinite(vals))

@@ -1,15 +1,31 @@
-"""Grid construction, prior factor layout, and the assembled precision's
+"""Grid construction, prior factor families, and the assembled precision's
 sparsity pattern."""
 
 import numpy as np
 import pytest
 
-from stgp.graph import Grid, build_grid, build_prior_factors, precision_pattern
+from stgp.graph import Grid, build_grid, build_prior_factors
 from stgp.liegroup import Pose
 from stgp.oracle import dense_prior_precision
-from stgp.prior import NodeState, PriorParams
+from stgp.prior import NodeState, PriorParams, phi_s_batch, phi_t_batch
 from stgp.sim import GroundTruth, ScenarioConfig
 from stgp.solver import linearize
+
+
+def family_pattern(factors, n_nodes: int) -> np.ndarray:
+    """Boolean block-sparsity pattern of J^T W J from the families' nodes."""
+    pat = np.zeros((n_nodes, n_nodes), dtype=bool)
+    for fam in factors.prior_families():
+        for a in fam.nodes:
+            for b in fam.nodes:
+                pat[a, b] = True
+    return pat
+
+
+def dense_block_pattern(H: np.ndarray) -> np.ndarray:
+    """Which 24x24 blocks of a dense matrix hold a nonzero."""
+    n = H.shape[0] // 24
+    return np.abs(H).reshape(n, 24, n, 24).max(axis=(1, 3)) > 0
 
 
 def test_build_grid_single_node():
@@ -55,8 +71,11 @@ def test_build_grid_prior_mean_propagation():
     params = PriorParams(qs_psd=np.eye(6), qt_psd=np.eye(6), qst_psd=np.eye(6),
                          p0=np.eye(24), prior_mean=init)
     factors = build_prior_factors(g, params)
-    for f in factors.all_factors():
-        assert np.max(np.abs(f.error(g))) < 1e-9
+    sa = g.state_arrays()
+    for fam in factors.prior_families():
+        e = fam.evaluate(sa, want_jac=False)[0]
+        assert e.shape == (len(fam), 24)
+        assert np.max(np.abs(e)) < 1e-9
 
 
 @pytest.mark.parametrize("N,K,counts", [
@@ -80,8 +99,8 @@ def test_every_node_referenced(params):
                    NodeState.identity())
     fs = build_prior_factors(g, params)
     seen = set()
-    for f in fs.all_factors():
-        seen.update(f.nodes)
+    for fam in fs.prior_families():
+        seen.update(fam.nodes.ravel().tolist())
     assert seen == set(range(g.n_nodes))
 
 
@@ -90,29 +109,35 @@ def test_binary_chain_placement(params):
     g = build_grid(np.linspace(0, 1, 4), np.linspace(0, 1, 3),
                    NodeState.identity())
     fs = build_prior_factors(g, params)
-    for f in fs.binary_spatial:
-        assert f.node_a // g.N == 0 and f.node_b // g.N == 0
-        assert f.node_b == f.node_a + 1
-    for f in fs.binary_temporal:
-        assert f.node_a % g.N == 0 and f.node_b % g.N == 0
-        assert f.node_b == f.node_a + g.N
-    cells = {(f.node00 % g.N, f.node00 // g.N) for f in fs.quaternary}
-    assert cells == {(n, k) for n in range(g.N - 1) for k in range(g.K - 1)}
+    a, b = fs.binary_spatial.nodes
+    assert np.all(a // g.N == 0) and np.all(b // g.N == 0)
+    assert np.array_equal(b, a + 1)
+    a, b = fs.binary_temporal.nodes
+    assert np.all(a % g.N == 0) and np.all(b % g.N == 0)
+    assert np.array_equal(b, a + g.N)
+    c00, c10, c01, c11 = fs.quaternary.nodes
+    assert np.array_equal(c10, c00 + 1) and np.array_equal(c01, c00 + g.N)
+    assert np.array_equal(c11, c00 + g.N + 1)
+    cells = [(n, k) for n, k in zip(c00 % g.N, c00 // g.N)]
+    # time-major, so the cell order matches ds/dt per item
+    assert cells == [(n, k) for k in range(g.K - 1) for n in range(g.N - 1)]
 
 
 def test_precision_pattern_single_node(params):
     g = build_grid([0.0], [0.0], NodeState.identity())
     fs = build_prior_factors(g, params)
-    pat = precision_pattern(fs, g.n_nodes)
+    pat = family_pattern(fs, g.n_nodes)
     assert pat.shape == (1, 1) and pat[0, 0]
+    assert np.array_equal(dense_block_pattern(linearize(fs, g).dense()), pat)
 
 
 def test_precision_pattern_neighbors(params):
     g = build_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 3),
                    NodeState.identity())
     fs = build_prior_factors(g, params)
-    pat = precision_pattern(fs, g.n_nodes)
+    pat = family_pattern(fs, g.n_nodes)
     assert np.array_equal(pat, pat.T)
+    assert np.array_equal(dense_block_pattern(linearize(fs, g).dense()), pat)
     center = g.flat(1, 1)
     coupled = sorted(np.nonzero(pat[center])[0])
     neighbors = sorted(g.flat(1 + dn, 1 + dk)
@@ -124,9 +149,10 @@ def test_precision_pattern_bandwidth(params):
     g = build_grid(np.linspace(0, 1, 4), np.linspace(0, 1, 4),
                    NodeState.identity())
     fs = build_prior_factors(g, params)
-    pat = precision_pattern(fs, g.n_nodes)
+    pat = family_pattern(fs, g.n_nodes)
     idx = np.nonzero(pat)
     assert np.max(np.abs(idx[0] - idx[1])) <= g.N + 1
+    assert np.array_equal(dense_block_pattern(linearize(fs, g).dense()), pat)
 
 
 def test_precision_matches_oracle_and_pattern(params):
@@ -173,7 +199,8 @@ def test_nonuniform_knots(params):
     t = np.array([0.0, 0.5, 0.6])
     g = build_grid(s, t, NodeState.identity())
     fs = build_prior_factors(g, params)
-    ds = [f.ds for f in fs.binary_spatial]
-    assert np.allclose(ds, np.diff(s))
-    dt = [f.dt for f in fs.binary_temporal]
-    assert np.allclose(dt, np.diff(t))
+    assert np.array_equal(fs.binary_spatial.args[0], phi_s_batch(np.diff(s)))
+    assert np.array_equal(fs.binary_temporal.args[0], phi_t_batch(np.diff(t)))
+    ds, dt = fs.quaternary.args
+    assert np.array_equal(ds, np.tile(np.diff(s), len(t) - 1))
+    assert np.array_equal(dt, np.repeat(np.diff(t), len(s) - 1))

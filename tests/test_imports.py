@@ -1,0 +1,54 @@
+"""The dense oracle is a test reference: no production module may import
+it."""
+
+import ast
+import os
+
+import pytest
+
+import stgp
+
+SRC = os.path.dirname(stgp.__file__)
+
+
+def imported_modules(source: str):
+    """Absolute names of every module (or module attribute) a source file
+    imports.  The package is flat, so a relative import resolves under
+    stgp."""
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            yield from (a.name for a in node.names)
+        elif isinstance(node, ast.ImportFrom):
+            base = ".".join(p for p in ("stgp" if node.level else "",
+                                        node.module or "") if p)
+            yield base
+            yield from (f"{base}.{a.name}" for a in node.names)
+
+
+def imports_oracle(source: str) -> bool:
+    return any(m == "stgp.oracle" or m.startswith("stgp.oracle.")
+               for m in imported_modules(source))
+
+
+def test_production_never_imports_oracle():
+    files = sorted(f for f in os.listdir(SRC) if f.endswith(".py"))
+    assert "oracle.py" in files and "solver.py" in files
+    offenders = []
+    for f in files:
+        with open(os.path.join(SRC, f), encoding="utf-8") as fh:
+            if f != "oracle.py" and imports_oracle(fh.read()):
+                offenders.append(f)
+    assert offenders == []
+
+
+@pytest.mark.parametrize("line,hit", [
+    ("from .oracle import dense_prior_precision", True),
+    ("from . import oracle", True),
+    ("from stgp import oracle", True),
+    ("import stgp.oracle as o", True),
+    ("from stgp.oracle import dense_prior_covariance", True),
+    ("from .prior import phi_s", False),
+    ("import oracle_of_delphi", False),
+])
+def test_import_parser(line, hit):
+    assert imports_oracle(line) == hit

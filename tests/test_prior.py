@@ -1,5 +1,5 @@
 """GP prior building blocks: transition maps, noise covariances, charts, and
-the four prior error functions.
+the batched kernels of the four prior factor kinds.
 
 The closed-form k_matrix is checked against direct quadrature of the defining
 integral, and the cell noise covariance against a Monte-Carlo simulation of
@@ -201,11 +201,39 @@ def test_retract_is_chart_additive():
     assert np.max(np.abs(y.strain - ref.strain)) < 1e-12
 
 
-# prior errors
+# prior errors, through the batched kernels
+
+
+def kernel_terms(kernel, slots, *args, want_jac=False):
+    """A batched prior kernel over per-slot lists of states (one list per
+    node slot, one entry per factor): [errors] or [errors, J_0, ...]."""
+    out = kernel(*[StateArrays.from_states(xs) for xs in slots], *args,
+                 want_jac=want_jac)
+    return [a for a in out if a is not None]
+
+
+def unary(xs, params, want_jac=False):
+    return kernel_terms(P.unary_batch, [xs], params, want_jac=want_jac)
+
+
+def spatial(xa, xb, ds, want_jac=False):
+    return kernel_terms(P.binary_batch, [xa, xb],
+                        P.phi_s_batch(np.full(len(xa), ds)), want_jac=want_jac)
+
+
+def temporal(xa, xb, dt, want_jac=False):
+    return kernel_terms(P.binary_batch, [xa, xb],
+                        P.phi_t_batch(np.full(len(xa), dt)), want_jac=want_jac)
+
+
+def cell(corners, ds, dt, want_jac=False):
+    B = len(corners[0])
+    return kernel_terms(P.quaternary_batch, corners, np.full(B, ds),
+                        np.full(B, dt), want_jac=want_jac)
 
 
 def test_unary_zero_at_prior_mean(params):
-    e = P.unary_error(params.prior_mean.copy(), params)
+    e = unary([params.prior_mean.copy()], params)[0]
     assert np.max(np.abs(e)) < 1e-14
 
 
@@ -213,7 +241,7 @@ def test_unary_pure_translation_offset(params):
     x = params.prior_mean.copy()
     x = NodeState(Pose(x.pose.R, x.pose.t + np.array([0.1, 0, 0])),
                   x.strain, x.velocity, x.strain_velocity)
-    e = P.unary_error(x, params)
+    e = unary([x], params)[0][0]
     assert np.allclose(e[:6], [0.1, 0, 0, 0, 0, 0], atol=1e-12)
     assert np.allclose(e[6:], 0.0, atol=1e-12)
 
@@ -221,7 +249,7 @@ def test_unary_pure_translation_offset(params):
 def test_unary_matches_encode_formula(params):
     rng = np.random.default_rng(4)
     x = random_state(rng)
-    e = P.unary_error(x, params)
+    e = unary([x], params)[0][0]
     m = params.prior_mean
     ref = chart_encode(x, m.pose) - np.concatenate(
         [np.zeros(6), m.strain, m.velocity, m.strain_velocity])
@@ -230,51 +258,54 @@ def test_unary_matches_encode_formula(params):
 
 def test_binary_spatial_zero_error_construction():
     rng = np.random.default_rng(5)
-    for _ in range(10):
-        x_a = random_state(rng)
-        x_b = P.propagate_spatial(x_a, 0.1)
-        e = P.binary_spatial_error(x_a, x_b, 0.1)
-        assert np.max(np.abs(e)) < 1e-12
+    x_a = [random_state(rng) for _ in range(10)]
+    x_b = [P.propagate_spatial(x, 0.1) for x in x_a]
+    e = spatial(x_a, x_b, 0.1)[0]
+    assert e.shape == (10, 24)
+    assert np.max(np.abs(e)) < 1e-12
 
 
 def test_binary_identical_states_zero_strain():
     x = NodeState(Pose.exp(np.array([0.2, 0, 0, 0, 0, 0.1])), np.zeros(6),
                   np.zeros(6), np.zeros(6))
-    assert np.max(np.abs(P.binary_spatial_error(x, x.copy(), 0.1))) < 1e-14
+    assert np.max(np.abs(spatial([x], [x.copy()], 0.1)[0])) < 1e-14
 
 
 def test_binary_strain_forces_xi_block():
     x_a = NodeState(Pose.identity(), np.array([1.0, 0, 0, 0, 0, 0]),
                     np.zeros(6), np.zeros(6))
-    e = P.binary_spatial_error(x_a, x_a.copy(), 0.1)
+    e = spatial([x_a], [x_a.copy()], 0.1)[0][0]
     assert np.allclose(e[:6], [-0.1, 0, 0, 0, 0, 0], atol=1e-14)
     assert np.allclose(e[6:], 0.0, atol=1e-14)
 
 
 def test_binary_temporal_zero_error_construction():
     rng = np.random.default_rng(6)
-    for _ in range(10):
-        x_a = random_state(rng)
-        x_b = P.propagate_temporal(x_a, 0.4)
-        assert np.max(np.abs(P.binary_temporal_error(x_a, x_b, 0.4))) < 1e-12
+    x_a = [random_state(rng) for _ in range(10)]
+    x_b = [P.propagate_temporal(x, 0.4) for x in x_a]
+    assert np.max(np.abs(temporal(x_a, x_b, 0.4)[0])) < 1e-12
 
 
 def test_quaternary_zero_on_constant_corners():
     x = NodeState(Pose.exp(np.array([0.1, -0.2, 0.3, 0.1, 0, 0.2])),
                   np.zeros(6), np.zeros(6), np.zeros(6))
-    e = P.quaternary_error(x, x.copy(), x.copy(), x.copy(), 0.3, 0.5)
+    e = cell([[x], [x.copy()], [x.copy()], [x.copy()]], 0.3, 0.5)[0]
     assert np.max(np.abs(e)) < 1e-12
 
 
 def test_quaternary_zero_error_construction():
     rng = np.random.default_rng(7)
+    corners = [[], [], [], []]
     for _ in range(10):
         x00 = random_state(rng)
         x10 = P.propagate_spatial(x00, 0.3)
         x01 = P.propagate_temporal(x00, 0.5)
         x11 = P.propagate_corner(x00, x10, x01, 0.3, 0.5)
-        e = P.quaternary_error(x00, x10, x01, x11, 0.3, 0.5)
-        assert np.max(np.abs(e)) < 1e-12
+        for slot, x in zip(corners, (x00, x10, x01, x11)):
+            slot.append(x)
+    e = cell(corners, 0.3, 0.5)[0]
+    assert e.shape == (10, 24)
+    assert np.max(np.abs(e)) < 1e-12
 
 
 def test_quaternary_linear_case_matches_raw_formula():
@@ -284,17 +315,19 @@ def test_quaternary_linear_case_matches_raw_formula():
     zs = 0.1 * rng.standard_normal((4, 18))
     states = [NodeState(Pose.identity(), z[:6], z[6:12], z[12:]) for z in zs]
     ds, dt = 0.3, 0.5
-    e = P.quaternary_error(*states, ds, dt)
+    e = cell([[x] for x in states], ds, dt)[0][0]
     raw = [np.concatenate([np.zeros(6), z]) for z in zs]
     ref = raw[3] - phi_s(ds) @ raw[2] - phi_t(dt) @ raw[1] \
         + phi_cell(ds, dt) @ raw[0]
     assert np.allclose(e, ref, atol=1e-12)
 
 
-# analytic Jacobians
+# analytic Jacobians of the batched kernels against central differences
 
 
 def fd_jacobian(fn, states, slot, h=1e-6):
+    """d fn(*states) / d(chart perturbation of states[slot]); fn maps one
+    state per slot to that factor's error."""
     cols = []
     for d in range(24):
         delta = np.zeros(24)
@@ -312,55 +345,54 @@ def check_fd(J, J_fd, rel=1e-5):
     assert np.max(np.abs(J - J_fd)) < rel * scale
 
 
+def check_kernel_fd(terms, slots):
+    """Jacobians of one batched call against per-item central differences
+    of batches of one; `terms(slots, want_jac)` evaluates the kernel."""
+    jacs = terms(slots, True)[1:]
+    for b in range(len(slots[0])):
+        items = [xs[b] for xs in slots]
+        err = lambda *a: terms([[x] for x in a], False)[0][0]
+        for slot, J in enumerate(jacs):
+            check_fd(J[b], fd_jacobian(err, items, slot))
+
+
 def test_unary_jacobian_identity_at_mean(params):
-    J = P.unary_jacobian(params.prior_mean.copy(), params)
+    J = unary([params.prior_mean.copy()], params, want_jac=True)[1][0]
     assert np.allclose(J, np.eye(24), atol=1e-12)
 
 
 def test_binary_jacobians_linear_regime():
     x = NodeState.identity()
-    ja, jb = P.binary_spatial_jacobians(x, x.copy(), 0.25)
-    assert np.allclose(ja, -phi_s(0.25), atol=1e-12)
-    assert np.allclose(jb, np.eye(24), atol=1e-12)
+    _, ja, jb = spatial([x], [x.copy()], 0.25, want_jac=True)
+    assert np.allclose(ja[0], -phi_s(0.25), atol=1e-12)
+    assert np.allclose(jb[0], np.eye(24), atol=1e-12)
 
 
 def test_unary_jacobian_fd(params):
     rng = np.random.default_rng(9)
-    for _ in range(10):
-        x = random_state(rng)
-        J = P.unary_jacobian(x, params)
-        J_fd = fd_jacobian(lambda a: P.unary_error(a, params), [x], 0)
-        check_fd(J, J_fd)
+    xs = [random_state(rng) for _ in range(10)]
+    check_kernel_fd(lambda sl, jac: unary(sl[0], params, jac), [xs])
 
 
 def test_binary_spatial_jacobians_fd():
     rng = np.random.default_rng(10)
-    for _ in range(10):
-        x_a, x_b = random_state(rng), random_state(rng)
-        ja, jb = P.binary_spatial_jacobians(x_a, x_b, 0.3)
-        err = lambda a, b: P.binary_spatial_error(a, b, 0.3)
-        check_fd(ja, fd_jacobian(err, [x_a, x_b], 0))
-        check_fd(jb, fd_jacobian(err, [x_a, x_b], 1))
+    pairs = [(random_state(rng), random_state(rng)) for _ in range(10)]
+    check_kernel_fd(lambda sl, jac: spatial(*sl, 0.3, jac),
+                    [list(p) for p in zip(*pairs)])
 
 
 def test_binary_temporal_jacobians_fd():
     rng = np.random.default_rng(11)
-    for _ in range(10):
-        x_a, x_b = random_state(rng), random_state(rng)
-        ja, jb = P.binary_temporal_jacobians(x_a, x_b, 0.6)
-        err = lambda a, b: P.binary_temporal_error(a, b, 0.6)
-        check_fd(ja, fd_jacobian(err, [x_a, x_b], 0))
-        check_fd(jb, fd_jacobian(err, [x_a, x_b], 1))
+    pairs = [(random_state(rng), random_state(rng)) for _ in range(10)]
+    check_kernel_fd(lambda sl, jac: temporal(*sl, 0.6, jac),
+                    [list(p) for p in zip(*pairs)])
 
 
 def test_quaternary_jacobians_fd():
     rng = np.random.default_rng(12)
-    for _ in range(5):
-        xs = [random_state(rng) for _ in range(4)]
-        jacs = P.quaternary_jacobians(*xs, 0.3, 0.5)
-        err = lambda *a: P.quaternary_error(*a, 0.3, 0.5)
-        for slot in range(4):
-            check_fd(jacs[slot], fd_jacobian(err, xs, slot))
+    cells = [[random_state(rng) for _ in range(4)] for _ in range(5)]
+    check_kernel_fd(lambda sl, jac: cell(sl, 0.3, 0.5, jac),
+                    [list(c) for c in zip(*cells)])
 
 
 def test_params_validation():

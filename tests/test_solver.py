@@ -16,7 +16,7 @@ from stgp.solver import (BLOCK, BlockBandedSystem, NotPositiveDefiniteError,
                          corner_covariances, evaluate_cost, factorize,
                          gauss_newton, linearize, solve_block_banded,
                          solve_factorized)
-from conftest import random_states
+from conftest import factor_terms, random_states
 
 
 def random_banded_system(seed: int, N: int, K: int) -> BlockBandedSystem:
@@ -100,19 +100,29 @@ def test_linearize_prior_matches_dense_precision(params):
 
 
 def brute_force_normal_equations(factors, grid):
+    """Dense H, rhs and cost summed one factor at a time: prior factors item
+    by item from their family's kernel, each measurement factor evaluated as
+    a group of one with its own (masked-size) weight."""
+    terms = []
+    for fam in factors.prior_families():
+        e, *jacs = fam.evaluate(grid.state_arrays())
+        terms += [(fam.nodes[:, b], e[b], [J[b] for J in jacs],
+                   fam.weights[b]) for b in range(len(fam))]
+    for f in factors.measurement:
+        e, *jacs = factor_terms(f, grid)
+        terms.append((f.nodes, e, jacs, f.weight))
     n = grid.n_nodes * BLOCK
     H = np.zeros((n, n))
     g = np.zeros(n)
-    for f in factors.all_factors():
-        e = f.error(grid)
-        jacs = f.jacobians(grid)
-        w = f.weight
-        for i, ji in zip(f.nodes, jacs):
+    cost = 0.0
+    for nodes, e, jacs, w in terms:
+        cost += float(e @ w @ e)
+        for i, ji in zip(nodes, jacs):
             g[BLOCK * i:BLOCK * (i + 1)] -= ji.T @ w @ e
-            for j, jj in zip(f.nodes, jacs):
+            for j, jj in zip(nodes, jacs):
                 H[BLOCK * i:BLOCK * (i + 1), BLOCK * j:BLOCK * (j + 1)] += \
                     ji.T @ w @ jj
-    return H, g
+    return H, g, cost
 
 
 def test_linearize_matches_brute_force_with_measurements(params):
@@ -150,14 +160,37 @@ def test_linearize_matches_brute_force_with_measurements(params):
     factors = FactorSet(factors.unary, factors.binary_spatial,
                         factors.binary_temporal, factors.quaternary, mf)
     system = linearize(factors, grid)
-    H_ref, g_ref = brute_force_normal_equations(factors, grid)
+    H_ref, g_ref, cost_ref = brute_force_normal_equations(factors, grid)
     scale = np.max(np.abs(H_ref))
     assert np.max(np.abs(system.dense() - H_ref)) < 1e-12 * scale
     assert np.max(np.abs(system.rhs_flat() - g_ref)) < 1e-12 * scale
-    cost_ref = sum(float(f.error(grid) @ f.weight @ f.error(grid))
-                   for f in factors.all_factors())
     assert abs(system.cost - cost_ref) < 1e-9 * max(1.0, cost_ref)
     assert abs(evaluate_cost(factors, grid) - cost_ref) < 1e-9 * cost_ref
+
+
+def test_one_family_factor_sets_add_up(params):
+    """A FactorSet with one field set linearizes that family alone (the
+    others are left unset); the parts add up to the full system."""
+    s = np.linspace(0.0, 1.0, 3)
+    t = np.linspace(0.0, 0.8, 3)
+    states = random_states(13, 9, angle=0.15, trans=0.1, deriv=0.2)
+    grid = build_grid(s, t, lambda si, ti: states.pop())
+    full = build_prior_factors(grid, params)
+    full.measurement = build_measurement_factors(
+        [Measurement("position3", 0.7, 0.5, np.zeros(3), 1e-4 * np.eye(3))],
+        grid, params)
+    parts = [FactorSet(unary=full.unary),
+             FactorSet(binary_spatial=full.binary_spatial),
+             FactorSet(binary_temporal=full.binary_temporal),
+             FactorSet(quaternary=full.quaternary),
+             FactorSet(measurement=full.measurement)]
+    assert [p.prior_count() for p in parts] == [1, 2, 2, 4, 0]
+    assert FactorSet().prior_count() == 0
+    H = linearize(full, grid).dense()
+    H_parts = sum(linearize(p, grid).dense() for p in parts)
+    assert np.max(np.abs(H_parts - H)) < 1e-12 * np.max(np.abs(H))
+    cost = sum(evaluate_cost(p, grid) for p in parts)
+    assert abs(cost - evaluate_cost(full, grid)) < 1e-12 * cost
 
 
 def test_on_node_position_touches_one_diagonal_block(params):
