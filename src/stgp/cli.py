@@ -8,10 +8,11 @@
   query --out D (--s S --t T | --grid SxT)
       prints posterior state rows, with standard deviations, as CSV
 
-All artifacts are schema-versioned ("stgp.<kind>/<major>.<minor>"); readers
-reject unknown majors.  JSON files are written with sorted keys so identical
-inputs produce bit-identical bytes.  CSV files carry a leading "# schema"
-comment, a header row, and floats formatted with %.17g (exact round-trip).
+All artifacts are schema-versioned ("stgp.<kind>/<major>.<minor>", per kind
+in SCHEMA_VERSIONS); readers reject unknown majors.  JSON files are written
+with sorted keys so identical inputs produce bit-identical bytes.  CSV files
+carry a leading "# schema" comment, a header row, and floats formatted with
+%.17g (exact round-trip).
 
 posterior.bin is a NumPy .npz archive:
   schema            stgp.posterior tag
@@ -19,9 +20,11 @@ posterior.bin is a NumPy .npz archive:
   qs_psd, qt_psd, qst_psd, p0            prior parameters
   mean_R, mean_t, mean_strain, mean_velocity, mean_sv   prior mean state
   R (NK,3,3), t (NK,3), strain, velocity, sv (NK,6)     node estimates
-  sig_diag (K,24N,24N), sig_off (K-1,24N,24N)  covariance superblocks of the
-                     selected inverse (same-row and adjacent-row node blocks)
+  sig_diag (K,N,24,24)    node marginal covariances, node (n, k) at [k, n]
+  sig_off (K,N,4,24,24)   covariances of node (n, k) with (n+1, k), (n-1, k+1),
+                          (n, k+1), (n+1, k+1); zero where no such node is
   report            report.json content as a JSON string
+(Major version 1 stored dense time-row covariance superblocks instead.)
 
 Exit codes: 0 ok, 2 invalid config or out-of-hull query, 3 I/O failure,
 4 estimator did not converge (artifacts still written), 5 normal equations
@@ -50,8 +53,10 @@ from .solver import (ConvergenceReport, CornerCovariances,
                      NotPositiveDefiniteError, Posterior, SolverOptions,
                      gauss_newton)
 
-SCHEMA_MAJOR = 1
-SCHEMA_MINOR = 0
+# (major, minor) of each artifact kind
+SCHEMA_VERSIONS = {"config": (1, 0), "measurements": (1, 0),
+                   "ground_truth": (1, 0), "estimate": (1, 0),
+                   "report": (1, 0), "posterior": (2, 0)}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -69,7 +74,8 @@ class ConfigError(ValueError):
 
 
 def schema_tag(kind: str) -> str:
-    return f"stgp.{kind}/{SCHEMA_MAJOR}.{SCHEMA_MINOR}"
+    major, minor = SCHEMA_VERSIONS[kind]
+    return f"stgp.{kind}/{major}.{minor}"
 
 
 def check_schema(tag, kind: str) -> None:
@@ -78,7 +84,7 @@ def check_schema(tag, kind: str) -> None:
     name, _, version = tag.partition("/")
     major = version.split(".", 1)[0]
     if name != f"stgp.{kind}" or not major.isdigit() \
-            or int(major) != SCHEMA_MAJOR:
+            or int(major) != SCHEMA_VERSIONS[kind][0]:
         raise SchemaError(f"cannot read {tag!r}, expected {schema_tag(kind)}")
 
 
@@ -269,9 +275,9 @@ def load_posterior(path: str) -> Posterior:
         check_schema(str(z["schema"]), "posterior")
         s_knots, t_knots = z["s_knots"], z["t_knots"]
         N, K = len(s_knots), len(t_knots)
-        states = [NodeState(Pose(z["R"][i], z["t"][i]), z["strain"][i],
-                            z["velocity"][i], z["sv"][i])
-                  for i in range(N * K)]
+        # each array is read from the archive once
+        states = [NodeState(Pose(R, t), eps, vel, sv) for R, t, eps, vel, sv
+                  in zip(z["R"], z["t"], z["strain"], z["velocity"], z["sv"])]
         mean = NodeState(Pose(z["mean_R"], z["mean_t"]), z["mean_strain"],
                          z["mean_velocity"], z["mean_sv"])
         params = PriorParams(qs_psd=z["qs_psd"], qt_psd=z["qt_psd"],
@@ -367,15 +373,16 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
               t: Optional[float] = None, grid_arg: Optional[str] = None,
               stream: Optional[TextIO] = None) -> int:
     stream = stream or sys.stdout
-    post = load_posterior(os.path.join(out_dir, "posterior.bin"))
     if grid_arg is not None:
         ns, nt = _parse_grid_arg(grid_arg)
+    elif s is None or t is None:
+        raise ConfigError("query needs --s and --t, or --grid SxT")
+    post = load_posterior(os.path.join(out_dir, "posterior.bin"))
+    if grid_arg is not None:
         s_vals = np.linspace(post.grid.s_knots[0], post.grid.s_knots[-1], ns)
         t_vals = np.linspace(post.grid.t_knots[0], post.grid.t_knots[-1], nt)
         points = [(float(sv), float(tv)) for tv in t_vals for sv in s_vals]
     else:
-        if s is None or t is None:
-            raise ConfigError("query needs --s and --t, or --grid SxT")
         points = [(float(s), float(t))]
     stream.write(",".join(STATE_COLUMNS + STD_COLUMNS) + "\n")
     for sv, tv in points:

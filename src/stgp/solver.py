@@ -1,41 +1,54 @@
 """Batch MAP estimation over the space-time grid.
 
-Gauss-Newton with step halving on top of a block-banded normal-equations
-solver.
+Gauss-Newton with step halving on top of a banded normal-equations solver.
 
 Linearization has one batched path for every factor.  A factor family is
 either a prior family, which `graph.build_prior_factors` emits already
 stacked (unary, spatial, temporal and cell), or a measurement group, which
 `sensors.group_measurements` stacks once per Gauss-Newton run by (sensor
 kind, binding shape).  Both expose (m, B) `nodes`, stacked `weights` and a
-batched `evaluate`.  Every pair of slots in a family has one fixed time-row
+batched `evaluate`.  Every pair of slots in a family has one fixed node
 offset, so each family costs one batched kernel call and one scatter of
 whole 24x24 blocks into the normal equations.
 
-The normal equations are stored as K superblocks of size 24N (one per time
-row); the prior couples only adjacent time rows, so the superblock matrix
-is block tridiagonal and a forward Cholesky sweep factorizes it in time linear
-in K.  The same factorization yields the selected inverse (all node marginals
-plus every block coupling adjacent time rows), which is exactly the set of
-covariance blocks the interpolation layer needs.
+Stencil layout.  The GP prior couples a node only to its 8 lattice
+neighbours, so the normal equations and the covariance blocks share one
+layout: per node (time-major, k*N + n), its diagonal block (slot 0) and its
+blocks with the 4 neighbours that follow it in time-major order (slots 1-4,
+`FORWARD`).  Slots with no neighbour, at the grid's edges, hold zeros.
+
+Ordering and band.  The factorization permutes the nodes so the sweep runs
+along the longer grid axis (along time when N == K), where stencil
+neighbours are at most b = min(N, K) + 1 positions apart: the matrix has
+24*(b + 1) - 1 sub-diagonals, and one LAPACK banded Cholesky (`dpbtrf`,
+solved by `dpbtrs`) costs time linear in the longer axis.  A failed pivot
+is mapped back through the ordering to its time-major node.
+
+Selected inverse.  The covariance's band is closed under the Takahashi
+recursion (Takahashi, Fagan & Chin 1973; Rue & Held 2005): sweeping block
+columns backwards, each column's band blocks depend only on later columns'.
+Of the band only the stencil layout is kept; it holds every node pair the
+interpolator reads.
 """
 
 from __future__ import annotations
 
+import functools
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
-from scipy.linalg import solve_triangular
-from scipy.linalg.blas import dsyrk, dtrmm
-from scipy.linalg.lapack import dpotrf, dpotri, dtrtri
+from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .graph import FactorSet, Grid
 from .sensors import group_measurements
 from .prior import ChartRangeError, PriorParams, retract_all
 
 BLOCK = 24
+# (dn, dk) of the forward stencil neighbours, in slot order 1..4
+FORWARD = ((1, 0), (-1, 1), (0, 1), (1, 1))
+SLOTS = 1 + len(FORWARD)
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -49,103 +62,47 @@ class NotPositiveDefiniteError(RuntimeError):
         super().__init__(msg)
 
 
+def stencil_slot(N: int, i, j):
+    """Slot of node j in node i's stencil row: 0 when j == i, else 1-4 by
+    (dn, dk) as in `FORWARD`.  j must be i or one of its forward neighbours;
+    works elementwise on index arrays."""
+    dk = j // N - i // N
+    dn = j % N - i % N
+    return (j != i) * (1 + dk * (dn + 2))
+
+
 @dataclass
 class BlockBandedSystem:
-    """Symmetric block matrix with 24x24 blocks, nonzero only between nodes of
-    the same or adjacent time rows, plus the right-hand side.
-
-    Blocks are stored individually: `diag[k, i, j]` couples nodes i and j of
-    time row k, `offdiag[k, i, j]` couples node i of row k with node j of row
-    k+1.  That keeps factor scatters contiguous; the factorization marshals
-    one 24N x 24N superblock per row on demand.  Within-row contributions must
-    be added for both orderings of a node pair; cross-row contributions once
-    per pair, in either orientation.
-    """
+    """Symmetric block matrix H in the stencil layout, the right-hand side
+    and the cost it was linearized at.  `blocks[k, n, s]` is H[node,
+    neighbour] for node (n, k) and the neighbour in slot s (itself for
+    s = 0); each coupling is stored once."""
 
     N: int
     K: int
-    diag: np.ndarray
-    offdiag: np.ndarray
+    blocks: np.ndarray
     rhs: np.ndarray
-    touched_blocks: int = 0
     cost: float = 0.0
 
     @staticmethod
     def zeros(N: int, K: int) -> "BlockBandedSystem":
-        return BlockBandedSystem(
-            N, K, np.zeros((K, N, N, BLOCK, BLOCK)),
-            np.zeros((max(K - 1, 0), N, N, BLOCK, BLOCK)),
-            np.zeros((K, N, BLOCK)))
+        return BlockBandedSystem(N, K, np.zeros((K, N, SLOTS, BLOCK, BLOCK)),
+                                 np.zeros((K, N, BLOCK)))
 
     @property
-    def n_nodes(self) -> int:
-        return self.N * self.K
+    def diag(self) -> np.ndarray:
+        return self.blocks[:, :, 0]
+
+    @property
+    def offdiag(self) -> np.ndarray:
+        return self.blocks[:, :, 1:]
 
     @property
     def dim(self) -> int:
-        return BLOCK * self.n_nodes
-
-    def _split(self, i: int):
-        return i % self.N, i // self.N
-
-    def add_block(self, i: int, j: int, block: np.ndarray):
-        ni, ki = self._split(i)
-        nj, kj = self._split(j)
-        if abs(ni - nj) > 1 or abs(ki - kj) > 1:
-            raise ValueError(f"nodes {i},{j} outside the banded pattern")
-        if ki == kj:
-            self.diag[ki, ni, nj] += block
-        elif kj == ki + 1:
-            self.offdiag[ki, ni, nj] += block
-        else:
-            self.offdiag[kj, nj, ni] += block.T
-
-    def add_rhs(self, i: int, vec: np.ndarray):
-        ni, ki = self._split(i)
-        self.rhs[ki, ni] += vec
+        return BLOCK * self.N * self.K
 
     def rhs_flat(self) -> np.ndarray:
         return self.rhs.reshape(-1)
-
-    def diag_superblock(self, k: int) -> np.ndarray:
-        """Time row k as one fresh 24N x 24N Fortran-order matrix.
-
-        Transposing block and lane axes before the (copying) reshape lands the
-        scalar transpose in C order, so its `.T` view is the superblock itself
-        in Fortran order, ready for in-place LAPACK without a second copy.
-        """
-        w = BLOCK * self.N
-        return self.diag[k].transpose(1, 3, 0, 2).reshape(w, w).T
-
-    def offdiag_superblock(self, k: int) -> np.ndarray:
-        """Coupling of rows k and k+1 as a fresh Fortran-order matrix."""
-        w = BLOCK * self.N
-        return self.offdiag[k].transpose(1, 3, 0, 2).reshape(w, w).T
-
-    def matvec(self, x: np.ndarray) -> np.ndarray:
-        """H @ x over the banded block storage."""
-        xr = np.asarray(x, dtype=float).reshape(self.K, self.N, BLOCK)
-        y = np.empty_like(xr)
-        for k in range(self.K):
-            v = np.einsum("ijab,jb->ia", self.diag[k], xr[k])
-            if k + 1 < self.K:
-                v += np.einsum("ijab,jb->ia", self.offdiag[k], xr[k + 1])
-            if k > 0:
-                v += np.einsum("jiba,jb->ia", self.offdiag[k - 1], xr[k - 1])
-            y[k] = v
-        return y.reshape(np.shape(x))
-
-    def dense(self) -> np.ndarray:
-        """Materialize the full matrix (tests only)."""
-        w = BLOCK * self.N
-        H = np.zeros((self.dim, self.dim))
-        for k in range(self.K):
-            H[k * w:(k + 1) * w, k * w:(k + 1) * w] = self.diag_superblock(k)
-            if k + 1 < self.K:
-                off = self.offdiag_superblock(k)
-                H[k * w:(k + 1) * w, (k + 1) * w:(k + 2) * w] = off
-                H[(k + 1) * w:(k + 2) * w, k * w:(k + 1) * w] = off.T
-        return H
 
 
 # ---------------------------------------------------------------------------
@@ -159,23 +116,20 @@ def _scatter_family(system: BlockBandedSystem, nodes: np.ndarray,
 
     `nodes[i]` is the (B,) flat-index array of the i-th slot, `jacs[i]` the
     matching (B, m, 24) Jacobian stack.  Every slot pair of a family has one
-    fixed time-row offset and each item targets a distinct block, so each
-    pair is one fancy-indexed add of whole 24x24 blocks.  Cross-row pairs
-    are added only in the lower-to-higher orientation and the within-row
-    double loop covers both orderings, keeping the diagonal superblocks
-    symmetric.
+    fixed node offset and each item targets a distinct block, so each pair
+    is one fancy-indexed add of whole 24x24 blocks.  Of the two orderings of
+    a node pair only the one whose second node follows the first is stored.
     """
+    blocks = system.blocks.reshape(-1, SLOTS, BLOCK, BLOCK)
+    rhs = system.rhs.reshape(-1, BLOCK)
     wj = [weights @ J for J in jacs]
     we = weights @ errors[..., None]
-    rows = [divmod(nd, system.N) for nd in nodes]
-    for (ki, ni), Ji in zip(rows, jacs):
+    for ni, Ji in zip(nodes, jacs):
         jt = np.swapaxes(Ji, -1, -2)
-        system.rhs[ki, ni] -= (jt @ we)[..., 0]
-        for (kj, nj), WJj in zip(rows, wj):
-            dk = kj[0] - ki[0]
-            if dk >= 0:
-                target = system.diag if dk == 0 else system.offdiag
-                target[ki, ni, nj] += jt @ WJj
+        rhs[ni] -= (jt @ we)[..., 0]
+        for nj, WJj in zip(nodes, wj):
+            if nj[0] >= ni[0]:
+                blocks[ni, stencil_slot(system.N, ni, nj)] += jt @ WJj
 
 
 def _family_geom(factors: FactorSet):
@@ -238,129 +192,151 @@ def _linearize(geom, grid: Grid) -> BlockBandedSystem:
 
 
 # ---------------------------------------------------------------------------
-# block-banded Cholesky, solves, selected inverse
+# banded Cholesky, solves, selected inverse
+
+
+def sweep_order(N: int, K: int) -> np.ndarray:
+    """Time-major node at each position of the banded ordering: the sweep
+    runs along the longer grid axis (along time when N == K)."""
+    nodes = np.arange(N * K).reshape(K, N)
+    return (nodes.T if N > K else nodes).reshape(-1)
+
+
+def _block_elements(block: np.ndarray, trans: np.ndarray) -> np.ndarray:
+    """Flat element indices of the 24x24 blocks `block` of a block stack,
+    each read transposed where `trans`."""
+    e, a = np.ogrid[:BLOCK, :BLOCK]
+    within = np.where(trans[:, None, None], a * BLOCK + e, e * BLOCK + a)
+    return block[:, None, None] * BLOCK * BLOCK + within
+
+
+@dataclass(frozen=True)
+class _BandLayout:
+    """Gather indices between the stencil layout and LAPACK's lower band
+    storage, ab[r, c] = A[c + r, c] for the permuted matrix A, indexed as
+    the C-order (n, kd+1) array `ab.T`.  Band block (c, d) is A's block
+    (c + d, c); stencil block (u, s) is H[u, v], v the slot's neighbour."""
+
+    order: np.ndarray       # (NK,) time-major node at each band position
+    width: int              # block bandwidth b
+    to_band: np.ndarray     # (n, kd+1): system blocks -> ab.T
+    from_band: np.ndarray   # (NK, b+1, 24, 24): ab.T -> band block columns
+    to_stencil: np.ndarray  # (K, N, SLOTS, 24, 24): band blocks -> stencil
+
+
+@functools.lru_cache(maxsize=4)
+def _band_layout(N: int, K: int) -> _BandLayout:
+    nb = N * K
+    order = sweep_order(N, K)
+    pos = np.argsort(order)
+    k, n = np.divmod(np.arange(nb), N)
+    # every node u, stencil slot s and the neighbour v in it
+    dn, dk = np.array(((0, 0),) + FORWARD).T[:, :, None]
+    s, u = np.nonzero((n + dn >= 0) & (n + dn < N) & (k + dk < K))
+    v = u + dk[s, 0] * N + dn[s, 0]
+    p, q = pos[u], pos[v]
+    b = int(np.max(np.abs(p - q)))
+    kd = BLOCK * (b + 1) - 1
+    band_block = np.minimum(p, q) * (b + 1) + np.abs(p - q)
+    stencil_block = u * SLOTS + s
+    # A's block (max, min) is H[u, v] when v comes first, else its transpose
+    trans = q > p
+
+    # band blocks -> stencil elements; missing band blocks read the stencil
+    # slot a grid edge leaves empty (slot 1 of the last node has no n + 1)
+    n_band = nb * (b + 1)
+    zero = (nb * SLOTS - SLOTS + 1) * BLOCK * BLOCK
+    band_src = np.full((n_band + 1, BLOCK, BLOCK), zero, dtype=np.intp)
+    band_src[band_block] = _block_elements(stencil_block, trans)
+    c, a, r = np.ogrid[:nb, :BLOCK, :kd + 1]
+    d, e = np.divmod(a + r, BLOCK)
+    to_band = band_src[np.where(d <= b, c * (b + 1) + d, n_band), e, a]
+
+    # ab.T -> band block columns: entries above the diagonal and rows past
+    # the matrix read ab.T's last element, which lies below A's last row:
+    # the assembly put a zero there and LAPACK never references it
+    c, d, e, a = np.ogrid[:nb, :b + 1, :BLOCK, :BLOCK]
+    r = BLOCK * d + e - a
+    from_band = np.where((r >= 0) & (c + d < nb), (BLOCK * c + a) * (kd + 1)
+                         + r, BLOCK * nb * (kd + 1) - 1)
+
+    # band block columns -> stencil; empty slots read a trailing zero block
+    stencil_src = np.full((nb * SLOTS, BLOCK, BLOCK), n_band * BLOCK * BLOCK
+                          + np.arange(BLOCK * BLOCK).reshape(BLOCK, BLOCK))
+    stencil_src[stencil_block] = _block_elements(band_block, trans)
+
+    def frozen(x):
+        x = np.ascontiguousarray(x, dtype=np.intp)
+        x.flags.writeable = False
+        return x
+
+    return _BandLayout(frozen(order), b,
+                       frozen(to_band.reshape(BLOCK * nb, kd + 1)),
+                       frozen(from_band),
+                       frozen(stencil_src.reshape(K, N, SLOTS, BLOCK, BLOCK)))
 
 
 @dataclass
 class BandedFactorization:
+    """`band` is `dpbtrf`'s lower Cholesky factor of the permuted system, in
+    LAPACK band storage.  `L` and `X` are its block columns, gathered on
+    access: the (NK, 24, 24) diagonal blocks and the (NK, 24b, 24) panels
+    below them, in band order."""
+
     N: int
     K: int
-    L: List[np.ndarray]
-    X: List[np.ndarray]
-    touched_blocks: int = 0
+    band: np.ndarray
+
+    @property
+    def L(self) -> np.ndarray:
+        idx = _band_layout(self.N, self.K).from_band[:, 0]
+        return np.take(self.band.T, idx)
+
+    @property
+    def X(self) -> np.ndarray:
+        lay = _band_layout(self.N, self.K)
+        panels = np.take(self.band.T, lay.from_band[:, 1:])
+        return panels.reshape(self.N * self.K, BLOCK * lay.width, BLOCK)
 
 
-def _tril_inv(L: np.ndarray, out: Optional[np.ndarray] = None,
-              cut: int = 96) -> np.ndarray:
-    """Inverse of a lower-triangular matrix.
-
-    Recursing on halves keeps nearly all work in triangular matrix products,
-    which run much closer to peak than the reference inversion.  The strict
-    upper triangle of the input is ignored and the result's is exactly zero.
-    An `out` buffer may be reused across calls: the recursion rewrites every
-    lower-triangle entry and never touches the strict upper triangle, so a
-    buffer that starts zero stays valid.
-    """
-    n = L.shape[0]
-    if out is None:
-        out = np.zeros((n, n))
-    if n <= cut:
-        inv, info = dtrtri(L, lower=1)
-        if info != 0:
-            raise ValueError(f"singular triangular block (info={info})")
-        out[:] = np.tril(inv)
-        return out
-    h = (n + 1) // 2
-    top = _tril_inv(L[:h, :h], out[:h, :h], cut)
-    bot = _tril_inv(L[h:, h:], out[h:, h:], cut)
-    mid = dtrmm(1.0, top, L[h:, :h], side=1, lower=1)
-    out[h:, :h] = -dtrmm(1.0, bot, mid, side=0, lower=1)
-    return out
+def assemble_band(system: BlockBandedSystem) -> np.ndarray:
+    """The permuted system in LAPACK lower band storage, (kd+1, 24NK) in
+    Fortran order."""
+    lay = _band_layout(system.N, system.K)
+    return np.take(system.blocks, lay.to_band).T
 
 
 def factorize(system: BlockBandedSystem) -> BandedFactorization:
-    """Forward block-Cholesky over time-row superblocks.
-
-    Touches only blocks inside the band; the counter tallies 24x24 blocks
-    visited so tests can assert the O(K N^2) bound.  A failed pivot names the
-    first non-positive-definite block row.
-
-    The cross-row superblock is block tridiagonal (a node couples only to the
-    same and spatially adjacent nodes of the next row), so applying the
-    explicit triangular inverse panel by panel skips its exact zeros; that
-    beats a full-width triangular solve by a wide margin.
-    """
-    N, K = system.N, system.K
-    w = BLOCK * N
-    Ls: List[np.ndarray] = []
-    Xs: List[np.ndarray] = []
-    touched = 0
-    li_buf = np.zeros((w, w)) if K > 1 else None
-    off = system.offdiag
-    C = system.diag_superblock(0)
-    for k in range(K):
-        # in-place unclean potrf: only the lower triangle of Lk is meaningful,
-        # and every downstream consumer reads only that triangle
-        Lk, info = dpotrf(C, lower=1, clean=0, overwrite_a=1)
-        if info != 0:
-            if info > 0:
-                node = k * N + (info - 1) // BLOCK
-                raise NotPositiveDefiniteError(
-                    node, f"failed pivot during time-row {k} factorization")
-            raise ValueError(f"illegal value in Cholesky argument {-info}")
-        touched += N * (N + 1) // 2
-        Ls.append(Lk)
-        if k + 1 < K:
-            Li = _tril_inv(Lk, li_buf)
-            Xk = np.zeros((w, w), order="F")
-            for j in range(N):
-                lo, hi = max(0, j - 1), min(N, j + 2)
-                r0 = BLOCK * lo
-                Xk[r0:, BLOCK * j:BLOCK * (j + 1)] = \
-                    Li[r0:, r0:BLOCK * hi] @ \
-                    off[k, lo:hi, j].reshape((hi - lo) * BLOCK, BLOCK)
-            C = dsyrk(-1.0, Xk, beta=1.0, c=system.diag_superblock(k + 1),
-                      trans=1, lower=1, overwrite_c=1)
-            Xs.append(Xk)
-            touched += 2 * N * N
-    fact = BandedFactorization(N, K, Ls, Xs, touched)
-    system.touched_blocks += touched
-    return fact
+    """Banded Cholesky of the normal equations in the sweep order.  A failed
+    pivot names the time-major node it falls in."""
+    ab, info = dpbtrf(assemble_band(system), lower=1, overwrite_ab=1)
+    if info > 0:
+        node = int(_band_layout(system.N, system.K).order[(info - 1) // BLOCK])
+        raise NotPositiveDefiniteError(
+            node, "failed pivot in the banded Cholesky factorization")
+    if info < 0:
+        raise ValueError(f"illegal value in Cholesky argument {-info}")
+    return BandedFactorization(system.N, system.K, ab)
 
 
 def solve_factorized(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
-    """Solve H x = rhs for a (K, 24N) or flat (24NK,) right-hand side."""
-    N, K = fact.N, fact.K
-    r = np.asarray(rhs, dtype=float).reshape(K, BLOCK * N)
-    ys = []
-    for k in range(K):
-        v = r[k] if k == 0 else r[k] - fact.X[k - 1].T @ ys[k - 1]
-        ys.append(solve_triangular(fact.L[k], v, lower=True,
-                                   check_finite=False))
-    xs = [np.empty(0)] * K
-    xs[K - 1] = solve_triangular(fact.L[K - 1], ys[K - 1], trans="T",
-                                 lower=True, check_finite=False)
-    for k in range(K - 2, -1, -1):
-        xs[k] = solve_triangular(fact.L[k], ys[k] - fact.X[k] @ xs[k + 1],
-                                 trans="T", lower=True, check_finite=False)
-    return np.concatenate(xs)
-
-
-def solve_block_banded(system: BlockBandedSystem) -> np.ndarray:
-    """Factorize and solve in one call; returns the flat update vector."""
-    return solve_factorized(factorize(system), system.rhs_flat())
-
-
-def _sym_from_tril(a: np.ndarray) -> np.ndarray:
-    low = np.tril(a)
-    return low + low.T - np.diag(np.diag(a))
+    """Solve H x = rhs for a time-major right-hand side of 24NK entries;
+    returns the flat time-major solution."""
+    order = _band_layout(fact.N, fact.K).order
+    r = np.asarray(rhs, dtype=float).reshape(-1, BLOCK)[order]
+    x, info = dpbtrs(fact.band, r.reshape(-1, 1), lower=1)
+    if info != 0:
+        raise ValueError(f"illegal value in banded solve argument {-info}")
+    out = np.empty_like(r)
+    out[order] = x.reshape(-1, BLOCK)
+    return out.reshape(-1)
 
 
 @dataclass
 class CornerCovariances:
-    """Selected inverse of the normal equations: every node marginal plus all
-    covariance blocks between nodes of the same or adjacent time rows, which
-    covers every cell-corner joint the interpolator can request."""
+    """Posterior covariance blocks in the stencil layout: node marginals
+    `sig_diag` (K, N, 24, 24) and forward-neighbour blocks `sig_off`
+    (K, N, 4, 24, 24), every node pair the interpolator binds together."""
 
     N: int
     K: int
@@ -369,25 +345,18 @@ class CornerCovariances:
 
     @property
     def node_marginals(self) -> np.ndarray:
-        out = np.empty((self.N * self.K, BLOCK, BLOCK))
-        for k in range(self.K):
-            for n in range(self.N):
-                a = BLOCK * n
-                out[k * self.N + n] = self.sig_diag[k, a:a + BLOCK, a:a + BLOCK]
-        return out
+        return self.sig_diag.reshape(self.N * self.K, BLOCK, BLOCK)
 
     def pair_block(self, i: int, j: int) -> np.ndarray:
-        """Sigma_ij for nodes on the same or adjacent time rows."""
-        ni, ki = i % self.N, i // self.N
-        nj, kj = j % self.N, j // self.N
-        a, b = BLOCK * ni, BLOCK * nj
-        if ki == kj:
-            return self.sig_diag[ki, a:a + BLOCK, b:b + BLOCK]
-        if kj == ki + 1:
-            return self.sig_off[ki, a:a + BLOCK, b:b + BLOCK]
-        if ki == kj + 1:
-            return self.sig_off[kj, b:b + BLOCK, a:a + BLOCK].T
-        raise ValueError(f"nodes {i},{j} not within adjacent time rows")
+        """Sigma_ij for i == j or stencil neighbours i and j."""
+        lo, hi = min(i, j), max(i, j)
+        (kl, nl), (kh, nh) = divmod(lo, self.N), divmod(hi, self.N)
+        if kh - kl > 1 or abs(nh - nl) > 1:
+            raise ValueError(f"nodes {i},{j} are not stencil neighbours")
+        if lo == hi:
+            return self.sig_diag[kl, nl]
+        block = self.sig_off[kl, nl, stencil_slot(self.N, lo, hi) - 1]
+        return block if i == lo else block.T
 
     def joint(self, nodes: Sequence[int]) -> np.ndarray:
         m = len(nodes)
@@ -406,26 +375,49 @@ class CornerCovariances:
 
 
 def corner_covariances(fact: BandedFactorization) -> CornerCovariances:
-    """Selected inverse via the backward recursion on the block-tridiagonal
-    superblock factorization."""
+    """Band of the inverse by the blocked Takahashi recursion, returned in
+    the stencil layout.
+
+    With H = L L^T, Sigma L = L^-T gives, for block column P with diagonal
+    block L_P and panel X_P below it (the band rows of the next b columns),
+        Sigma[P+1:P+b+1, P] = -Sigma[P+1:P+b+1, P+1:P+b+1] X_P L_P^-1
+        Sigma[P, P]         = L_P^-T L_P^-1 - Sigma[P+1:P+b+1, P]^T X_P L_P^-1
+    The window over columns P..P+b slides one block up the diagonal of a
+    buffer twice its size, so step P+1's window holds step P's trailing
+    blocks in place; it is copied back to the far corner every b+2 steps.
+    Diagonal-block inverses are batched up front, so the loop runs only
+    NumPy products, never alternating BLAS libraries; its window product
+    runs per 24-row block, small enough to stay on the calling thread
+    rather than wait on BLAS workers the factorization's library holds.
+    """
     N, K = fact.N, fact.K
-    w = BLOCK * N
-    sig_diag = np.empty((K, w, w))
-    sig_off = np.empty((max(K - 1, 0), w, w))
-    cinv_last, info = dpotri(fact.L[K - 1], lower=1)
-    if info != 0:
-        raise ValueError(f"triangular inversion failed with info={info}")
-    sig_diag[K - 1] = _sym_from_tril(cinv_last)
-    for k in range(K - 2, -1, -1):
-        wk = solve_triangular(fact.L[k], fact.X[k], trans="T", lower=True,
-                              check_finite=False)
-        sig_off[k] = -(wk @ sig_diag[k + 1])
-        cinv, info = dpotri(fact.L[k], lower=1)
-        if info != 0:
-            raise ValueError(f"triangular inversion failed with info={info}")
-        sk = _sym_from_tril(cinv) - sig_off[k] @ wk.T
-        sig_diag[k] = 0.5 * (sk + sk.T)
-    return CornerCovariances(N, K, sig_diag, sig_off)
+    nb = N * K
+    lay = _band_layout(N, K)
+    b = lay.width
+    w = BLOCK * (b + 1)
+    l_inv = np.linalg.inv(fact.L)
+    xl = fact.X @ l_inv
+    ltl = np.swapaxes(l_inv, 1, 2) @ l_inv
+    # band block columns, plus a trailing zero column for empty stencil slots
+    cols = np.empty((nb + 1, w, BLOCK))
+    cols[nb] = 0.0
+    buf = np.zeros((2 * w, 2 * w))
+    o = w + BLOCK
+    for p in range(nb - 1, -1, -1):
+        o -= BLOCK
+        if o < 0:
+            buf[w + BLOCK:, w + BLOCK:] = buf[:w - BLOCK, :w - BLOCK]
+            o = w
+        win = buf[o:o + w, o:o + w]
+        col = -(win[BLOCK:, BLOCK:].reshape(b, BLOCK, w - BLOCK) @ xl[p])
+        col = col.reshape(w - BLOCK, BLOCK)
+        diag = ltl[p] - col.T @ xl[p]
+        win[BLOCK:, :BLOCK] = col
+        win[:BLOCK, BLOCK:] = col.T
+        win[:BLOCK, :BLOCK] = 0.5 * (diag + diag.T)
+        cols[p] = win[:, :BLOCK]
+    sig = np.take(cols, lay.to_stencil)
+    return CornerCovariances(N, K, sig[:, :, 0], sig[:, :, 1:])
 
 
 # ---------------------------------------------------------------------------

@@ -1,5 +1,6 @@
 """Shared helpers: seeded random states, small default prior parameters,
-and one measurement factor evaluated on its own."""
+one measurement factor evaluated on its own, and the dense reference views
+of a stencil-layout system."""
 
 import numpy as np
 import pytest
@@ -7,6 +8,7 @@ import pytest
 from stgp.liegroup import Pose, se3_exp
 from stgp.prior import NodeState, PriorParams
 from stgp.sensors import group_measurements
+from stgp.solver import BLOCK, FORWARD, stencil_slot
 
 
 def random_state(rng: np.random.Generator, angle: float = 0.3,
@@ -31,6 +33,56 @@ def factor_terms(f, grid, want_jac: bool = True):
     (group,) = group_measurements([f])
     out = group.evaluate(grid.state_arrays(), want_jac)
     return [a[0][f.meas.rows] for a in out if a is not None]
+
+
+def stencil_pairs(N: int, K: int):
+    """(i, j) for every node i and each j of i itself and its forward
+    stencil neighbours, time-major."""
+    for i in range(N * K):
+        k, n = divmod(i, N)
+        for dn, dk in ((0, 0),) + FORWARD:
+            if 0 <= n + dn < N and k + dk < K:
+                yield i, (k + dk) * N + n + dn
+
+
+def add_block(system, i: int, j: int, block: np.ndarray):
+    """H[i, j] += block, and H[j, i] += block.T for i != j; i and j must be
+    equal or stencil neighbours."""
+    if i > j:
+        i, j, block = j, i, block.T
+    (ki, ni), (kj, nj) = divmod(i, system.N), divmod(j, system.N)
+    if kj - ki > 1 or abs(nj - ni) > 1:
+        raise ValueError(f"nodes {i},{j} outside the banded pattern")
+    system.blocks.reshape(-1, *system.blocks.shape[2:])[
+        i, stencil_slot(system.N, i, j)] += block
+
+
+def add_rhs(system, i: int, vec: np.ndarray):
+    system.rhs.reshape(-1, BLOCK)[i] += vec
+
+
+def dense(system) -> np.ndarray:
+    """The full symmetric matrix of a stencil-layout system."""
+    blocks = system.blocks.reshape(-1, *system.blocks.shape[2:])
+    H = np.zeros((system.dim, system.dim))
+    for i, j in stencil_pairs(system.N, system.K):
+        blk = blocks[i, stencil_slot(system.N, i, j)]
+        H[BLOCK * j:BLOCK * (j + 1), BLOCK * i:BLOCK * (i + 1)] = blk.T
+        H[BLOCK * i:BLOCK * (i + 1), BLOCK * j:BLOCK * (j + 1)] = blk
+    return H
+
+
+def matvec(system, x: np.ndarray) -> np.ndarray:
+    """H @ x, block by block over the stencil storage."""
+    blocks = system.blocks.reshape(-1, *system.blocks.shape[2:])
+    xr = np.asarray(x, dtype=float).reshape(-1, BLOCK)
+    y = np.zeros_like(xr)
+    for i, j in stencil_pairs(system.N, system.K):
+        blk = blocks[i, stencil_slot(system.N, i, j)]
+        y[i] += blk @ xr[j]
+        if j != i:
+            y[j] += blk.T @ xr[i]
+    return y.reshape(np.shape(x))
 
 
 @pytest.fixture

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from stgp import cli
+from stgp.query import query_state
 from stgp.sim import GroundTruth
 from stgp.solver import ConvergenceReport, NotPositiveDefiniteError
 
@@ -70,6 +71,28 @@ def test_loaded_report_matches_report_json(run_dir):
     assert post.report.time_total > 0
 
 
+def test_posterior_round_trips_bit_for_bit(linear_posterior, tmp_path):
+    """load_posterior(save_posterior(p)) gives back the states and the
+    covariance blocks exactly, and answers queries exactly as p does."""
+    _, post = linear_posterior
+    path = str(tmp_path / "posterior.bin")
+    cli.save_posterior(path, post, dataclasses.asdict(post.report))
+    loaded = cli.load_posterior(path)
+    a, b = post.grid.state_arrays(), loaded.grid.state_arrays()
+    for f in ("R", "t", "eps", "vel", "sv"):
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
+    assert np.array_equal(post.cov.sig_diag, loaded.cov.sig_diag)
+    assert np.array_equal(post.cov.sig_off, loaded.cov.sig_off)
+    for s, t in [(0.0, 0.0), (0.2, 0.5), (0.6, 0.83), (0.35, 1.0)]:
+        x, cov = query_state(post, s, t)
+        y, cov_loaded = query_state(loaded, s, t)
+        assert np.array_equal(cov, cov_loaded)
+        assert np.array_equal(x.pose.R, y.pose.R)
+        assert np.array_equal(x.pose.t, y.pose.t)
+        for f in ("strain", "velocity", "strain_velocity"):
+            assert np.array_equal(getattr(x, f), getattr(y, f)), f
+
+
 # exit codes, through the command-line entry point
 
 
@@ -90,6 +113,20 @@ def test_exit_invalid_schema_major(tmp_path):
                      str(tmp_path / "run")]) == cli.EXIT_INVALID
 
 
+def test_exit_invalid_posterior_major_1(run_dir, tmp_path, capsys):
+    """A posterior of major version 1 (dense time-row superblocks) is
+    refused, not misread."""
+    _, out = run_dir
+    with np.load(os.path.join(out, "posterior.bin")) as z:
+        payload = {k: z[k] for k in z.files}
+    payload["schema"] = "stgp.posterior/1.0"
+    with open(tmp_path / "posterior.bin", "wb") as fh:
+        np.savez(fh, **payload)
+    assert cli.main(["query", "--out", str(tmp_path), "--grid", "2x2"]) \
+        == cli.EXIT_INVALID
+    assert "stgp.posterior/1.0" in capsys.readouterr().err
+
+
 @pytest.mark.parametrize("args", [["--s", "2.0", "--t", "0.5"],
                                   ["--s", "0.3", "--t", "-1.0"],
                                   ["--grid", "0x3"]])
@@ -97,6 +134,28 @@ def test_exit_invalid_query(run_dir, args, capsys):
     _, out = run_dir
     assert cli.main(["query", "--out", out] + args) == cli.EXIT_INVALID
     assert "error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("args", [["--grid", "0x3"], [], ["--s", "0.3"]])
+def test_exit_invalid_query_before_loading(tmp_path, args, capsys):
+    """Malformed query arguments are rejected before posterior.bin is
+    read, so a directory without one still exits 2, not 3."""
+    assert cli.main(["query", "--out", str(tmp_path)] + args) \
+        == cli.EXIT_INVALID
+    assert "error:" in capsys.readouterr().err
+
+
+def test_exit_invalid_chart_range(tmp_path, capsys):
+    """High curvature on a two-knot rod puts the spatial prior factor's
+    relative rotation outside the chart."""
+    cfg = write_config(tmp_path, kappa0=5.0, n_space=2)
+    out = str(tmp_path / "run")
+    assert cli.main(["simulate", "--config", cfg, "--out", out]) == 0
+    assert cli.main(["estimate", "--config", cfg, "--out", out]) \
+        == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert "chart out of range" in err
+    assert "while linearizing spatial factor at nodes [0, 1]" in err
 
 
 def test_exit_io_missing_files(tmp_path, capsys):

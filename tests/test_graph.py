@@ -10,6 +10,7 @@ from stgp.oracle import dense_prior_precision
 from stgp.prior import NodeState, PriorParams, phi_s_batch, phi_t_batch
 from stgp.sim import GroundTruth, ScenarioConfig
 from stgp.solver import linearize
+from conftest import dense
 
 
 def family_pattern(factors, n_nodes: int) -> np.ndarray:
@@ -128,7 +129,7 @@ def test_precision_pattern_single_node(params):
     fs = build_prior_factors(g, params)
     pat = family_pattern(fs, g.n_nodes)
     assert pat.shape == (1, 1) and pat[0, 0]
-    assert np.array_equal(dense_block_pattern(linearize(fs, g).dense()), pat)
+    assert np.array_equal(dense_block_pattern(dense(linearize(fs, g))), pat)
 
 
 def test_precision_pattern_neighbors(params):
@@ -137,7 +138,7 @@ def test_precision_pattern_neighbors(params):
     fs = build_prior_factors(g, params)
     pat = family_pattern(fs, g.n_nodes)
     assert np.array_equal(pat, pat.T)
-    assert np.array_equal(dense_block_pattern(linearize(fs, g).dense()), pat)
+    assert np.array_equal(dense_block_pattern(dense(linearize(fs, g))), pat)
     center = g.flat(1, 1)
     coupled = sorted(np.nonzero(pat[center])[0])
     neighbors = sorted(g.flat(1 + dn, 1 + dk)
@@ -152,7 +153,7 @@ def test_precision_pattern_bandwidth(params):
     pat = family_pattern(fs, g.n_nodes)
     idx = np.nonzero(pat)
     assert np.max(np.abs(idx[0] - idx[1])) <= g.N + 1
-    assert np.array_equal(dense_block_pattern(linearize(fs, g).dense()), pat)
+    assert np.array_equal(dense_block_pattern(dense(linearize(fs, g))), pat)
 
 
 def test_precision_matches_oracle_and_pattern(params):
@@ -163,7 +164,7 @@ def test_precision_matches_oracle_and_pattern(params):
         t_knots = np.linspace(0.0, 2.0, K)
         g = build_grid(s_knots, t_knots, NodeState.identity())
         fs = build_prior_factors(g, params)
-        H = linearize(fs, g).dense()
+        H = dense(linearize(fs, g))
         ref = dense_prior_precision(s_knots, t_knots, params)
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(H - ref)) < 1e-10 * scale
@@ -180,7 +181,7 @@ def test_diagonal_blocks_positive_definite(params):
     g = build_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 3),
                    NodeState.identity())
     fs = build_prior_factors(g, params)
-    H = linearize(fs, g).dense()
+    H = dense(linearize(fs, g))
     for i in range(g.n_nodes):
         blk = H[24 * i:24 * i + 24, 24 * i:24 * i + 24]
         assert np.min(np.linalg.eigvalsh(blk)) > 0

@@ -12,11 +12,12 @@ from stgp.sensors import Measurement, NodeMeasurementFactor, \
     build_measurement_factors
 from stgp.sim import GroundTruth, generate_measurements
 from stgp.solver import (BLOCK, BlockBandedSystem, NotPositiveDefiniteError,
-                         SolverOptions, _tril_inv, apply_update,
+                         SolverOptions, apply_update, assemble_band,
                          corner_covariances, evaluate_cost, factorize,
-                         gauss_newton, linearize, solve_block_banded,
-                         solve_factorized)
-from conftest import factor_terms, random_states
+                         gauss_newton, linearize, solve_factorized,
+                         sweep_order)
+from conftest import (add_block, add_rhs, dense, factor_terms, matvec,
+                      random_states, stencil_pairs)
 
 
 def random_banded_system(seed: int, N: int, K: int) -> BlockBandedSystem:
@@ -26,22 +27,12 @@ def random_banded_system(seed: int, N: int, K: int) -> BlockBandedSystem:
     n_nodes = N * K
     for i in range(n_nodes):
         A = rng.standard_normal((BLOCK, BLOCK))
-        system.add_block(i, i, A @ A.T * 0.05 + 40.0 * np.eye(BLOCK))
-        system.add_rhs(i, rng.standard_normal(BLOCK))
-    for i in range(n_nodes):
-        ni, ki = i % N, i // N
-        for dn in (-1, 0, 1):
-            for dk in (0, 1):
-                if dk == 0 and dn <= 0:
-                    continue
-                nj, kj = ni + dn, ki + dk
-                if not (0 <= nj < N and 0 <= kj < K):
-                    continue
-                j = kj * N + nj
-                # eight couplings of spectral norm ~3 against a 40 I diagonal
-                B = 0.3 * rng.standard_normal((BLOCK, BLOCK))
-                system.add_block(i, j, B)
-                system.add_block(j, i, B.T)
+        add_block(system, i, i, A @ A.T * 0.05 + 40.0 * np.eye(BLOCK))
+        add_rhs(system, i, rng.standard_normal(BLOCK))
+    for i, j in stencil_pairs(N, K):
+        if j != i:
+            # eight couplings of spectral norm ~3 against a 40 I diagonal
+            add_block(system, i, j, 0.3 * rng.standard_normal((BLOCK, BLOCK)))
     return system
 
 
@@ -51,32 +42,68 @@ def random_banded_system(seed: int, N: int, K: int) -> BlockBandedSystem:
 def test_add_block_rejects_out_of_band():
     system = BlockBandedSystem.zeros(3, 3)
     with pytest.raises(ValueError):
-        system.add_block(0, 6, np.eye(BLOCK))  # two time rows apart
+        add_block(system, 0, 6, np.eye(BLOCK))  # two time rows apart
     with pytest.raises(ValueError):
-        system.add_block(0, 2, np.eye(BLOCK))  # two knots apart spatially
+        add_block(system, 0, 2, np.eye(BLOCK))  # two knots apart spatially
 
 
 def test_matvec_matches_dense():
     system = random_banded_system(3, N=3, K=4)
-    H = system.dense()
+    H = dense(system)
     assert np.max(np.abs(H - H.T)) < 1e-12
     rng = np.random.default_rng(4)
     for _ in range(3):
         x = rng.standard_normal(system.dim)
-        assert np.max(np.abs(system.matvec(x) - H @ x)) < 1e-9
+        assert np.max(np.abs(matvec(system, x) - H @ x)) < 1e-9
 
 
-def test_superblock_views_match_dense():
-    system = random_banded_system(5, N=2, K=3)
-    H = system.dense()
-    w = BLOCK * system.N
-    for k in range(system.K):
-        D = system.diag_superblock(k)
-        assert np.max(np.abs(D - H[k * w:(k + 1) * w, k * w:(k + 1) * w])) == 0
-    for k in range(system.K - 1):
-        U = system.offdiag_superblock(k)
-        assert np.max(np.abs(U - H[k * w:(k + 1) * w,
-                                   (k + 1) * w:(k + 2) * w])) == 0
+SHAPES = [(5, 3), (3, 5), (4, 4)]  # sweeps along s, along t, the N == K rule
+
+
+def scalar_order(N, K):
+    """The sweep order as a permutation of the 24NK scalar unknowns."""
+    return (BLOCK * sweep_order(N, K)[:, None] + np.arange(BLOCK)).ravel()
+
+
+@pytest.mark.parametrize("N,K", SHAPES)
+def test_sweep_order_round_trips(N, K):
+    order = sweep_order(N, K)
+    assert sorted(order) == list(range(N * K))
+    pos = np.argsort(order)
+    assert np.array_equal(order[pos], np.arange(N * K))
+    # the faster index runs along the shorter axis (time when N == K)
+    assert np.array_equal(order[:2], [0, N] if N > K else [0, 1])
+    # stencil neighbours are at most min(N, K) + 1 positions apart
+    gaps = [abs(pos[i] - pos[j]) for i, j in stencil_pairs(N, K)]
+    assert max(gaps) == min(N, K) + 1
+
+
+@pytest.mark.parametrize("N,K", SHAPES)
+def test_band_matches_permuted_dense(N, K):
+    """The band assembled from the stencil layout is the lower band of the
+    permuted dense matrix, zeros past its last row included, and the factor's
+    block columns are the blocks of its dense Cholesky factor."""
+    system = random_banded_system(300 + N * K, N, K)
+    perm = scalar_order(N, K)
+    A = dense(system)[np.ix_(perm, perm)]
+    ab = assemble_band(system)
+    kd, n = ab.shape[0] - 1, ab.shape[1]
+    assert kd == BLOCK * (min(N, K) + 2) - 1
+    ref = np.zeros_like(ab)
+    for r in range(kd + 1):
+        ref[r, :n - r] = np.diagonal(A, -r)
+    assert np.array_equal(ab, ref)
+    fact = factorize(system)
+    L, X = fact.L, fact.X
+    C = np.linalg.cholesky(A)
+    b = min(N, K) + 1
+    for p in range(N * K):
+        a = BLOCK * p
+        assert np.max(np.abs(L[p] - C[a:a + BLOCK, a:a + BLOCK])) < 1e-12
+        panel = np.zeros((BLOCK * b, BLOCK))
+        rows = C[a + BLOCK:a + BLOCK * (b + 1), a:a + BLOCK]
+        panel[:len(rows)] = rows
+        assert np.max(np.abs(X[p] - panel)) < 1e-12
 
 
 # linearization against brute-force normal equations
@@ -86,7 +113,7 @@ def test_linearize_single_unary_at_mean(identity_params):
     grid = build_grid([0.0], [0.0], identity_params.prior_mean)
     factors = build_prior_factors(grid, identity_params)
     system = linearize(factors, grid)
-    assert np.max(np.abs(system.diag[0, 0, 0] - np.eye(BLOCK))) < 1e-12
+    assert np.max(np.abs(system.diag[0, 0] - np.eye(BLOCK))) < 1e-12
     assert np.max(np.abs(system.rhs)) < 1e-14
 
 
@@ -96,7 +123,7 @@ def test_linearize_prior_matches_dense_precision(params):
     grid = build_grid(s, t, params.prior_mean)
     system = linearize(build_prior_factors(grid, params), grid)
     H = dense_prior_precision(s, t, params)
-    assert np.max(np.abs(system.dense() - H)) < 1e-10 * np.max(np.abs(H))
+    assert np.max(np.abs(dense(system) - H)) < 1e-10 * np.max(np.abs(H))
 
 
 def brute_force_normal_equations(factors, grid):
@@ -162,7 +189,7 @@ def test_linearize_matches_brute_force_with_measurements(params):
     system = linearize(factors, grid)
     H_ref, g_ref, cost_ref = brute_force_normal_equations(factors, grid)
     scale = np.max(np.abs(H_ref))
-    assert np.max(np.abs(system.dense() - H_ref)) < 1e-12 * scale
+    assert np.max(np.abs(dense(system) - H_ref)) < 1e-12 * scale
     assert np.max(np.abs(system.rhs_flat() - g_ref)) < 1e-12 * scale
     assert abs(system.cost - cost_ref) < 1e-9 * max(1.0, cost_ref)
     assert abs(evaluate_cost(factors, grid) - cost_ref) < 1e-9 * cost_ref
@@ -186,8 +213,8 @@ def test_one_family_factor_sets_add_up(params):
              FactorSet(measurement=full.measurement)]
     assert [p.prior_count() for p in parts] == [1, 2, 2, 4, 0]
     assert FactorSet().prior_count() == 0
-    H = linearize(full, grid).dense()
-    H_parts = sum(linearize(p, grid).dense() for p in parts)
+    H = dense(linearize(full, grid))
+    H_parts = sum(dense(linearize(p, grid)) for p in parts)
     assert np.max(np.abs(H_parts - H)) < 1e-12 * np.max(np.abs(H))
     cost = sum(evaluate_cost(p, grid) for p in parts)
     assert abs(cost - evaluate_cost(full, grid)) < 1e-12 * cost
@@ -205,7 +232,7 @@ def test_on_node_position_touches_one_diagonal_block(params):
     assert factor.node == 3
     with_meas = FactorSet(prior.unary, prior.binary_spatial,
                           prior.binary_temporal, prior.quaternary, [factor])
-    D = linearize(with_meas, grid).dense() - linearize(prior, grid).dense()
+    D = dense(linearize(with_meas, grid)) - dense(linearize(prior, grid))
     block = D[3 * BLOCK:4 * BLOCK, 3 * BLOCK:4 * BLOCK]
     assert np.linalg.matrix_rank(block, tol=1e-9) <= 3
     D[3 * BLOCK:4 * BLOCK, 3 * BLOCK:4 * BLOCK] = 0.0
@@ -219,34 +246,34 @@ def test_solve_identity_system():
     system = BlockBandedSystem.zeros(2, 2)
     rng = np.random.default_rng(7)
     for i in range(4):
-        system.add_block(i, i, np.eye(BLOCK))
-        system.add_rhs(i, rng.standard_normal(BLOCK))
-    delta = solve_block_banded(system)
+        add_block(system, i, i, np.eye(BLOCK))
+        add_rhs(system, i, rng.standard_normal(BLOCK))
+    delta = solve_factorized(factorize(system), system.rhs_flat())
     assert np.max(np.abs(delta - system.rhs_flat())) < 1e-12
 
 
 @pytest.mark.parametrize("N,K", [(1, 1), (1, 5), (4, 1), (3, 4), (5, 3)])
 def test_solve_matches_dense_oracle(N, K):
     system = random_banded_system(100 + 10 * N + K, N, K)
-    H = system.dense()
+    H = dense(system)
     rhs = system.rhs_flat()
     ref = np.linalg.solve(H, rhs)
-    delta = solve_block_banded(system)
+    delta = solve_factorized(factorize(system), system.rhs_flat())
     assert np.max(np.abs(delta - ref)) < 1e-8 * max(1.0, np.max(np.abs(ref)))
 
 
 def test_solve_residual_contract():
     system = random_banded_system(42, N=4, K=5)
-    delta = solve_block_banded(system)
+    delta = solve_factorized(factorize(system), system.rhs_flat())
     rhs = system.rhs_flat()
-    resid = np.max(np.abs(system.matvec(delta) - rhs))
+    resid = np.max(np.abs(matvec(system, delta) - rhs))
     assert resid < 1e-8 * (1.0 + np.max(np.abs(rhs)))
 
 
 def test_factorization_reusable_across_right_hand_sides():
     system = random_banded_system(9, N=2, K=3)
     fact = factorize(system)
-    H = system.dense()
+    H = dense(system)
     rng = np.random.default_rng(10)
     for _ in range(3):
         r = rng.standard_normal(system.dim)
@@ -254,51 +281,29 @@ def test_factorization_reusable_across_right_hand_sides():
         assert np.max(np.abs(H @ x - r)) < 1e-8 * (1.0 + np.max(np.abs(r)))
 
 
-def test_not_positive_definite_names_block_row():
-    system = BlockBandedSystem.zeros(2, 3)
-    for i in range(6):
-        system.add_block(i, i, np.eye(BLOCK))
-    system.add_block(2, 2, -2.0 * np.eye(BLOCK))  # node (n=0, k=1)
+@pytest.mark.parametrize("N,K", [(3, 2), (2, 3)])
+def test_not_positive_definite_names_block_row(N, K):
+    """The failed pivot is named by its time-major node in either sweep
+    direction."""
+    system = BlockBandedSystem.zeros(N, K)
+    for i in range(N * K):
+        add_block(system, i, i, np.eye(BLOCK))
+    add_block(system, 4, 4, -2.0 * np.eye(BLOCK))
     with pytest.raises(NotPositiveDefiniteError) as exc:
         factorize(system)
-    assert exc.value.node == 2
-    assert "block row 2" in str(exc.value)
+    assert exc.value.node == 4
+    assert "block row 4" in str(exc.value)
 
 
 def test_touched_blocks_scale_linearly_in_rows():
+    """The stored factor grows linearly along the longer axis: its band
+    has 24(N+2) rows for 24NK columns, and its block columns hold N+2
+    blocks per node."""
     N = 3
-    for K in (4, 8):
+    for K in (4, 8, 16):
         fact = factorize(random_banded_system(1, N, K))
-        # per time row: lower triangle of one superblock plus the panel
-        # and its Schur update (absent on the last row)
-        assert fact.touched_blocks == \
-            K * (N * (N + 1) // 2) + (K - 1) * 2 * N * N
-
-
-def random_tril(rng, n):
-    # sub-diagonal mass scaled down so the inverse stays well conditioned
-    L = np.tril(rng.standard_normal((n, n)) / np.sqrt(n), -1)
-    L[np.diag_indices(n)] = 1.0 + rng.random(n)
-    return L
-
-
-@pytest.mark.parametrize("n", [5, 96, 150])
-def test_tril_inv_matches_numpy(n):
-    L = random_tril(np.random.default_rng(n), n)
-    ref = np.linalg.inv(L)
-    assert np.max(np.abs(_tril_inv(L) - ref)) < 1e-9 * np.max(np.abs(ref))
-    assert np.max(np.abs(_tril_inv(L) @ L - np.eye(n))) < 1e-10
-
-
-def test_tril_inv_buffer_reuse():
-    rng = np.random.default_rng(0)
-    buf = np.zeros((120, 120))
-    for _ in range(3):
-        L = random_tril(rng, 120)
-        out = _tril_inv(L, buf)
-        assert out is buf
-        ref = np.linalg.inv(L)
-        assert np.max(np.abs(out - ref)) < 1e-9 * np.max(np.abs(ref))
+        assert fact.band.shape == (BLOCK * (N + 2), BLOCK * N * K)
+        assert fact.L.size + fact.X.size == (N + 2) * N * K * BLOCK ** 2
 
 
 # Gauss-Newton
@@ -395,23 +400,28 @@ def test_corner_cov_single_node_recovers_prior(params):
     assert np.max(np.abs(cc.node_marginals[0] - params.p0)) < 1e-10
 
 
-@pytest.mark.parametrize("N,K", [(2, 2), (3, 3), (1, 4), (4, 1)])
+@pytest.mark.parametrize("N,K", [(2, 2), (3, 3), (1, 4), (4, 1), (5, 3),
+                                 (3, 5)])
 def test_corner_cov_matches_dense_inverse(N, K):
+    """Every node marginal and every stencil pair, in both orientations,
+    against the dense inverse; empty stencil slots hold zeros."""
     system = random_banded_system(200 + 10 * N + K, N, K)
     cc = corner_covariances(factorize(system))
-    ref = np.linalg.inv(system.dense())
+    ref = np.linalg.inv(dense(system))
     tol = 1e-8 * np.max(np.abs(ref))
     for i in range(N * K):
         a = BLOCK * i
         assert np.max(np.abs(cc.node_marginals[i]
                              - ref[a:a + BLOCK, a:a + BLOCK])) < tol
-        ki = i // N
-        for j in range(N * K):
-            if abs(j // N - ki) > 1:
-                continue
-            b = BLOCK * j
-            assert np.max(np.abs(cc.pair_block(i, j)
-                                 - ref[a:a + BLOCK, b:b + BLOCK])) < tol
+    pairs = list(stencil_pairs(N, K))
+    for i, j in pairs:
+        a, b = BLOCK * i, BLOCK * j
+        assert np.max(np.abs(cc.pair_block(i, j)
+                             - ref[a:a + BLOCK, b:b + BLOCK])) < tol
+        assert np.max(np.abs(cc.pair_block(j, i)
+                             - ref[b:b + BLOCK, a:a + BLOCK])) < tol
+    filled = cc.sig_off.reshape(N * K * 4, -1).any(axis=1)
+    assert filled.sum() == len(pairs) - N * K
 
 
 def test_corner_cov_joints_are_symmetric_psd():
@@ -423,7 +433,7 @@ def test_corner_cov_joints_are_symmetric_psd():
             assert J.shape == (4 * BLOCK, 4 * BLOCK)
             assert np.max(np.abs(J - J.T)) < 1e-12
             assert np.min(np.linalg.eigvalsh(J)) > -1e-10
-    assert np.all(np.diagonal(cc.sig_diag, axis1=1, axis2=2) > 0.0)
+    assert np.all(np.diagonal(cc.sig_diag, axis1=-2, axis2=-1) > 0.0)
 
 
 def test_pair_block_rejects_distant_rows():
@@ -431,3 +441,6 @@ def test_pair_block_rejects_distant_rows():
     cc = corner_covariances(factorize(system))
     with pytest.raises(ValueError):
         cc.pair_block(0, 4)  # rows 0 and 2
+    cc = corner_covariances(factorize(random_banded_system(6, N=3, K=2)))
+    with pytest.raises(ValueError):
+        cc.pair_block(0, 2)  # one row, two knots apart
