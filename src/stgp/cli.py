@@ -44,7 +44,7 @@ import numpy as np
 
 from .graph import Grid, build_grid, build_prior_factors
 from .liegroup import Pose, quaternion_to_rotation, rotation_to_quaternion
-from .prior import NodeState, PriorParams
+from .prior import NodeState, PriorParams, StateArrays
 from .query import OutOfHullError, query_state
 from .sensors import Measurement, build_measurement_factors
 from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
@@ -90,32 +90,6 @@ def check_schema(tag, kind: str) -> None:
 
 # ---------------------------------------------------------------------------
 # config files
-
-
-def config_to_dict(cfg: ScenarioConfig) -> dict:
-    sensors = []
-    for sp in cfg.sensors:
-        rec = {"kind": sp.kind, "std": sp.std}
-        if sp.rate is not None:
-            rec["rate"] = sp.rate
-        if sp.locations is not None:
-            rec["locations"] = sp.locations if isinstance(sp.locations, str) \
-                else [float(v) for v in np.atleast_1d(sp.locations)]
-        if sp.samples is not None:
-            rec["samples"] = [[float(s), float(t)] for s, t in sp.samples]
-        if sp.mask is not None:
-            rec["mask"] = [bool(b) for b in sp.mask]
-        sensors.append(rec)
-    return {
-        "schema": schema_tag("config"),
-        "length": cfg.length, "n_space": cfg.n_space, "n_time": cfg.n_time,
-        "duration": cfg.duration, "kappa0": cfg.kappa0,
-        "kappa_a": cfg.kappa_a, "period": cfg.period,
-        "qs_diag": list(cfg.qs_diag), "qt_diag": list(cfg.qt_diag),
-        "qst_diag": list(cfg.qst_diag), "p0_diag": list(cfg.p0_diag),
-        "sensors": sensors, "seed": cfg.seed, "refinement": cfg.refinement,
-        "max_iters": cfg.max_iters, "tol": cfg.tol,
-    }
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
@@ -275,9 +249,8 @@ def load_posterior(path: str) -> Posterior:
         check_schema(str(z["schema"]), "posterior")
         s_knots, t_knots = z["s_knots"], z["t_knots"]
         N, K = len(s_knots), len(t_knots)
-        # each array is read from the archive once
-        states = [NodeState(Pose(R, t), eps, vel, sv) for R, t, eps, vel, sv
-                  in zip(z["R"], z["t"], z["strain"], z["velocity"], z["sv"])]
+        states = StateArrays(z["R"], z["t"], z["strain"], z["velocity"],
+                             z["sv"])
         mean = NodeState(Pose(z["mean_R"], z["mean_t"]), z["mean_strain"],
                          z["mean_velocity"], z["mean_sv"])
         params = PriorParams(qs_psd=z["qs_psd"], qt_psd=z["qt_psd"],
@@ -307,20 +280,9 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: str) -> int:
 
 
 def _report_dict(report: ConvergenceReport, factors) -> dict:
-    return {
-        "schema": schema_tag("report"),
-        "converged": report.converged, "iterations": report.iterations,
-        "initial_cost": report.initial_cost, "final_cost": report.final_cost,
-        "cost_trace": report.cost_trace, "update_norms": report.update_norms,
-        "halvings": report.halvings, "message": report.message,
-        "time_linearize": report.time_linearize,
-        "time_factorize": report.time_factorize,
-        "time_solve": report.time_solve,
-        "time_covariance": report.time_covariance,
-        "time_total": report.time_total,
-        "prior_factors": factors.prior_count(),
-        "measurement_factors": len(factors.measurement),
-    }
+    return {**dataclasses.asdict(report), "schema": schema_tag("report"),
+            "prior_factors": factors.prior_count(),
+            "measurement_factors": len(factors.measurement)}
 
 
 def _estimate(cfg: ScenarioConfig, measurements: Sequence[Measurement]):
@@ -346,7 +308,7 @@ def cmd_estimate(cfg: ScenarioConfig, out_dir: str,
     stds = np.sqrt(np.maximum(np.einsum("...ii->...i", marg), 0.0))
     grid = post.grid
     rows = [state_row(float(grid.s_knots[n]), float(grid.t_knots[k]),
-                      grid.states[grid.flat(n, k)], stds[grid.flat(n, k)])
+                      grid.state(n, k), stds[grid.flat(n, k)])
             for k in range(grid.K) for n in range(grid.N)]
     write_state_csv(os.path.join(out_dir, "estimate.csv"), "estimate", rows,
                     with_stds=True)

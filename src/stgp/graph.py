@@ -1,9 +1,11 @@
 """Estimation grid and prior factor construction.
 
-Nodes live on an arclength x time lattice, flattened space-major:
-flat index = k * N + n for arclength index n and time index k.  The prior
-couples each node only to its immediate lattice neighbors, which is what
-keeps the normal equations block-banded with bandwidth N + 1.
+Nodes live on an arclength x time lattice, flattened time-major:
+flat index = k * N + n for arclength index n and time index k.  The grid
+holds their states as one `StateArrays`.  The prior couples each node only
+to its 8 lattice neighbours, which keeps the normal equations block-banded
+with bandwidth min(N, K) + 1 once the solver orders the nodes along the
+longer grid axis.
 
 The prior is four factor kinds (unary, spatial binary, temporal binary and
 cell), each the same kernel applied at many lattice sites.
@@ -22,17 +24,16 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from .prior import (NodeState, PriorParams, StateArrays, binary_batch,
-                    phi_s_batch, phi_t_batch, propagate_corner,
-                    propagate_spatial, propagate_temporal, q_binary_s_inv,
-                    q_binary_t_inv, q_quaternary_inv, quaternary_batch,
-                    unary_batch)
+                    chart_decode_batch, encode_with_jacobians_batch,
+                    phi_s_batch, phi_t_batch, q_binary_s_inv, q_binary_t_inv,
+                    q_quaternary_inv, quaternary_batch, unary_batch)
 
 
 @dataclass
 class Grid:
     s_knots: np.ndarray
     t_knots: np.ndarray
-    states: List[NodeState]
+    states: StateArrays
 
     def __post_init__(self):
         self.s_knots = np.asarray(self.s_knots, dtype=float).reshape(-1)
@@ -63,10 +64,10 @@ class Grid:
 
     def copy(self) -> "Grid":
         return Grid(self.s_knots.copy(), self.t_knots.copy(),
-                    [s.copy() for s in self.states])
+                    self.states.take(np.arange(self.n_nodes)))
 
     def state_arrays(self) -> StateArrays:
-        return StateArrays.from_states(self.states)
+        return self.states
 
 
 def _check_knots(knots: np.ndarray, name: str):
@@ -76,6 +77,10 @@ def _check_knots(knots: np.ndarray, name: str):
         raise ValueError(f"{name} must be strictly increasing")
 
 
+def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
+    return np.squeeze(m @ v[..., None], -1)
+
+
 def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
                init: Union[NodeState, Callable[[float, float], NodeState]]) -> Grid:
     """Lay out the lattice and initialize every node.
@@ -83,31 +88,44 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
     `init` is either the state at the first node, continued across the grid
     with zero process noise (so every prior factor starts at zero error), or
     a callable (s, t) -> NodeState sampled at each knot pair.
+
+    The continuation sweeps the anti-diagonals n + k = d, one batched step
+    per diagonal: a node on the first time row takes a spatial step from its
+    left neighbour, one on the first arclength column a temporal step from
+    the node before it, and an interior node is the corner that zeroes its
+    cell factor, in the chart of the cell's (0, 0) corner.
     """
     s_knots = np.asarray(s_knots, dtype=float).reshape(-1)
     t_knots = np.asarray(t_knots, dtype=float).reshape(-1)
     _check_knots(s_knots, "s_knots")
     _check_knots(t_knots, "t_knots")
     N, K = len(s_knots), len(t_knots)
-    states: List[NodeState] = [None] * (N * K)  # type: ignore[list-item]
     if callable(init):
-        for k in range(K):
-            for n in range(N):
-                st = init(float(s_knots[n]), float(t_knots[k]))
-                states[k * N + n] = st.copy()
-    else:
-        states[0] = init.copy()
-        for n in range(1, N):
-            states[n] = propagate_spatial(states[n - 1], s_knots[n] - s_knots[n - 1])
-        for k in range(1, K):
-            dt = t_knots[k] - t_knots[k - 1]
-            states[k * N] = propagate_temporal(states[(k - 1) * N], dt)
-            for n in range(1, N):
-                ds = s_knots[n] - s_knots[n - 1]
-                states[k * N + n] = propagate_corner(
-                    states[(k - 1) * N + n - 1], states[(k - 1) * N + n],
-                    states[k * N + n - 1], ds, dt)
-    return Grid(s_knots, t_knots, states)
+        return Grid(s_knots, t_knots, StateArrays.from_states(
+            [init(float(s), float(t)) for t in t_knots for s in s_knots]))
+    # every node starts as `init`; each diagonal overwrites its own nodes
+    sa = StateArrays.from_state(init).take(np.zeros(N * K, dtype=int))
+    ds, dt = np.diff(s_knots), np.diff(t_knots)
+    for d in range(1, N + K - 1):
+        n = np.arange(max(0, d - K + 1), min(d, N - 1) + 1)
+        k = d - n
+        i = k * N + n
+        row, col, inner = k == 0, n == 0, (n > 0) & (k > 0)
+        base = sa.take(i - N * (k > 0) - (n > 0))
+        z = base.chart_origin()
+        z[row] = _mv(phi_s_batch(ds[n[row] - 1]), z[row])
+        z[col] = _mv(phi_t_batch(dt[k[col] - 1]), z[col])
+        if inner.any():
+            ps = phi_s_batch(ds[n[inner] - 1])
+            pt = phi_t_batch(dt[k[inner] - 1])
+            Rb, tb = base.R[inner], base.t[inner]
+            z10 = encode_with_jacobians_batch(sa.take(i[inner] - N), Rb, tb,
+                                              want_jac=False)[0]
+            z01 = encode_with_jacobians_batch(sa.take(i[inner] - 1), Rb, tb,
+                                              want_jac=False)[0]
+            z[inner] = _mv(ps, z01) + _mv(pt, z10) - _mv(pt @ ps, z[inner])
+        sa.put(i, chart_decode_batch(z, base.R, base.t))
+    return Grid(s_knots, t_knots, sa)
 
 
 # ---------------------------------------------------------------------------

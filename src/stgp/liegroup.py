@@ -356,19 +356,11 @@ class Pose:
     def __matmul__(self, other: "Pose") -> "Pose":
         return Pose(self.R @ other.R, self.R @ other.t + self.t)
 
-    def apply(self, p: np.ndarray) -> np.ndarray:
-        return self.R @ np.asarray(p, dtype=float) + self.t
-
     def adjoint(self) -> np.ndarray:
         return adjoint(self.matrix())
 
     def copy(self) -> "Pose":
         return Pose(self.R.copy(), self.t.copy())
-
-    def rotation_defect(self) -> float:
-        """Max-norm deviation of R from the orthonormal, det +1 manifold."""
-        return max(float(np.max(np.abs(self.R.T @ self.R - np.eye(3)))),
-                   abs(float(np.linalg.det(self.R)) - 1.0))
 
     def __repr__(self) -> str:
         return f"Pose(t={np.array2string(self.t, precision=4)})"

@@ -1,8 +1,9 @@
 """Dense reference constructions used by the test suite.
 
 Everything here is assembled from the lifted form of the prior: stack every
-node chart into one long vector (space-major), write the joint as x = A(v + w)
-with a block lower-triangular A, and form the covariance A Q A^T directly.
+node chart into one long vector (time-major, k*N + n), write the joint as
+x = A(v + w) with a block lower-triangular A, and form the covariance A Q A^T
+directly.
 None of the factor, solver, or query code paths are reused, so agreement
 between the two routes is a meaningful cross-check.  Costs are cubic in N*K;
 keep grids small.  Production code must never import this module.
@@ -10,18 +11,52 @@ keep grids small.  Production code must never import this module.
 
 from __future__ import annotations
 
-from typing import List, Sequence, Tuple
+from typing import List, Tuple
 
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .prior import (NodeState, PriorParams, phi_cell, q_binary_s,
-                    q_binary_s_inv, q_binary_t, q_binary_t_inv, q_quaternary,
+from .prior import (PriorParams, k_matrix, q_binary_s_inv, q_binary_t_inv,
                     q_quaternary_inv)
 
 MAX_NODES = 64
 
 KNOT_MATCH_TOL = 1e-12
+
+_I6 = np.eye(6)
+
+
+def _m2(d: float) -> np.ndarray:
+    return np.array([[1.0, float(d)], [0.0, 1.0]])
+
+
+def _positive(d: float, name: str) -> float:
+    d = float(d)
+    if d <= 0:
+        raise ValueError(f"{name} must be > 0 (degenerate factor)")
+    return d
+
+
+def phi_cell(ds: float, dt: float) -> np.ndarray:
+    """Transition across a full cell diagonal, Kronecker form; equals
+    phi_t(dt) @ phi_s(ds), and phi_s(ds) at dt = 0."""
+    return np.kron(_m2(dt), np.kron(_m2(ds), _I6))
+
+
+def q_binary_s(ds: float, params: PriorParams) -> np.ndarray:
+    ds = _positive(ds, "ds")
+    return np.kron(np.eye(2), np.kron(k_matrix(ds), params.qs_psd))
+
+
+def q_binary_t(dt: float, params: PriorParams) -> np.ndarray:
+    dt = _positive(dt, "dt")
+    return np.kron(k_matrix(dt), np.kron(np.eye(2), params.qt_psd))
+
+
+def q_quaternary(ds: float, dt: float, params: PriorParams) -> np.ndarray:
+    ds = _positive(ds, "ds")
+    dt = _positive(dt, "dt")
+    return np.kron(k_matrix(dt), np.kron(k_matrix(ds), params.qst_psd))
 
 
 def _prep(s_knots, t_knots) -> Tuple[np.ndarray, np.ndarray, int, int]:
@@ -36,7 +71,7 @@ def _prep(s_knots, t_knots) -> Tuple[np.ndarray, np.ndarray, int, int]:
 def lifted_transition(s_knots, t_knots) -> np.ndarray:
     """A with block (i,j) = phi_cell(s_i - s_j, t_i - t_j) whenever node i sits
     at or past node j in both grid directions, zero otherwise.  Block lower
-    triangular in the space-major flat order."""
+    triangular in the time-major flat order."""
     s, t, N, K = _prep(s_knots, t_knots)
     M = N * K
     A = np.zeros((24 * M, 24 * M))
@@ -92,37 +127,6 @@ def dense_prior_precision(s_knots, t_knots, params: PriorParams) -> np.ndarray:
     Ainv = solve_triangular(A, np.eye(A.shape[0]), lower=True)
     H = Ainv.T @ Qinv @ Ainv
     return 0.5 * (H + H.T)
-
-
-def dense_prior_mean(s_knots, t_knots, prior_mean: NodeState) -> np.ndarray:
-    """Lifted mean A v with v supported on the first node.  The first-node
-    chart is taken as (log pose, strain, velocity, strain-velocity), which is
-    the exact global chart only when the transport is trivial (identity-pose
-    regimes used by the dense checks)."""
-    z0 = np.concatenate([prior_mean.pose.log(), prior_mean.strain,
-                         prior_mean.velocity, prior_mean.strain_velocity])
-    A = lifted_transition(s_knots, t_knots)
-    v = np.zeros(A.shape[0])
-    v[:24] = z0
-    return A @ v
-
-
-def dense_linear_regress(mean: np.ndarray, cov: np.ndarray, H: np.ndarray,
-                         y: np.ndarray, R: np.ndarray):
-    """Textbook Gaussian conditioning on linear measurements y = H x + noise,
-    gain form.  Returns (posterior mean, posterior covariance)."""
-    mean = np.asarray(mean, dtype=float).reshape(-1)
-    cov = np.asarray(cov, dtype=float)
-    H = np.asarray(H, dtype=float).reshape(-1, mean.size)
-    y = np.asarray(y, dtype=float).reshape(-1)
-    if H.shape[0] == 0:
-        return mean.copy(), cov.copy()
-    R = np.asarray(R, dtype=float)
-    S = H @ cov @ H.T + R
-    gain = np.linalg.solve(S.T, (cov @ H.T).T).T
-    mean_post = mean + gain @ (y - H @ mean)
-    cov_post = cov - gain @ H @ cov
-    return mean_post, 0.5 * (cov_post + cov_post.T)
 
 
 def _locate(knots: np.ndarray, u: float) -> Tuple[bool, int]:

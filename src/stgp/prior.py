@@ -21,7 +21,7 @@ familiar [[d^3/3, d^2/2], [d^2/2, d]] covariance blocks.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -136,56 +136,6 @@ def k_matrix_inv(d: float) -> np.ndarray:
     return np.array([[12.0 / d ** 3, -6.0 / d ** 2], [-6.0 / d ** 2, 4.0 / d]])
 
 
-def _check_step(d: float, name: str) -> float:
-    d = float(d)
-    if d < 0:
-        raise ValueError(f"{name} must be >= 0")
-    return d
-
-
-def _check_positive_step(d: float, name: str) -> float:
-    d = float(d)
-    if d <= 0:
-        raise ValueError(f"{name} must be > 0 (degenerate factor)")
-    return d
-
-
-def _m2(d: float) -> np.ndarray:
-    return np.array([[1.0, float(d)], [0.0, 1.0]])
-
-
-def phi_s(ds: float) -> np.ndarray:
-    """Transition over a pure arclength step."""
-    return np.kron(np.eye(2), np.kron(_m2(_check_step(ds, "ds")), _I6))
-
-
-def phi_t(dt: float) -> np.ndarray:
-    """Transition over a pure time step."""
-    return np.kron(_m2(_check_step(dt, "dt")), np.eye(12))
-
-
-def phi_cell(ds: float, dt: float) -> np.ndarray:
-    """Transition across a full cell diagonal; equals phi_t(dt) @ phi_s(ds)."""
-    return np.kron(_m2(_check_step(dt, "dt")),
-                   np.kron(_m2(_check_step(ds, "ds")), _I6))
-
-
-def q_binary_s(ds: float, params: PriorParams) -> np.ndarray:
-    ds = _check_positive_step(ds, "ds")
-    return np.kron(np.eye(2), np.kron(k_matrix(ds), params.qs_psd))
-
-
-def q_binary_t(dt: float, params: PriorParams) -> np.ndarray:
-    dt = _check_positive_step(dt, "dt")
-    return np.kron(k_matrix(dt), np.kron(np.eye(2), params.qt_psd))
-
-
-def q_quaternary(ds: float, dt: float, params: PriorParams) -> np.ndarray:
-    ds = _check_positive_step(ds, "ds")
-    dt = _check_positive_step(dt, "dt")
-    return np.kron(k_matrix(dt), np.kron(k_matrix(ds), params.qst_psd))
-
-
 def q_binary_s_inv(ds: float, params: PriorParams) -> np.ndarray:
     return np.kron(np.eye(2), np.kron(k_matrix_inv(ds), np.linalg.inv(params.qs_psd)))
 
@@ -204,7 +154,8 @@ def q_quaternary_inv(ds: float, dt: float, params: PriorParams) -> np.ndarray:
 
 @dataclass
 class StateArrays:
-    """Stacked node states for vectorized factor evaluation."""
+    """Many node states, stacked: the grid's states, factor and query
+    batches.  Indexing one item gives its `NodeState` (views, not copies)."""
 
     R: np.ndarray    # (B, 3, 3)
     t: np.ndarray    # (B, 3)
@@ -226,20 +177,27 @@ class StateArrays:
     def from_state(state: NodeState) -> "StateArrays":
         return StateArrays.from_states([state])
 
+    def __len__(self) -> int:
+        return len(self.t)
+
+    def __getitem__(self, i) -> NodeState:
+        return NodeState(Pose(self.R[i], self.t[i]), self.eps[i],
+                         self.vel[i], self.sv[i])
+
     def take(self, idx) -> "StateArrays":
         idx = np.asarray(idx, dtype=int)
         return StateArrays(self.R[idx], self.t[idx], self.eps[idx],
                            self.vel[idx], self.sv[idx])
 
+    def put(self, idx, other: "StateArrays") -> None:
+        """Overwrite the states at `idx` with `other`'s, in order."""
+        for f in fields(self):
+            getattr(self, f.name)[idx] = getattr(other, f.name)
+
     def chart_origin(self) -> np.ndarray:
         """(B, 24) charts of the states about their own poses."""
         return np.concatenate([np.zeros_like(self.eps), self.eps, self.vel,
                                self.sv], axis=-1)
-
-    def to_states(self):
-        return [NodeState(Pose(self.R[b], self.t[b]), self.eps[b],
-                          self.vel[b], self.sv[b])
-                for b in range(len(self.t))]
 
 
 def _relative_chart(R: np.ndarray, t: np.ndarray, Rb: np.ndarray,
@@ -274,25 +232,6 @@ def chart_decode_batch(z: np.ndarray, Rb: np.ndarray,
     return StateArrays(Re @ Rb, np.squeeze(Re @ tb[..., None], -1)
                        + T[..., :3, 3], d[..., 0, :, 0], d[..., 1, :, 0],
                        d[..., 2, :, 0])
-
-
-def chart_decode(z: np.ndarray, base: Pose) -> NodeState:
-    """Inverse of chart_encode for the same base."""
-    z = np.asarray(z, dtype=float).reshape(1, 24)
-    return chart_decode_batch(z, base.R[None], base.t[None]).to_states()[0]
-
-
-def retract(x: NodeState, delta: np.ndarray) -> NodeState:
-    """Apply a 24-dim perturbation in the state's own chart."""
-    return chart_decode(x.derivative_vector() + np.asarray(delta, dtype=float), x.pose)
-
-
-def retract_all(states, delta: np.ndarray):
-    """Batched retract over a list of states; delta is (B, 24)."""
-    sa = StateArrays.from_states(states)
-    delta = np.asarray(delta, dtype=float).reshape(len(states), 24)
-    z = sa.chart_origin() + delta
-    return chart_decode_batch(z, sa.R, sa.t).to_states()
 
 
 def _deriv_triplet(sa: StateArrays):
@@ -410,27 +349,3 @@ def quaternary_batch(sa00: StateArrays, sa10: StateArrays, sa01: StateArrays,
     j00 = pc @ encode_self_jacobian_batch(sa00)
     j00[..., :, 0:6] += bm11 - ps @ bm01 - pt @ bm10
     return e, j00, j10, j01, j11
-
-
-# ---------------------------------------------------------------------------
-# zero-noise continuation of the prior mean across the grid
-
-
-def propagate_spatial(x: NodeState, ds: float) -> NodeState:
-    z = phi_s(ds) @ x.derivative_vector()
-    return chart_decode(z, x.pose)
-
-
-def propagate_temporal(x: NodeState, dt: float) -> NodeState:
-    z = phi_t(dt) @ x.derivative_vector()
-    return chart_decode(z, x.pose)
-
-
-def propagate_corner(x00: NodeState, x10: NodeState, x01: NodeState,
-                     ds: float, dt: float) -> NodeState:
-    """Fill the (1,1) corner of a cell so the cell factor error vanishes."""
-    z10 = chart_encode(x10, x00.pose)
-    z01 = chart_encode(x01, x00.pose)
-    z11 = (phi_s(ds) @ z01 + phi_t(dt) @ z10
-           - phi_cell(ds, dt) @ x00.derivative_vector())
-    return chart_decode(z11, x00.pose)

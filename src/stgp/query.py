@@ -23,7 +23,7 @@ are continuous across the whole hull.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -186,23 +186,23 @@ class Interpolant:
     temporal: Optional[Gain]
     spatial: Optional[Gain]
 
-    def state(self, states: Sequence[NodeState]) -> NodeState:
+    def state(self, states: StateArrays) -> NodeState:
         return self._chain(states, want_jac=False)[0]
 
-    def state_with_jacobians(self, states: Sequence[NodeState]):
+    def state_with_jacobians(self, states: StateArrays):
         """(state, jacobians onto each node's chart, residual in the state's
         own chart)."""
         x, jacs, resid = self._chain(states, want_jac=True)
         return x, [J[0] for J in jacs], resid[0]
 
-    def _chain(self, states: Sequence[NodeState], want_jac: bool):
+    def _chain(self, states: StateArrays, want_jac: bool):
         # a batch of one over the corner states only
         one = lambda g: None if g is None else tuple(op[None] for op in g)
         x, jacs, resid = interpolate(
-            StateArrays.from_states([states[i] for i in self.node_ids]),
+            states.take(self.node_ids),
             np.arange(len(self.node_ids))[:, None], one(self.temporal),
             one(self.spatial), want_jac)
-        return x.to_states()[0], jacs, resid
+        return x[0], jacs, resid
 
 
 def _snap_knot(knots: np.ndarray, idx: int, off: float) -> Optional[int]:
@@ -277,13 +277,6 @@ def query_mean(posterior, s: float, t: float,
     interp = make_interpolant(grid.s_knots, grid.t_knots, posterior.params,
                               s, t, cell)
     return interp.state(grid.states)
-
-
-def query_covariance(posterior, s: float, t: float,
-                     cell: Optional[Tuple[int, int]] = None) -> np.ndarray:
-    """Posterior covariance of the state at (s, t), in that state's own
-    chart."""
-    return query_state(posterior, s, t, cell)[1]
 
 
 def query_state(posterior, s: float, t: float,

@@ -157,29 +157,6 @@ def _cf4_increments(config: ScenarioConfig, t: float, starts: np.ndarray,
     return g1 @ g2
 
 
-def integrate_pose(config: ScenarioConfig, s: float, t: float,
-                   s0: float = 0.0, step: Optional[float] = None) -> Pose:
-    """Product integral of body increments over [s0, s] starting at identity.
-
-    The default step is L/(8*N*refinement); passing `step` supports
-    convergence studies."""
-    if s < s0 - _RANGE_TOL * config.length:
-        raise ValueError("integration interval reversed")
-    h = config.length / (8.0 * config.n_space * config.refinement) \
-        if step is None else float(step)
-    span = s - s0
-    if span <= 0:
-        return Pose.identity()
-    m = max(1, int(math.ceil(span / h - 1e-12)))
-    hs = np.full(m, span / m)
-    starts = s0 + np.arange(m) * (span / m)
-    incs = _cf4_increments(config, t, starts, hs)
-    T = np.eye(4)
-    for g in incs:
-        T = T @ g
-    return Pose.from_matrix(T)
-
-
 class GroundTruth:
     """Continuous ground-truth fields with per-time pose columns cached on a
     fine arclength lattice (refinement x grid density; integration takes 8
@@ -273,7 +250,7 @@ class GroundTruth:
         return out
 
     def grid_states(self) -> List[NodeState]:
-        """Node states at the grid knots, flat space-major order."""
+        """Node states at the grid knots, flat time-major order (k*N + n)."""
         return [self.state(float(s), float(t))
                 for t in self.config.t_knots for s in self.config.s_knots]
 

@@ -43,7 +43,7 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .graph import FactorSet, Grid
 from .sensors import group_measurements
-from .prior import ChartRangeError, PriorParams, retract_all
+from .prior import ChartRangeError, PriorParams, chart_decode_batch
 
 BLOCK = 24
 # (dn, dk) of the forward stencil neighbours, in slot order 1..4
@@ -483,9 +483,13 @@ class Posterior:
 
 
 def apply_update(grid: Grid, delta: np.ndarray) -> Grid:
-    delta = np.asarray(delta, dtype=float).reshape(grid.n_nodes, BLOCK)
+    """The grid retracted by the flat (24NK,) step, each node's 24-block
+    added in that node's own chart."""
+    sa = grid.states
+    z = sa.chart_origin() + np.asarray(delta, dtype=float).reshape(
+        grid.n_nodes, BLOCK)
     return Grid(grid.s_knots.copy(), grid.t_knots.copy(),
-                retract_all(grid.states, delta))
+                chart_decode_batch(z, sa.R, sa.t))
 
 
 def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,

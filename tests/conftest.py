@@ -1,12 +1,12 @@
-"""Shared helpers: seeded random states, small default prior parameters,
-one measurement factor evaluated on its own, and the dense reference views
-of a stencil-layout system."""
+"""Shared helpers: seeded random states and their retraction, small default
+prior parameters, one measurement factor evaluated on its own, and the dense
+reference views of a stencil-layout system."""
 
 import numpy as np
 import pytest
 
 from stgp.liegroup import Pose, se3_exp
-from stgp.prior import NodeState, PriorParams
+from stgp.prior import NodeState, PriorParams, chart_decode_batch
 from stgp.sensors import group_measurements
 from stgp.solver import BLOCK, FORWARD, stencil_slot
 
@@ -25,6 +25,12 @@ def random_state(rng: np.random.Generator, angle: float = 0.3,
 def random_states(seed: int, n: int, **kw):
     rng = np.random.default_rng(seed)
     return [random_state(rng, **kw) for _ in range(n)]
+
+
+def retract(x: NodeState, delta: np.ndarray) -> NodeState:
+    """x moved by a 24-dim perturbation in its own chart."""
+    z = x.derivative_vector() + np.asarray(delta, dtype=float)
+    return chart_decode_batch(z[None], x.pose.R[None], x.pose.t[None])[0]
 
 
 def factor_terms(f, grid, want_jac: bool = True):

@@ -6,8 +6,10 @@ import pytest
 
 from stgp.graph import Grid, build_grid, build_prior_factors
 from stgp.liegroup import Pose
-from stgp.oracle import dense_prior_precision
-from stgp.prior import NodeState, PriorParams, phi_s_batch, phi_t_batch
+from stgp.oracle import dense_prior_precision, phi_cell
+from stgp.prior import (NodeState, PriorParams, StateArrays,
+                        chart_decode_batch, chart_encode, phi_s_batch,
+                        phi_t_batch)
 from stgp.sim import GroundTruth, ScenarioConfig
 from stgp.solver import linearize
 from conftest import dense
@@ -37,7 +39,7 @@ def test_build_grid_single_node():
 def test_build_grid_flat_ordering():
     g = build_grid([0.0, 0.5, 1.0], [0.0, 1.0], NodeState.identity())
     assert g.N == 3 and g.K == 2
-    # space-major: flat index k*N + n
+    # time-major: flat index k*N + n
     order = [(n, k) for k in range(2) for n in range(3)]
     for i, (n, k) in enumerate(order):
         assert g.flat(n, k) == i
@@ -77,6 +79,59 @@ def test_build_grid_prior_mean_propagation():
         e = fam.evaluate(sa, want_jac=False)[0]
         assert e.shape == (len(fam), 24)
         assert np.max(np.abs(e)) < 1e-9
+
+
+def node_by_node_grid(s_knots, t_knots, x0: NodeState):
+    """Reference continuation of x0 with zero process noise, one node at a
+    time: the first time row by spatial steps, the first arclength column by
+    temporal steps, and every other node as the corner that zeroes its cell
+    factor in the chart of the cell's (0, 0) corner."""
+    def step(z, base):
+        return chart_decode_batch(z[None], base.pose.R[None],
+                                  base.pose.t[None])[0]
+
+    N, K = len(s_knots), len(t_knots)
+    xs = [x0] + [None] * (N * K - 1)
+    for n in range(1, N):
+        x = xs[n - 1]
+        xs[n] = step(phi_s_batch(s_knots[n] - s_knots[n - 1])
+                     @ x.derivative_vector(), x)
+    for k in range(1, K):
+        dt = t_knots[k] - t_knots[k - 1]
+        x = xs[(k - 1) * N]
+        xs[k * N] = step(phi_t_batch(dt) @ x.derivative_vector(), x)
+        for n in range(1, N):
+            ds = s_knots[n] - s_knots[n - 1]
+            x00, x10 = xs[(k - 1) * N + n - 1], xs[(k - 1) * N + n]
+            x01 = xs[k * N + n - 1]
+            z = (phi_s_batch(ds) @ chart_encode(x01, x00.pose)
+                 + phi_t_batch(dt) @ chart_encode(x10, x00.pose)
+                 - phi_cell(ds, dt) @ x00.derivative_vector())
+            xs[k * N + n] = step(z, x00)
+    return xs
+
+
+@pytest.mark.parametrize("init", ["prior_mean", "generic"])
+@pytest.mark.parametrize("N,K", [(6, 4), (3, 5), (4, 4), (1, 5), (5, 1),
+                                 (1, 1)])
+def test_build_grid_matches_node_by_node_recursion(N, K, init):
+    """The anti-diagonal sweep reproduces the node-by-node recursion bit for
+    bit on non-uniform knots."""
+    rng = np.random.default_rng(10 * N + K)
+    s = np.cumsum(rng.uniform(0.05, 0.3, N))
+    t = np.cumsum(rng.uniform(0.1, 0.6, K))
+    if init == "prior_mean":
+        x0 = ScenarioConfig(length=1.0, n_space=N, n_time=K,
+                            duration=1.0).prior_params().prior_mean
+    else:
+        x0 = NodeState(Pose.exp(np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.2])),
+                       np.array([1.0, 0.1, -0.2, 0.3, -0.4, 0.8]),
+                       0.3 * rng.standard_normal(6),
+                       0.3 * rng.standard_normal(6))
+    got = build_grid(s, t, x0).states
+    ref = StateArrays.from_states(node_by_node_grid(s, t, x0))
+    for f in ("R", "t", "eps", "vel", "sv"):
+        assert np.array_equal(getattr(got, f), getattr(ref, f)), f
 
 
 @pytest.mark.parametrize("N,K,counts", [
@@ -191,8 +246,28 @@ def test_grid_state_arrays_roundtrip():
     g = build_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 2),
                    NodeState.identity())
     sa = g.state_arrays()
+    assert sa is g.states
     assert sa.R.shape == (6, 3, 3)
     assert sa.eps.shape == (6, 6)
+
+
+def test_grid_states_index_and_iterate():
+    """Indexing, iterating and `Grid.state` give each node's `NodeState`
+    in time-major order."""
+    cfg = ScenarioConfig(length=0.5, n_space=3, n_time=2, duration=1.0)
+    g = build_grid(cfg.s_knots, cfg.t_knots, GroundTruth(cfg).state)
+    states = list(g.states)
+    assert len(g.states) == len(states) == g.n_nodes
+    for i, x in enumerate(states):
+        n, k = g.node_indices(i)
+        for y in (g.states[i], g.state(n, k)):
+            assert np.array_equal(y.pose.R, g.states.R[i])
+            assert np.array_equal(y.strain_velocity, x.strain_velocity)
+    assert np.array_equal(g.states[-1].pose.t, g.states.t[g.n_nodes - 1])
+    with pytest.raises(IndexError):
+        g.states[g.n_nodes]
+    with pytest.raises(ValueError):
+        Grid(g.s_knots, g.t_knots[:1], g.states)
 
 
 def test_nonuniform_knots(params):

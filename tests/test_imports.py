@@ -1,14 +1,18 @@
-"""The dense oracle is a test reference: no production module may import
-it."""
+"""Module hygiene: the dense oracle is a test reference that no production
+module may import, and every public top-level function or class is used
+somewhere."""
 
 import ast
+import glob
 import os
+import re
 
 import pytest
 
 import stgp
 
 SRC = os.path.dirname(stgp.__file__)
+ROOT = os.path.dirname(os.path.dirname(SRC))
 
 
 def imported_modules(source: str):
@@ -52,3 +56,33 @@ def test_production_never_imports_oracle():
 ])
 def test_import_parser(line, hit):
     assert imports_oracle(line) == hit
+
+
+def public_definitions():
+    """(file, name) of every public top-level function and class."""
+    for path in sorted(glob.glob(os.path.join(SRC, "*.py"))):
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)) \
+                    and not node.name.startswith("_"):
+                yield os.path.basename(path), node.name
+
+
+def test_no_unused_public_definitions():
+    """A name that occurs as a word only once across the sources, the tests,
+    the benchmark scripts and pyproject.toml occurs only in its own
+    definition: nothing calls it."""
+    paths = (glob.glob(os.path.join(ROOT, "src", "**", "*.py"), recursive=True)
+             + glob.glob(os.path.join(ROOT, "tests", "*.py"))
+             + glob.glob(os.path.join(ROOT, "bench", "*.py"))
+             + [os.path.join(ROOT, "pyproject.toml")])
+    text = ""
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            text += fh.read() + "\n"
+    defs = list(public_definitions())
+    assert ("solver.py", "gauss_newton") in defs
+    unused = [f"{f}:{name}" for f, name in defs
+              if len(re.findall(rf"\b{re.escape(name)}\b", text)) == 1]
+    assert unused == []

@@ -11,12 +11,14 @@ import pytest
 from scipy.integrate import quad
 
 import stgp.prior as P
-from stgp.liegroup import Pose, se3_exp
+from stgp.graph import Grid, build_grid
+from stgp.liegroup import Pose
+from stgp.oracle import phi_cell, q_binary_s, q_binary_t, q_quaternary
 from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
-                        chart_decode, chart_decode_batch, chart_encode,
-                        k_matrix, phi_cell, phi_s, phi_t, q_binary_s,
-                        q_binary_t, q_quaternary, retract)
-from conftest import random_state, random_states
+                        chart_decode_batch, chart_encode, k_matrix,
+                        phi_s_batch as phi_s, phi_t_batch as phi_t)
+from stgp.solver import apply_update
+from conftest import random_state, random_states, retract
 
 
 def quad_k_matrix(d: float) -> np.ndarray:
@@ -70,6 +72,10 @@ def test_phi_commutation_and_cell():
     a, b = 0.2, 0.5
     assert np.allclose(phi_t(b) @ phi_s(a), phi_s(a) @ phi_t(b), atol=1e-12)
     assert np.allclose(phi_cell(a, b), phi_t(b) @ phi_s(a), atol=1e-12)
+    # one batched call stacks the per-step maps
+    steps = np.array([0.0, a, b])
+    assert np.array_equal(phi_s(steps), np.stack([phi_s(d) for d in steps]))
+    assert np.array_equal(phi_t(steps), np.stack([phi_t(d) for d in steps]))
 
 
 def test_phi_cell_bilinear_taylor_step():
@@ -160,7 +166,8 @@ def test_chart_roundtrip_100_states():
     for _ in range(100):
         x = random_state(rng, angle=0.8)
         base = Pose.exp(rng.standard_normal(6) * 0.3)
-        y = chart_decode(chart_encode(x, base), base)
+        y = chart_decode_batch(chart_encode(x, base)[None], base.R[None],
+                               base.t[None])[0]
         assert np.max(np.abs(y.pose.matrix() - x.pose.matrix())) < 1e-9
         assert np.max(np.abs(y.strain - x.strain)) < 1e-9
         assert np.max(np.abs(y.velocity - x.velocity)) < 1e-9
@@ -178,8 +185,8 @@ def test_chart_decode_batch_roundtrip():
     ref = StateArrays.from_states(states)
     for f in ("R", "t", "eps", "vel", "sv"):
         assert np.max(np.abs(getattr(got, f) - getattr(ref, f))) < 1e-9
-    # the one-row decode is a batch of one of the same code
-    one = chart_decode(z[3], bases[3])
+    # a batch of one decodes bit for bit like the same row of a larger batch
+    one = chart_decode_batch(z[3:4], Rb[3:4], tb[3:4])[0]
     assert np.array_equal(one.pose.R, got.R[3])
     assert np.array_equal(one.strain_velocity, got.sv[3])
 
@@ -192,13 +199,19 @@ def test_chart_range_error():
 
 
 def test_retract_is_chart_additive():
+    """`apply_update` moves every node by its 24-block of the step in the
+    node's own chart."""
     rng = np.random.default_rng(3)
-    x = random_state(rng)
-    delta = 0.01 * rng.standard_normal(24)
-    y = retract(x, delta)
-    ref = chart_decode(chart_encode(x, x.pose) + delta, x.pose)
-    assert np.max(np.abs(y.pose.matrix() - ref.pose.matrix())) < 1e-12
-    assert np.max(np.abs(y.strain - ref.strain)) < 1e-12
+    xs = random_states(3, 6)
+    grid = Grid([0.0, 0.5, 1.0], [0.0, 1.0], StateArrays.from_states(xs))
+    delta = 0.01 * rng.standard_normal((6, 24))
+    moved = apply_update(grid, delta.ravel())
+    for x, y, d in zip(xs, moved.states, delta):
+        ref = chart_encode(x, x.pose) + d
+        assert np.max(np.abs(chart_encode(y, x.pose) - ref)) < 1e-12
+        one = retract(x, d)
+        assert np.array_equal(one.pose.R, y.pose.R)
+        assert np.array_equal(one.strain_velocity, y.strain_velocity)
 
 
 # prior errors, through the batched kernels
@@ -256,10 +269,15 @@ def test_unary_matches_encode_formula(params):
     assert np.allclose(e, ref, atol=1e-12)
 
 
+def continued(x, s_knots, t_knots):
+    """The states of `build_grid` continuing x across the knots."""
+    return list(build_grid(s_knots, t_knots, x).states)
+
+
 def test_binary_spatial_zero_error_construction():
     rng = np.random.default_rng(5)
     x_a = [random_state(rng) for _ in range(10)]
-    x_b = [P.propagate_spatial(x, 0.1) for x in x_a]
+    x_b = [continued(x, [0.0, 0.1], [0.0])[1] for x in x_a]
     e = spatial(x_a, x_b, 0.1)[0]
     assert e.shape == (10, 24)
     assert np.max(np.abs(e)) < 1e-12
@@ -282,7 +300,7 @@ def test_binary_strain_forces_xi_block():
 def test_binary_temporal_zero_error_construction():
     rng = np.random.default_rng(6)
     x_a = [random_state(rng) for _ in range(10)]
-    x_b = [P.propagate_temporal(x, 0.4) for x in x_a]
+    x_b = [continued(x, [0.0], [0.0, 0.4])[1] for x in x_a]
     assert np.max(np.abs(temporal(x_a, x_b, 0.4)[0])) < 1e-12
 
 
@@ -297,11 +315,9 @@ def test_quaternary_zero_error_construction():
     rng = np.random.default_rng(7)
     corners = [[], [], [], []]
     for _ in range(10):
-        x00 = random_state(rng)
-        x10 = P.propagate_spatial(x00, 0.3)
-        x01 = P.propagate_temporal(x00, 0.5)
-        x11 = P.propagate_corner(x00, x10, x01, 0.3, 0.5)
-        for slot, x in zip(corners, (x00, x10, x01, x11)):
+        # time-major: (00, 10, 01, 11)
+        for slot, x in zip(corners, continued(random_state(rng), [0.0, 0.3],
+                                              [0.0, 0.5])):
             slot.append(x)
     e = cell(corners, 0.3, 0.5)[0]
     assert e.shape == (10, 24)

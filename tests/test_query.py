@@ -8,9 +8,11 @@ from stgp.graph import build_grid, build_prior_factors
 from stgp.liegroup import Pose, se3_exp
 from stgp.oracle import dense_condition_query, dense_prior_covariance
 from stgp.prior import NodeState, chart_encode
-from stgp.query import (OutOfHullError, interp_weights, locate,
-                        make_interpolant, query_covariance, query_mean,
-                        query_state, spatial_gain, temporal_gain)
+from stgp.sensors import (InterpolatedMeasurementFactor, Measurement,
+                          build_measurement_factor)
+from stgp.query import (HULL_TOL, OutOfHullError, interp_weights, locate,
+                        make_interpolant, query_mean, query_state,
+                        spatial_gain, temporal_gain)
 from stgp.solver import gauss_newton
 
 I24 = np.eye(24)
@@ -193,6 +195,49 @@ def test_collapsed_query_matches_forced_cell(linear_posterior):
     assert np.max(np.abs(c2 - c4)) < 1e-8
 
 
+def test_off_knot_hull_edge_binds_edge_pair(linear_posterior):
+    """Off-knot points on the far hull edges (s = L with t between knots,
+    t = T with s between knots), and points up to HULL_TOL outside them,
+    bind to the two edge nodes both as a query and as a measurement, and
+    answer the limit of interior points approaching the edge."""
+    cfg, post = linear_posterior
+    grid = post.grid
+    N, L, T = grid.N, grid.s_knots[-1], grid.t_knots[-1]
+    off = 0.5 * HULL_TOL * max(1.0, L, T)
+    k_last = (grid.K - 1) * N
+    cases = [  # (s, t, inward unit step, edge pair)
+        (L, 0.31, (1, 0), (N - 1, 2 * N - 1)),
+        (L + off, 0.83, (1, 0), (2 * N - 1, 3 * N - 1)),
+        (0.27, T, (0, 1), (k_last + 1, k_last + 2)),
+        (0.5, T + off, (0, 1), (k_last + 2, k_last + 3)),
+    ]
+    for s, t, (us, ut), pair in cases:
+        interp = make_interpolant(grid.s_knots, grid.t_knots, post.params,
+                                  s, t)
+        assert interp.node_ids == pair, (s, t)
+        f = build_measurement_factor(
+            Measurement("position3", s, t, np.zeros(3), np.eye(3)), grid,
+            post.params)
+        assert isinstance(f, InterpolatedMeasurementFactor)
+        assert f.nodes == pair, (s, t)
+        x0, c0 = query_state(post, s, t)
+        on_edge = (min(s, L), min(t, T))
+        xe, ce = query_state(post, *on_edge)
+        assert np.array_equal(xe.pose.matrix(), x0.pose.matrix())
+        assert np.array_equal(xe.strain_velocity, x0.strain_velocity)
+        assert np.array_equal(ce, c0)
+        dist = []
+        for h in (1e-4, 1e-6):
+            x, c = query_state(post, on_edge[0] - us * h, on_edge[1] - ut * h)
+            dist.append((np.max(np.abs(chart_encode(x, x0.pose)
+                                       - x0.derivative_vector())),
+                         np.max(np.abs(c - c0))))
+        # interior answers converge to the edge answer, linearly in h
+        for near, far in zip(dist[1], dist[0]):
+            assert near < 0.02 * far
+            assert near < 1e-3 * max(1.0, float(np.max(np.abs(c0))))
+
+
 # covariance queries
 
 
@@ -201,8 +246,8 @@ def test_query_covariance_at_node_is_marginal(linear_posterior):
     grid = post.grid
     marg = post.cov.node_marginals
     for n, k in [(0, 0), (2, 1), (3, 2)]:
-        C = query_covariance(post, float(grid.s_knots[n]),
-                             float(grid.t_knots[k]))
+        C = query_state(post, float(grid.s_knots[n]),
+                        float(grid.t_knots[k]))[1]
         assert np.max(np.abs(C - marg[grid.flat(n, k)])) < 1e-9
 
 
@@ -213,7 +258,7 @@ def test_query_covariance_psd_everywhere(linear_posterior):
     for _ in range(200):
         si = rng.uniform(grid.s_knots[0], grid.s_knots[-1])
         ti = rng.uniform(grid.t_knots[0], grid.t_knots[-1])
-        C = query_covariance(post, si, ti)
+        C = query_state(post, si, ti)[1]
         assert np.max(np.abs(C - C.T)) < 1e-12
         assert np.min(np.linalg.eigvalsh(C)) > -1e-10
 
@@ -234,7 +279,7 @@ def test_prior_only_query_matches_dense_gp(params):
         assert corners == [(0, 0), (1, 0), (0, 1), (1, 1)]
         _, resid = interp_weights(0.6, 0.5, si, ti, params)
         ref = Wd @ Sigma @ Wd.T + resid
-        C = query_covariance(post, si, ti)
+        C = query_state(post, si, ti)[1]
         assert np.max(np.abs(C - ref)) < 1e-8 * max(1.0, np.max(np.abs(ref)))
 
 
@@ -246,4 +291,4 @@ def test_query_out_of_hull(linear_posterior):
     with pytest.raises(OutOfHullError):
         query_mean(post, 0.0, float(grid.t_knots[-1]) + 0.05)
     with pytest.raises(OutOfHullError):
-        query_covariance(post, -0.05, 0.0)
+        query_state(post, -0.05, 0.0)

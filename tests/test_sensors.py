@@ -7,12 +7,12 @@ import pytest
 from stgp.graph import build_grid, build_prior_factors
 from stgp.liegroup import Pose, se3_exp
 from stgp.oracle import dense_condition_query
-from stgp.prior import NodeState, StateArrays, chart_encode, retract
+from stgp.prior import NodeState, StateArrays
 from stgp.sensors import (KINDS, InterpolatedMeasurementFactor, Measurement,
                           NodeMeasurementFactor, build_measurement_factor,
                           sensor_model)
 from stgp.solver import apply_update
-from conftest import factor_terms, random_state, random_states
+from conftest import factor_terms, random_state, random_states, retract
 
 
 def measurement_model(meas, x):
