@@ -26,9 +26,10 @@ posterior.bin is a NumPy .npz archive:
   report            report.json content as a JSON string
 (Major version 1 stored dense time-row covariance superblocks instead.)
 
-Exit codes: 0 ok, 2 invalid config or out-of-hull query, 3 I/O failure,
-4 estimator did not converge (artifacts still written), 5 normal equations
-not positive definite.
+Exit codes: 0 ok, 2 invalid config, measurements, query (out of the hull or
+not finite) or posterior.bin (an array missing), 3 I/O failure (posterior.bin
+truncated included), 4 estimator did not converge (artifacts still written),
+5 normal equations not positive definite.  Failures write no standard output.
 """
 
 from __future__ import annotations
@@ -38,6 +39,7 @@ import dataclasses
 import json
 import os
 import sys
+import zipfile
 from typing import List, Optional, Sequence, TextIO, Tuple
 
 import numpy as np
@@ -45,7 +47,8 @@ import numpy as np
 from .graph import Grid, build_grid, build_prior_factors
 from .liegroup import Pose, quaternion_to_rotation, rotation_to_quaternion
 from .prior import NodeState, PriorParams, StateArrays
-from .query import OutOfHullError, query_state
+# query_state is kept only because the frozen bench/pipeline.py patches it
+from .query import OutOfHullError, query_state, query_states  # noqa: F401
 from .sensors import Measurement, build_measurement_factors
 from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
                   generate_measurements)
@@ -93,7 +96,8 @@ def check_schema(tag, kind: str) -> None:
 
 
 def config_from_dict(d: dict) -> ScenarioConfig:
-    check_schema(d.get("schema"), "config")
+    # a file that is not a JSON object has no schema tag
+    check_schema(d.get("schema") if isinstance(d, dict) else None, "config")
     try:
         sensors = [SensorSpec(kind=rec["kind"], std=rec["std"],
                               rate=rec.get("rate"),
@@ -176,8 +180,12 @@ def save_measurements(path: str, measurements: Sequence[Measurement]) -> None:
 def load_measurements(path: str) -> List[Measurement]:
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
-    check_schema(raw.get("schema"), "measurements")
-    return [measurement_from_dict(rec) for rec in raw["measurements"]]
+    check_schema(raw.get("schema") if isinstance(raw, dict) else None,
+                 "measurements")
+    try:
+        return [measurement_from_dict(rec) for rec in raw["measurements"]]
+    except (KeyError, TypeError, ValueError) as exc:
+        raise ConfigError(f"invalid measurements: {exc!r}") from exc
 
 
 # ---------------------------------------------------------------------------
@@ -245,21 +253,30 @@ def save_posterior(path: str, post: Posterior, report_dict: dict) -> None:
 
 
 def load_posterior(path: str) -> Posterior:
-    with np.load(path, allow_pickle=False) as z:
-        check_schema(str(z["schema"]), "posterior")
-        s_knots, t_knots = z["s_knots"], z["t_knots"]
-        N, K = len(s_knots), len(t_knots)
-        states = StateArrays(z["R"], z["t"], z["strain"], z["velocity"],
-                             z["sv"])
-        mean = NodeState(Pose(z["mean_R"], z["mean_t"]), z["mean_strain"],
-                         z["mean_velocity"], z["mean_sv"])
-        params = PriorParams(qs_psd=z["qs_psd"], qt_psd=z["qt_psd"],
-                             qst_psd=z["qst_psd"], p0=z["p0"],
-                             prior_mean=mean)
-        cov = CornerCovariances(N, K, z["sig_diag"], z["sig_off"])
-        rep = json.loads(str(z["report"]))
-    fields = dataclasses.fields(ConvergenceReport)
-    report = ConvergenceReport(**{f.name: rep[f.name] for f in fields})
+    """The posterior archive at `path`.  OSError when it cannot be read as
+    an archive, SchemaError when it lacks an array or a report field."""
+    if not zipfile.is_zipfile(path):  # also false for a missing file
+        raise OSError(f"cannot read {path}: missing or not a zip archive")
+    try:
+        with np.load(path, allow_pickle=False) as z:
+            check_schema(str(z["schema"]), "posterior")
+            s_knots, t_knots = z["s_knots"], z["t_knots"]
+            N, K = len(s_knots), len(t_knots)
+            states = StateArrays(z["R"], z["t"], z["strain"], z["velocity"],
+                                 z["sv"])
+            mean = NodeState(Pose(z["mean_R"], z["mean_t"]),
+                             z["mean_strain"], z["mean_velocity"], z["mean_sv"])
+            params = PriorParams(qs_psd=z["qs_psd"], qt_psd=z["qt_psd"],
+                                 qst_psd=z["qst_psd"], p0=z["p0"],
+                                 prior_mean=mean)
+            cov = CornerCovariances(N, K, z["sig_diag"], z["sig_off"])
+            rep = json.loads(str(z["report"]))
+        fields = dataclasses.fields(ConvergenceReport)
+        report = ConvergenceReport(**{f.name: rep[f.name] for f in fields})
+    except zipfile.BadZipFile as exc:
+        raise OSError(f"cannot read posterior {path}: {exc}") from exc
+    except KeyError as exc:
+        raise SchemaError(f"posterior {path} lacks {exc}") from exc
     return Posterior(Grid(s_knots, t_knots, states), params, cov, report)
 
 
@@ -343,14 +360,15 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
     if grid_arg is not None:
         s_vals = np.linspace(post.grid.s_knots[0], post.grid.s_knots[-1], ns)
         t_vals = np.linspace(post.grid.t_knots[0], post.grid.t_knots[-1], nt)
-        points = [(float(sv), float(tv)) for tv in t_vals for sv in s_vals]
+        s_vals, t_vals = np.tile(s_vals, nt), np.repeat(t_vals, ns)
     else:
-        points = [(float(s), float(t))]
+        s_vals, t_vals = np.array([s], dtype=float), np.array([t], dtype=float)
+    # every point is answered before the first line is written
+    means, covs = query_states(post, s_vals, t_vals)
+    stds = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
     stream.write(",".join(STATE_COLUMNS + STD_COLUMNS) + "\n")
-    for sv, tv in points:
-        x, cov = query_state(post, sv, tv)
-        stds = np.sqrt(np.maximum(np.diag(cov), 0.0))
-        stream.write(state_row(sv, tv, x, stds) + "\n")
+    for i, (sv, tv) in enumerate(zip(s_vals, t_vals)):
+        stream.write(state_row(float(sv), float(tv), means[i], stds[i]) + "\n")
     return EXIT_OK
 
 

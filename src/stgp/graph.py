@@ -56,9 +56,6 @@ class Grid:
     def flat(self, n: int, k: int) -> int:
         return k * self.N + n
 
-    def node_indices(self, i: int):
-        return i % self.N, i // self.N
-
     def state(self, n: int, k: int) -> NodeState:
         return self.states[self.flat(n, k)]
 

@@ -48,11 +48,6 @@ def hat3(v: np.ndarray) -> np.ndarray:
     return out
 
 
-def vee3(m: np.ndarray) -> np.ndarray:
-    m = np.asarray(m, dtype=float)
-    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
-
-
 def _sinc_coeffs(theta: np.ndarray):
     """Return (sin t / t, (1-cos t)/t^2, (t-sin t)/t^3) with series fallback."""
     t2 = theta * theta
@@ -188,14 +183,6 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return eye - 0.5 * ph + e[..., None, None] * (ph @ ph)
 
 
-def se3_hat(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape[:-1] + (4, 4))
-    out[..., :3, :3] = hat3(xi[..., 3:])
-    out[..., :3, 3] = xi[..., :3]
-    return out
-
-
 def se3_exp(xi: np.ndarray) -> np.ndarray:
     xi = np.asarray(xi, dtype=float)
     out = np.zeros(xi.shape[:-1] + (4, 4))
@@ -304,13 +291,6 @@ def _djac_vec_series(xi: np.ndarray, v: np.ndarray, coeffs: np.ndarray,
         else:
             tiny_run = 0
     return acc
-
-
-def dleft_jacobian_vec(xi: np.ndarray, v: np.ndarray, nmax: int = 60) -> np.ndarray:
-    """Directional-derivative matrix of J_l(xi) @ v with respect to xi."""
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, nmax + 2))))
-    coeffs = 1.0 / fact[1:]  # 1/(n+1)! at index n
-    return _djac_vec_series(xi, v, np.concatenate(([1.0], coeffs[1:])), nmax)
 
 
 def dleft_jacobian_inv_vec(xi: np.ndarray, v: np.ndarray, nmax: int = 60) -> np.ndarray:

@@ -16,7 +16,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .prior import (PriorParams, k_matrix, q_binary_s_inv, q_binary_t_inv,
+from .prior import (PriorParams, q_binary_s_inv, q_binary_t_inv,
                     q_quaternary_inv)
 
 MAX_NODES = 64
@@ -35,6 +35,15 @@ def _positive(d: float, name: str) -> float:
     if d <= 0:
         raise ValueError(f"{name} must be > 0 (degenerate factor)")
     return d
+
+
+def k_matrix(d: float) -> np.ndarray:
+    """Covariance of (level, derivative) accumulated over a step of length d
+    when unit white noise drives the derivative."""
+    d = float(d)
+    if d < 0:
+        raise ValueError("step must be >= 0")
+    return np.array([[d ** 3 / 3.0, d ** 2 / 2.0], [d ** 2 / 2.0, d]])
 
 
 def phi_cell(ds: float, dt: float) -> np.ndarray:

@@ -120,15 +120,6 @@ class PriorParams:
         self.p0 = 0.5 * (p0 + p0.T)
 
 
-def k_matrix(d: float) -> np.ndarray:
-    """Covariance of (level, derivative) accumulated over a step of length d
-    when unit white noise drives the derivative."""
-    d = float(d)
-    if d < 0:
-        raise ValueError("step must be >= 0")
-    return np.array([[d ** 3 / 3.0, d ** 2 / 2.0], [d ** 2 / 2.0, d]])
-
-
 def k_matrix_inv(d: float) -> np.ndarray:
     d = float(d)
     if d <= 0:

@@ -8,110 +8,199 @@ column results.  Each stage conditions the bridge value on its endpoints,
 with gain Lam(u) = Q(u) phi(D-u)^T Q(D)^-1 and residual
 R(u) = Q(u) - Lam(u) Q(D) Lam(u)^T; a coordinate on a knot drops its stage.
 
-The gains depend only on the cell size and the offset, never on the state,
-so `make_interpolant` computes them once per point.  `interpolate` is the
-one nonlinear chain, batched over points of one binding shape: the temporal
-stage of both columns of every point runs as one batch, decoded in each
-column's own chart, and the spatial stage then runs in a chart about the
-left column's result.  Posterior queries call it with a batch of one; the
-interpolated measurement factors call it once per sensor kind and binding
-shape.  On cell edges the gains collapse onto the shared nodes exactly, so
-adjacent cells evaluate boundary queries through the same chain and queries
-are continuous across the whole hull.
+`bind` turns coordinates into corner nodes and stage gains for any number
+of points at once (hull check, knot snapping, cell location, closed-form
+gains), grouped by binding shape; queries and measurement factors both bind
+through it.  The gains depend only on the cell size and the offset, never on
+the state.  `interpolate` is the one nonlinear chain, batched over the
+points of one binding shape: the temporal stage of both columns of every
+point runs as one batch, decoded in each column's own chart, and the spatial
+stage then runs in a chart about the left column's result.  `query_states`
+runs it once per binding shape and pushes the corner joint covariance
+through its Jacobians; the measurement factors run it once per sensor kind
+and binding shape.  On cell edges the gains collapse onto the shared nodes
+exactly, so adjacent cells evaluate boundary queries through the same chain
+and queries are continuous across the whole hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
 from .prior import (NodeState, PriorParams, StateArrays, chart_decode_batch,
-                    encode_self_jacobian_batch, encode_with_jacobians_batch,
-                    k_matrix)
+                    encode_self_jacobian_batch, encode_with_jacobians_batch)
 
 HULL_TOL = 1e-9
+# points per batch in query_states: bounds the stacked chain Jacobians and
+# corner joints to a few MB (about 14 MB at 64 points), which a process that
+# also holds posteriors would otherwise add to its peak memory
+CHUNK = 16
+
+Gain = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
 
 class OutOfHullError(ValueError):
     """Query coordinate outside the rectangle covered by the grid."""
 
 
-def locate(knots: np.ndarray, u: float, name: str) -> Tuple[int, float]:
-    """Cell index and offset for coordinate u, clamping on-knot queries to the
-    cell whose left edge they sit on (last knot maps into the last cell)."""
+def _T(a: np.ndarray) -> np.ndarray:
+    return np.swapaxes(a, -1, -2)
+
+
+def locate(knots: np.ndarray, u: np.ndarray, name: str,
+           cell: Optional[int] = None):
+    """(index, offset, stage) of each coordinate in u along one grid axis.
+
+    A coordinate not finite or outside [knots[0], knots[-1]] by more than
+    HULL_TOL (scaled by the knots' magnitude) raises OutOfHullError.  The
+    offset runs from the left knot of the containing cell, the last knot
+    mapping into the last cell.  Within the tolerance of a knot a coordinate
+    snaps to it: the stage is dropped (False) and the index is the knot's;
+    otherwise it is the cell's.  `cell` forces that cell and keeps every
+    stage.  A single-knot axis has no stage."""
     knots = np.asarray(knots, dtype=float)
-    span = max(1.0, float(np.max(np.abs(knots))))
-    if u < knots[0] - HULL_TOL * span or u > knots[-1] + HULL_TOL * span:
-        raise OutOfHullError(
-            f"{name}={u} outside hull [{knots[0]}, {knots[-1]}]")
+    u = np.asarray(u, dtype=float)
+    tol = HULL_TOL * max(1.0, float(np.max(np.abs(knots))))
+    outside = ~((u >= knots[0] - tol) & (u <= knots[-1] + tol))
+    if outside.any():
+        raise OutOfHullError(f"{name}={u[outside][0]} outside hull "
+                             f"[{knots[0]}, {knots[-1]}]")
+    last = max(len(knots) - 2, 0)
+    if cell is not None and not 0 <= cell <= last:
+        raise ValueError(f"cell index {name}={cell} outside grid")
+    idx = np.clip(np.searchsorted(knots, u, side="right") - 1, 0, last) \
+        if cell is None else np.full(u.shape, cell)
     if len(knots) == 1:
-        return 0, 0.0
-    idx = int(np.clip(np.searchsorted(knots, u, side="right") - 1,
-                      0, len(knots) - 2))
-    return idx, float(np.clip(u - knots[idx], 0.0, knots[idx + 1] - knots[idx]))
+        return idx, np.zeros(u.shape), np.zeros(u.shape, dtype=bool)
+    width = knots[idx + 1] - knots[idx]
+    off = np.clip(u - knots[idx], 0.0, width)
+    at_left = (off <= tol) & (cell is None)
+    at_right = ~at_left & (width - off <= tol) & (cell is None)
+    return idx + at_right, off, ~(at_left | at_right)
 
 
-def _m2(d: float) -> np.ndarray:
-    return np.array([[1.0, d], [0.0, 1.0]])
-
-
-def _pair_gain(delta: float, u: float):
-    """2x2 integrator-chain conditioning pieces (gain on the far endpoint,
-    prior-rollout weight on the near endpoint, and their residual kernel)."""
-    if not 0.0 <= u <= delta * (1.0 + 1e-12):
-        raise ValueError(f"offset {u} outside segment [0, {delta}]")
-    lam = k_matrix(u) @ _m2(delta - u).T @ np.linalg.inv(k_matrix(delta))
-    psi = _m2(u) - lam @ _m2(delta)
-    resid = k_matrix(u) - lam @ k_matrix(delta) @ lam.T
-    return lam, psi, resid
-
+# ---------------------------------------------------------------------------
+# stage gains
 
 _I2 = np.eye(2)
 _I6 = np.eye(6)
 _I12 = np.eye(12)
 
 
-def temporal_gain(dt: float, tau: float, params: PriorParams):
-    """(Lam, Psi, R) as 24x24 operators for the within-column time stage."""
-    lam, psi, r2 = _pair_gain(dt, tau)
-    return (np.kron(lam, _I12), np.kron(psi, _I12),
-            np.kron(r2, np.kron(_I2, params.qt_psd)))
+def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """np.kron of the last two axes, broadcast over the leading ones."""
+    out = a[..., :, None, :, None] * b[..., None, :, None, :]
+    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],
+                                         out.shape[-2] * out.shape[-1]))
 
 
-def spatial_gain(ds: float, sigma: float, params: PriorParams):
-    """(Lam, Psi, R) as 24x24 operators for the arclength stage."""
-    lam, psi, r2 = _pair_gain(ds, sigma)
-    return (np.kron(_I2, np.kron(lam, _I6)), np.kron(_I2, np.kron(psi, _I6)),
-            np.kron(_I2, np.kron(r2, params.qs_psd)))
+def _integrator(d: np.ndarray) -> np.ndarray:
+    """M(d) = [[1, d], [0, 1]] for each step in d."""
+    return _I2 + np.multiply.outer(d, [[0.0, 1.0], [0.0, 0.0]])
 
 
-def interp_weights(ds: float, dt: float, sigma: float, tau: float,
-                   params: PriorParams):
-    """Chart-level interpolation map onto the four corner charts, plus the
-    residual covariance, for a query at offsets (sigma, tau) inside a cell of
-    size (ds, dt).  Corner order is (00, 10, 01, 11) with subscripts (spatial,
-    temporal).  This is the exact linearization of the query chain about any
-    common chart; the nonlinear path in query_mean composes the same gains
-    through per-column local charts."""
-    if ds <= 0 or dt <= 0:
-        raise ValueError("cell dimensions must be positive")
-    lam_t, psi_t, r_t = temporal_gain(dt, tau, params)
-    lam_s, psi_s, r_s = spatial_gain(ds, sigma, params)
-    W = np.hstack([psi_s @ psi_t, lam_s @ psi_t, psi_s @ lam_t, lam_s @ lam_t])
-    resid = psi_s @ r_t @ psi_s.T + lam_s @ r_t @ lam_s.T + r_s
-    return W, 0.5 * (resid + resid.T)
+def _sym2(a, b, c) -> np.ndarray:
+    """[[a, b], [b, c]] for each element of a, b and c."""
+    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
+
+
+def _bridge(delta, u):
+    """2x2 integrator-chain conditioning at offsets u into segments of length
+    delta, elementwise: the gain on the far endpoint, the prior-rollout
+    weight on the near endpoint, and their residual kernel.  `k` and `k_inv`
+    are `oracle.k_matrix` and `prior.k_matrix_inv` elementwise; the prior
+    weights keep the scalar form, whose power can round differently from
+    NumPy's array power in the last bit."""
+    k = lambda d: _sym2(d ** 3 / 3.0, d ** 2 / 2.0, d)
+    k_inv = _sym2(12.0 / delta ** 3, -6.0 / delta ** 2, 4.0 / delta)
+    k_u = k(u)
+    lam = k_u @ _T(_integrator(delta - u)) @ k_inv
+    psi = _integrator(u) - lam @ _integrator(delta)
+    return lam, psi, k_u - lam @ k(delta) @ _T(lam)
+
+
+def temporal_gain(dt, tau, params: PriorParams) -> Gain:
+    """(Lam, Psi, R) as 24x24 operators for the within-column time stage,
+    stacked over the shape of dt and tau."""
+    lam, psi, r2 = _bridge(dt, tau)
+    return (_kron(lam, _I12), _kron(psi, _I12),
+            _kron(r2, _kron(_I2, params.qt_psd)))
+
+
+def spatial_gain(ds, sigma, params: PriorParams) -> Gain:
+    """(Lam, Psi, R) as 24x24 operators for the arclength stage, stacked
+    over the shape of ds and sigma."""
+    lam, psi, r2 = _bridge(ds, sigma)
+    return (_kron(_I2, _kron(lam, _I6)), _kron(_I2, _kron(psi, _I6)),
+            _kron(_I2, _kron(r2, params.qs_psd)))
+
+
+@dataclass
+class Binding:
+    """The points of one binding shape.
+
+    `index` (B,) holds their positions in the bound input.  `nodes` is
+    (m, B): row i holds each point's i-th corner, in (00, 10, 01, 11) order
+    with subscripts (spatial, temporal).  `temporal`/`spatial` are the
+    stacked (B, 24, 24) stage gains (Lam, Psi, R), None for a dropped stage.
+    """
+
+    index: np.ndarray
+    nodes: np.ndarray
+    temporal: Optional[Gain]
+    spatial: Optional[Gain]
+
+    @property
+    def node_ids(self) -> Tuple[int, ...]:
+        # the first point's corners; kept only because the frozen
+        # bench/pipeline.py reads them from make_interpolant
+        return tuple(self.nodes[:, 0].tolist())
+
+
+def bind(s_knots, t_knots, params: PriorParams, s, t,
+         cell: Optional[Tuple[int, int]] = None) -> List[Binding]:
+    """Corner nodes and stage gains of the points (s[i], t[i]), one
+    `Binding` per binding shape that occurs.  A coordinate on a knot drops
+    its stage, so knot-line points bind to 2 nodes and grid nodes to 1.
+    `cell` forces an (n, k) cell on every point: offsets are then measured
+    from that cell's corner and no stage is dropped."""
+    s_knots = np.asarray(s_knots, dtype=float)
+    t_knots = np.asarray(t_knots, dtype=float)
+    n_cell, k_cell = cell or (None, None)
+    n, sigma, keep_s = locate(s_knots, np.atleast_1d(s), "s", n_cell)
+    k, tau, keep_t = locate(t_knots, np.atleast_1d(t), "t", k_cell)
+    N = len(s_knots)
+    corner = k * N + n
+    shape = keep_t + 2 * keep_s
+    out = []
+    for code in np.unique(shape):
+        idx = np.flatnonzero(shape == code)
+        has_t, has_s = code % 2, code // 2
+        steps = [0, 1] if has_s else [0]
+        if has_t:
+            steps += [d + N for d in steps]
+        ni, ki = n[idx], k[idx]
+        out.append(Binding(
+            idx, corner[idx] + np.array(steps)[:, None],
+            temporal_gain(t_knots[ki + 1] - t_knots[ki], tau[idx], params)
+            if has_t else None,
+            spatial_gain(s_knots[ni + 1] - s_knots[ni], sigma[idx], params)
+            if has_s else None))
+    return out
+
+
+def make_interpolant(s_knots, t_knots, params: PriorParams, s: float,
+                     t: float) -> Binding:
+    """One point's binding.  Kept only because the frozen bench/pipeline.py
+    times and counts bindings through it."""
+    return bind(s_knots, t_knots, params, s, t)[0]
 
 
 # ---------------------------------------------------------------------------
 # nonlinear interpolation chain
-
-Gain = Tuple[np.ndarray, np.ndarray, np.ndarray]
-
-
-def _T(a: np.ndarray) -> np.ndarray:
-    return np.swapaxes(a, -1, -2)
 
 
 def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, want_jac: bool):
@@ -177,117 +266,38 @@ def interpolate(sa: StateArrays, nodes: np.ndarray, temporal: Optional[Gain],
     return x, jacs, 0.5 * (resid + _T(resid))
 
 
-@dataclass
-class Interpolant:
-    """One point's binding: corner node ids (flat, in the order the chain
-    uses them) and the per-stage gain operators."""
-
-    node_ids: Tuple[int, ...]
-    temporal: Optional[Gain]
-    spatial: Optional[Gain]
-
-    def state(self, states: StateArrays) -> NodeState:
-        return self._chain(states, want_jac=False)[0]
-
-    def state_with_jacobians(self, states: StateArrays):
-        """(state, jacobians onto each node's chart, residual in the state's
-        own chart)."""
-        x, jacs, resid = self._chain(states, want_jac=True)
-        return x, [J[0] for J in jacs], resid[0]
-
-    def _chain(self, states: StateArrays, want_jac: bool):
-        # a batch of one over the corner states only
-        one = lambda g: None if g is None else tuple(op[None] for op in g)
-        x, jacs, resid = interpolate(
-            states.take(self.node_ids),
-            np.arange(len(self.node_ids))[:, None], one(self.temporal),
-            one(self.spatial), want_jac)
-        return x[0], jacs, resid
+def query_states(posterior, s, t, cell: Optional[Tuple[int, int]] = None):
+    """Posterior mean states (a `StateArrays`) and (P, 24, 24) covariances at
+    the points (s[i], t[i]).  Each covariance is the corner joint pushed
+    through the chain's Jacobians plus the conditioning residual.  Points
+    run in chunks of CHUNK."""
+    grid = posterior.grid
+    s, t = np.atleast_1d(s), np.atleast_1d(t)
+    means = grid.states.take(np.zeros(len(s), dtype=int))
+    covs = np.empty((len(s), 24, 24))
+    for lo in range(0, len(s), CHUNK):
+        for b in bind(grid.s_knots, grid.t_knots, posterior.params,
+                      s[lo:lo + CHUNK], t[lo:lo + CHUNK], cell):
+            x, jacs, resid = interpolate(grid.states, b.nodes, b.temporal,
+                                         b.spatial, want_jac=True)
+            U = np.concatenate(jacs, axis=-1)
+            cov = U @ posterior.cov.joint(b.nodes) @ _T(U) + resid
+            means.put(lo + b.index, x)
+            covs[lo + b.index] = 0.5 * (cov + _T(cov))
+    return means, covs
 
 
-def _snap_knot(knots: np.ndarray, idx: int, off: float) -> Optional[int]:
-    """Index of the knot the offset lands on, or None inside the cell."""
-    span = max(1.0, float(np.max(np.abs(knots))))
-    if abs(off) <= HULL_TOL * span:
-        return idx
-    if idx + 1 < len(knots) \
-            and abs(off - (knots[idx + 1] - knots[idx])) <= HULL_TOL * span:
-        return idx + 1
-    return None
-
-
-def make_interpolant(s_knots, t_knots, params: PriorParams, s: float, t: float,
-                     cell: Optional[Tuple[int, int]] = None) -> Interpolant:
-    """Resolve (s, t) to corner nodes and stage gains.  A coordinate on a knot
-    drops its stage, so knot-line queries bind to 2 nodes and grid-node
-    queries to 1.  `cell` forces a specific (n, k) cell for boundary
-    continuity checks; offsets are then measured from that cell's corner and
-    no stage is dropped."""
-    s_knots = np.asarray(s_knots, dtype=float)
-    t_knots = np.asarray(t_knots, dtype=float)
-    N, K = len(s_knots), len(t_knots)
-    sn = kn = None
-    if cell is None:
-        n0, sigma = locate(s_knots, s, "s")
-        k0, tau = locate(t_knots, t, "t")
-        sn = _snap_knot(s_knots, n0, sigma)
-        kn = _snap_knot(t_knots, k0, tau)
-    else:
-        n0, k0 = cell
-        if not (0 <= n0 <= max(N - 2, 0) and 0 <= k0 <= max(K - 2, 0)):
-            raise ValueError(f"cell {cell} outside grid")
-        sigma = s - s_knots[n0]
-        tau = t - t_knots[k0]
-    if N == 1 and abs(s - s_knots[0]) > HULL_TOL * max(1.0, abs(s_knots[0])):
-        raise OutOfHullError(f"s={s} outside degenerate hull {{{s_knots[0]}}}")
-    if K == 1 and abs(t - t_knots[0]) > HULL_TOL * max(1.0, abs(t_knots[0])):
-        raise OutOfHullError(f"t={t} outside degenerate hull {{{t_knots[0]}}}")
-
-    temporal = spatial = None
-    if K > 1:
-        if kn is not None:
-            k0 = kn
-        else:
-            dt = float(t_knots[k0 + 1] - t_knots[k0])
-            temporal = temporal_gain(dt, float(np.clip(tau, 0.0, dt)), params)
-    if N > 1:
-        if sn is not None:
-            n0 = sn
-        else:
-            ds = float(s_knots[n0 + 1] - s_knots[n0])
-            spatial = spatial_gain(ds, float(np.clip(sigma, 0.0, ds)), params)
-
-    flat = lambda n, k: k * N + n
-    if temporal is None and spatial is None:
-        ids: Tuple[int, ...] = (flat(n0, k0),)
-    elif spatial is None:
-        ids = (flat(n0, k0), flat(n0, k0 + 1))
-    elif temporal is None:
-        ids = (flat(n0, k0), flat(n0 + 1, k0))
-    else:
-        ids = (flat(n0, k0), flat(n0 + 1, k0), flat(n0, k0 + 1),
-               flat(n0 + 1, k0 + 1))
-    return Interpolant(ids, temporal, spatial)
+def query_state(posterior, s: float, t: float,
+                cell: Optional[Tuple[int, int]] = None):
+    """(mean state, covariance) at one point; touches only its cell."""
+    means, covs = query_states(posterior, s, t, cell)
+    return means[0], covs[0]
 
 
 def query_mean(posterior, s: float, t: float,
                cell: Optional[Tuple[int, int]] = None) -> NodeState:
     """Posterior mean state at (s, t); touches only the containing cell."""
     grid = posterior.grid
-    interp = make_interpolant(grid.s_knots, grid.t_knots, posterior.params,
-                              s, t, cell)
-    return interp.state(grid.states)
-
-
-def query_state(posterior, s: float, t: float,
-                cell: Optional[Tuple[int, int]] = None):
-    """(mean state, covariance) in one pass over the cell: the corner joint
-    pushed through the interpolation chain plus the conditioning residual."""
-    grid = posterior.grid
-    interp = make_interpolant(grid.s_knots, grid.t_knots, posterior.params,
-                              s, t, cell)
-    x_q, jacs, resid = interp.state_with_jacobians(grid.states)
-    joint = posterior.cov.joint(interp.node_ids)
-    U = np.hstack(jacs)
-    cov = U @ joint @ U.T + resid
-    return x_q, 0.5 * (cov + cov.T)
+    (b,) = bind(grid.s_knots, grid.t_knots, posterior.params, s, t, cell)
+    return interpolate(grid.states, b.nodes, b.temporal, b.spatial,
+                       want_jac=False)[0][0]

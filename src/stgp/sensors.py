@@ -6,27 +6,27 @@ Four kinds:
   gyro3      body-frame angular rate
   strain6    body-frame strain, optionally masked to a component subset
 
-A measurement at a grid node binds to that node.  Anywhere else inside the
-hull it binds to the containing cell's corners through the query
-interpolation chain (two nodes on a knot line, four inside a cell), so the
-factor constrains the nodes that determine the continuous state at the
-sample point.
+`build_measurement_factors` binds every measurement in one `query.bind`
+call, the same binding posterior queries use: a measurement at a grid node
+binds to that node, one on a knot line to the two nodes of that edge, and
+one inside a cell to its four corners, so the factor constrains the nodes
+that determine the continuous state at the sample point.  A factor is a
+record of the measurement, its weight, its nodes and its slice of the stage
+gains.
 
 Every measurement goes through one batched path.  `group_measurements`
-stacks the factors once by sensor kind and binding shape, together with the
-interpolation gains of each binding.  `MeasurementGroup.evaluate` runs the
-batched chain (`query.interpolate`), then `sensor_model`, which evaluates
-all four kinds with one branch per kind, and composes the Jacobians.  A
-masked strain factor keeps all six error rows and a weight that is zero
-outside its mask.  The factor objects only bind a measurement to nodes;
-they have no error or Jacobian of their own.  A factor whose sample
-coincides with a node reduces to the on-node factor exactly, because the
-gains collapse onto that corner.
+stacks the factors once by sensor kind and binding shape, gains included.
+`MeasurementGroup.evaluate` runs the batched chain (`query.interpolate`),
+then `sensor_model`, which evaluates all four kinds with one branch per
+kind, and composes the Jacobians.  A masked strain factor keeps all six
+error rows and a weight that is zero outside its mask.  A factor whose
+sample coincides with a node reduces to the on-node factor exactly, because
+the gains collapse onto that corner.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
 import numpy as np
@@ -34,7 +34,9 @@ import numpy as np
 from .graph import Grid
 from .liegroup import Pose, ad6, hat3, se3_left_jacobian_inv, se3_log
 from .prior import PriorParams, StateArrays
-from .query import HULL_TOL, Gain, Interpolant, interpolate, make_interpolant
+# make_interpolant is kept only because the frozen bench/pipeline.py
+# patches it here
+from .query import Gain, bind, interpolate, make_interpolant  # noqa: F401
 
 KINDS = ("pose6", "position3", "gyro3", "strain6")
 
@@ -188,20 +190,18 @@ def group_measurements(factors) -> List[MeasurementGroup]:
     share a node and each group scatters into distinct blocks."""
     buckets, repeats = {}, {}
     for f in factors:
-        it = f.interp
-        bound = (f.meas.kind, it.node_ids)
+        bound = (f.meas.kind, f.nodes)
         rep = repeats[bound] = repeats.get(bound, -1) + 1
-        key = (f.meas.kind, it.temporal is None, it.spatial is None, rep)
+        key = (f.meas.kind, f.temporal is None, f.spatial is None, rep)
         buckets.setdefault(key, []).append(f)
     groups = []
     for (kind, *_), fs in buckets.items():
-        its = [f.interp for f in fs]
         groups.append(MeasurementGroup(
-            kind, np.array([it.node_ids for it in its]).T,
+            kind, np.array([f.nodes for f in fs]).T,
             np.stack([_value_array(f.meas) for f in fs]),
             np.stack([_full_weight(f) for f in fs]),
-            _stack_gains([it.temporal for it in its]),
-            _stack_gains([it.spatial for it in its])))
+            _stack_gains([f.temporal for f in fs]),
+            _stack_gains([f.spatial for f in fs])))
     return groups
 
 
@@ -209,61 +209,46 @@ def group_measurements(factors) -> List[MeasurementGroup]:
 # factors
 
 
-class _BoundMeasurement:
-    """A measurement, its weight (the inverse noise covariance) and the nodes
-    it binds to; `group_measurements` stacks these for evaluation."""
-
-    def __post_init__(self):
-        self.weight = np.linalg.inv(self.meas.noise_cov)
-
-    @property
-    def nodes(self) -> Tuple[int, ...]:
-        return self.interp.node_ids
-
-
 @dataclass
-class NodeMeasurementFactor(_BoundMeasurement):
-    """Measurement attached directly to one grid node."""
+class MeasurementFactor:
+    """A measurement bound to grid nodes: its weight (the inverse noise
+    covariance), its nodes in binding order and its point's (Lam, Psi, R)
+    stage gains, None for a dropped stage."""
 
-    node: int
     meas: Measurement
-    weight: np.ndarray = field(init=False)
-
-    @property
-    def interp(self) -> Interpolant:
-        return Interpolant((self.node,), None, None)
-
-
-@dataclass
-class InterpolatedMeasurementFactor(_BoundMeasurement):
-    """Measurement at an off-node point, bound to the containing cell's
-    corners: the sampled state is the interpolation-chain state and the
-    measurement Jacobians compose with the chain's."""
-
-    interp: Interpolant
-    meas: Measurement
-    weight: np.ndarray = field(init=False)
+    nodes: Tuple[int, ...]
+    weight: np.ndarray
+    temporal: Optional[Gain]
+    spatial: Optional[Gain]
 
 
-def _nearest_knot(knots: np.ndarray, u: float) -> Optional[int]:
-    span = max(1.0, float(np.max(np.abs(knots))))
-    i = int(np.argmin(np.abs(knots - u)))
-    return i if abs(knots[i] - u) <= HULL_TOL * span else None
+# The two kinds of factor differ only in their binding shape.  Kept only
+# because the frozen bench/pipeline.py tells them apart with isinstance.
+class NodeMeasurementFactor(MeasurementFactor):
+    """Measurement at a grid node, bound to that node."""
 
 
-def build_measurement_factor(meas: Measurement, grid: Grid,
-                             params: PriorParams):
-    """Bind one measurement to the grid: on-node when (s, t) coincides with a
-    knot pair, otherwise interpolated over the containing cell's corners."""
-    n = _nearest_knot(grid.s_knots, meas.s)
-    k = _nearest_knot(grid.t_knots, meas.t)
-    if n is not None and k is not None:
-        return NodeMeasurementFactor(grid.flat(n, k), meas)
-    interp = make_interpolant(grid.s_knots, grid.t_knots, params,
-                              meas.s, meas.t)
-    return InterpolatedMeasurementFactor(interp, meas)
+class InterpolatedMeasurementFactor(MeasurementFactor):
+    """Measurement off the grid nodes, bound to two or four of them through
+    the interpolation chain."""
+
+
+def _item(gain: Optional[Gain], j: int) -> Optional[Gain]:
+    return None if gain is None else tuple(op[j] for op in gain)
 
 
 def build_measurement_factors(measurements, grid: Grid,
                               params: PriorParams) -> list:
-    return [build_measurement_factor(m, grid, params) for m in measurements]
+    """Bind every measurement to the grid, in order, with one `bind` call."""
+    measurements = list(measurements)
+    factors = [None] * len(measurements)
+    for b in bind(grid.s_knots, grid.t_knots, params,
+                  [m.s for m in measurements], [m.t for m in measurements]):
+        cls = NodeMeasurementFactor if len(b.nodes) == 1 \
+            else InterpolatedMeasurementFactor
+        for j, i in enumerate(b.index):
+            meas = measurements[i]
+            factors[i] = cls(meas, tuple(b.nodes[:, j].tolist()),
+                             np.linalg.inv(meas.noise_cov),
+                             _item(b.temporal, j), _item(b.spatial, j))
+    return factors

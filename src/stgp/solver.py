@@ -347,31 +347,33 @@ class CornerCovariances:
     def node_marginals(self) -> np.ndarray:
         return self.sig_diag.reshape(self.N * self.K, BLOCK, BLOCK)
 
-    def pair_block(self, i: int, j: int) -> np.ndarray:
-        """Sigma_ij for i == j or stencil neighbours i and j."""
-        lo, hi = min(i, j), max(i, j)
-        (kl, nl), (kh, nh) = divmod(lo, self.N), divmod(hi, self.N)
-        if kh - kl > 1 or abs(nh - nl) > 1:
+    def joint(self, nodes) -> np.ndarray:
+        """Joint covariance of a set of nodes that are pairwise stencil
+        neighbours, its blocks in the order of the ids: (24m, 24m) for m
+        node ids, or (B, 24m, 24m) for an (m, B) array of B such sets.  The
+        node marginals are one gather and the blocks of every pair of
+        positions another, each pair reading its stencil slot; the result
+        is symmetric because the stored marginals are."""
+        nodes = np.asarray(nodes)
+        m, N = len(nodes), self.N
+        a, b = np.triu_indices(m, 1)
+        lo, hi = np.sort([nodes[a], nodes[b]], axis=0)
+        dk, dn = hi // N - lo // N, hi % N - lo % N
+        bad = ~(((dk == 0) & (dn == 1)) | ((dk == 1) & (abs(dn) <= 1)))
+        if bad.any():
+            i, j = np.stack([lo, hi], -1)[bad][0]
             raise ValueError(f"nodes {i},{j} are not stencil neighbours")
-        if lo == hi:
-            return self.sig_diag[kl, nl]
-        block = self.sig_off[kl, nl, stencil_slot(self.N, lo, hi) - 1]
-        return block if i == lo else block.T
-
-    def joint(self, nodes: Sequence[int]) -> np.ndarray:
-        m = len(nodes)
-        out = np.empty((BLOCK * m, BLOCK * m))
-        for a, i in enumerate(nodes):
-            for b, j in enumerate(nodes):
-                out[BLOCK * a:BLOCK * a + BLOCK,
-                    BLOCK * b:BLOCK * b + BLOCK] = self.pair_block(i, j)
-        return 0.5 * (out + out.T)
-
-    def cell_joint(self, n: int, k: int) -> np.ndarray:
-        """96x96 joint of cell (n,k)'s corners in (00, 10, 01, 11) order,
-        subscripts being (spatial, temporal) offsets."""
-        c00 = k * self.N + n
-        return self.joint([c00, c00 + 1, c00 + self.N, c00 + self.N + 1])
+        off = self.sig_off.reshape(-1, SLOTS - 1, BLOCK, BLOCK)[
+            lo, stencil_slot(N, lo, hi) - 1]
+        flip = nodes[a] > nodes[b]
+        if flip.any():
+            off = np.where(flip[..., None, None], np.swapaxes(off, -1, -2), off)
+        out = np.empty(nodes.shape[1:] + (m, BLOCK, m, BLOCK))
+        pairs = np.moveaxis(out, (-4, -2), (0, 1))  # a view indexed [a, b]
+        pairs[np.arange(m), np.arange(m)] = self.node_marginals[nodes]
+        pairs[a, b] = off
+        pairs[b, a] = np.swapaxes(off, -1, -2)
+        return out.reshape(nodes.shape[1:] + (BLOCK * m, BLOCK * m))
 
 
 def corner_covariances(fact: BandedFactorization) -> CornerCovariances:

@@ -129,11 +129,72 @@ def test_exit_invalid_posterior_major_1(run_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("args", [["--s", "2.0", "--t", "0.5"],
                                   ["--s", "0.3", "--t", "-1.0"],
-                                  ["--grid", "0x3"]])
+                                  ["--grid", "0x3"],
+                                  ["--s", "nan", "--t", "0.5"]])
 def test_exit_invalid_query(run_dir, args, capsys):
+    """A failing query writes nothing to standard output, not even the
+    header, and a coordinate that is not finite is out of the hull."""
     _, out = run_dir
     assert cli.main(["query", "--out", out] + args) == cli.EXIT_INVALID
-    assert "error:" in capsys.readouterr().err
+    captured = capsys.readouterr()
+    assert "error:" in captured.err
+    assert captured.out == ""
+    if "nan" in args:
+        assert "s=nan outside hull" in captured.err
+
+
+@pytest.mark.parametrize("what,content", [
+    ("config", []),
+    ("measurements", []),
+    ("measurements", {"schema": "stgp.measurements/1.0"}),
+    ("measurements", {"schema": "stgp.measurements/1.0", "measurements": [
+        {"kind": "position3", "s": 0.0, "t": 0.0,
+         "noise_cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),
+])
+def test_exit_invalid_input_files(run_dir, tmp_path, capsys, what, content):
+    """Malformed config and measurement files exit 2 with an error line:
+    a top-level list, a missing measurement list, a record without
+    `value`."""
+    _, out = run_dir
+    path = str(tmp_path / f"{what}.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(content, fh)
+    if what == "config":
+        args = ["simulate", "--config", path, "--out", str(tmp_path)]
+    else:
+        args = ["estimate", "--config", CONFIG, "--out", str(tmp_path),
+                "--measurements", path]
+    assert cli.main(args) == cli.EXIT_INVALID
+    err = capsys.readouterr().err
+    assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+@pytest.mark.parametrize("keep", ["empty", "few", "half"])
+def test_exit_io_truncated_posterior(run_dir, tmp_path, capsys, keep):
+    """A posterior.bin cut short cannot be read as an archive: exit 3."""
+    _, out = run_dir
+    with open(os.path.join(out, "posterior.bin"), "rb") as fh:
+        data = fh.read()
+    size = {"empty": 0, "few": 3, "half": len(data) // 2}[keep]
+    with open(tmp_path / "posterior.bin", "wb") as fh:
+        fh.write(data[:size])
+    assert cli.main(["query", "--out", str(tmp_path), "--grid", "2x2"]) \
+        == cli.EXIT_IO
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and captured.out == ""
+
+
+def test_exit_invalid_posterior_missing_array(run_dir, tmp_path, capsys):
+    """An archive without one of its arrays is refused as a schema
+    violation: exit 2, naming the array."""
+    _, out = run_dir
+    with np.load(os.path.join(out, "posterior.bin")) as z:
+        payload = {k: z[k] for k in z.files if k != "sig_off"}
+    with open(tmp_path / "posterior.bin", "wb") as fh:
+        np.savez(fh, **payload)
+    assert cli.main(["query", "--out", str(tmp_path), "--grid", "2x2"]) \
+        == cli.EXIT_INVALID
+    assert "sig_off" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("args", [["--grid", "0x3"], [], ["--s", "0.3"]])

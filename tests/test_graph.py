@@ -43,7 +43,7 @@ def test_build_grid_flat_ordering():
     order = [(n, k) for k in range(2) for n in range(3)]
     for i, (n, k) in enumerate(order):
         assert g.flat(n, k) == i
-        assert g.node_indices(i) == (n, k)
+        assert divmod(i, g.N) == (k, n)
 
 
 def test_build_grid_rejects_nonmonotone():
@@ -224,9 +224,9 @@ def test_precision_matches_oracle_and_pattern(params):
         scale = np.max(np.abs(ref))
         assert np.max(np.abs(H - ref)) < 1e-10 * scale
         for i in range(g.n_nodes):
-            ni, ki = g.node_indices(i)
+            ki, ni = divmod(i, g.N)
             for j in range(g.n_nodes):
-                nj, kj = g.node_indices(j)
+                kj, nj = divmod(j, g.N)
                 if abs(ni - nj) > 1 or abs(ki - kj) > 1:
                     blk = H[24 * i:24 * i + 24, 24 * j:24 * j + 24]
                     assert np.max(np.abs(blk)) < 1e-10 * scale
@@ -259,7 +259,7 @@ def test_grid_states_index_and_iterate():
     states = list(g.states)
     assert len(g.states) == len(states) == g.n_nodes
     for i, x in enumerate(states):
-        n, k = g.node_indices(i)
+        k, n = divmod(i, g.N)
         for y in (g.states[i], g.state(n, k)):
             assert np.array_equal(y.pose.R, g.states.R[i])
             assert np.array_equal(y.strain_velocity, x.strain_velocity)

@@ -1,6 +1,6 @@
 """Module hygiene: the dense oracle is a test reference that no production
-module may import, and every public top-level function or class is used
-somewhere."""
+module may import, every public top-level function or class is used
+somewhere, and outside the oracle it is used by the program itself."""
 
 import ast
 import glob
@@ -86,3 +86,47 @@ def test_no_unused_public_definitions():
     unused = [f"{f}:{name}" for f, name in defs
               if len(re.findall(rf"\b{re.escape(name)}\b", text)) == 1]
     assert unused == []
+
+
+# the public reader of the CLI's own CSV artifacts, which only tests call
+PRODUCTION_USE_EXCEPTIONS = {("cli.py", "read_state_csv")}
+
+
+def referenced_names(paths):
+    """Every name a set of source files loads, reads as an attribute or
+    imports; definitions, strings and comments do not count."""
+    names = set()
+    for path in paths:
+        with open(path, encoding="utf-8") as fh:
+            tree = ast.parse(fh.read())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                names.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                names.add(node.attr)
+            elif isinstance(node, ast.alias):
+                names.add(node.name)
+    return names
+
+
+def test_public_definitions_used_by_production():
+    """A public top-level function or class of a production module (every
+    module but oracle.py) is referenced by production code or by the
+    benchmark scripts, not only by tests: test-only helpers belong in the
+    tests or in oracle.py."""
+    paths = [p for p in glob.glob(os.path.join(SRC, "*.py"))
+             if os.path.basename(p) != "oracle.py"]
+    used = referenced_names(paths + glob.glob(os.path.join(ROOT, "bench",
+                                                           "*.py")))
+    assert "linearize" in used and "stencil_slot" in used
+    unused = [f"{f}:{name}" for f, name in public_definitions()
+              if f != "oracle.py" and name not in used
+              and (f, name) not in PRODUCTION_USE_EXCEPTIONS]
+    assert unused == []
+
+
+def test_referenced_names_parser(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("import a.b as c\nfrom d import e\nx = f(g.h)\n"
+                    "def unused():\n    'k'\n")
+    assert referenced_names([str(path)]) == {"a.b", "e", "x", "f", "g", "h"}

@@ -4,11 +4,31 @@ references."""
 import numpy as np
 from scipy.linalg import expm
 
-from stgp.liegroup import (Pose, ad6, adjoint, dleft_jacobian_inv_vec,
-                           dleft_jacobian_vec, hat3, quaternion_to_rotation,
-                           rotation_to_quaternion, se3_exp, se3_hat,
-                           se3_left_jacobian, se3_left_jacobian_inv, se3_log,
-                           so3_exp, so3_left_jacobian, so3_log, vee3)
+from stgp.liegroup import (Pose, _djac_vec_series, ad6, adjoint,
+                           dleft_jacobian_inv_vec, hat3,
+                           quaternion_to_rotation, rotation_to_quaternion,
+                           se3_exp, se3_left_jacobian, se3_left_jacobian_inv,
+                           se3_log, so3_exp, so3_left_jacobian, so3_log)
+
+
+def vee3(m: np.ndarray) -> np.ndarray:
+    return np.stack([m[..., 2, 1], m[..., 0, 2], m[..., 1, 0]], axis=-1)
+
+
+def se3_hat(xi: np.ndarray) -> np.ndarray:
+    out = np.zeros(xi.shape[:-1] + (4, 4))
+    out[..., :3, :3] = hat3(xi[..., 3:])
+    out[..., :3, 3] = xi[..., :3]
+    return out
+
+
+def dleft_jacobian_vec(xi: np.ndarray, v: np.ndarray,
+                       nmax: int = 60) -> np.ndarray:
+    """Directional-derivative matrix of J_l(xi) @ v with respect to xi, by
+    the series that `dleft_jacobian_inv_vec` sums with 1/(n+1)! terms."""
+    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, nmax + 2))))
+    coeffs = 1.0 / fact[1:]  # 1/(n+1)! at index n
+    return _djac_vec_series(xi, v, np.concatenate(([1.0], coeffs[1:])), nmax)
 
 
 def random_twists(seed: int, n: int, max_angle: float) -> np.ndarray:

@@ -13,9 +13,10 @@ from scipy.integrate import quad
 import stgp.prior as P
 from stgp.graph import Grid, build_grid
 from stgp.liegroup import Pose
-from stgp.oracle import phi_cell, q_binary_s, q_binary_t, q_quaternary
+from stgp.oracle import (k_matrix, phi_cell, q_binary_s, q_binary_t,
+                         q_quaternary)
 from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
-                        chart_decode_batch, chart_encode, k_matrix,
+                        chart_decode_batch, chart_encode,
                         phi_s_batch as phi_s, phi_t_batch as phi_t)
 from stgp.solver import apply_update
 from conftest import random_state, random_states, retract

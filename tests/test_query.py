@@ -6,16 +6,71 @@ import pytest
 
 from stgp.graph import build_grid, build_prior_factors
 from stgp.liegroup import Pose, se3_exp
-from stgp.oracle import dense_condition_query, dense_prior_covariance
+from stgp.oracle import (dense_condition_query, dense_prior_covariance,
+                         k_matrix)
 from stgp.prior import NodeState, chart_encode
 from stgp.sensors import (InterpolatedMeasurementFactor, Measurement,
-                          build_measurement_factor)
-from stgp.query import (HULL_TOL, OutOfHullError, interp_weights, locate,
-                        make_interpolant, query_mean, query_state,
-                        spatial_gain, temporal_gain)
+                          build_measurement_factors)
+from stgp.query import (HULL_TOL, OutOfHullError, bind, locate, query_mean,
+                        query_state, query_states, spatial_gain,
+                        temporal_gain)
 from stgp.solver import gauss_newton
 
 I24 = np.eye(24)
+
+
+def interp_weights(ds: float, dt: float, sigma: float, tau: float,
+                   params):
+    """Chart-level interpolation map onto the four corner charts, plus the
+    residual covariance, for a query at offsets (sigma, tau) inside a cell of
+    size (ds, dt).  Corner order is (00, 10, 01, 11) with subscripts (spatial,
+    temporal).  This is the exact linearization of the query chain about any
+    common chart; the nonlinear chain composes the same gains through
+    per-column local charts."""
+    lam_t, psi_t, r_t = temporal_gain(dt, tau, params)
+    lam_s, psi_s, r_s = spatial_gain(ds, sigma, params)
+    W = np.hstack([psi_s @ psi_t, lam_s @ psi_t, psi_s @ lam_t, lam_s @ lam_t])
+    resid = psi_s @ r_t @ psi_s.T + lam_s @ r_t @ lam_s.T + r_s
+    return W, 0.5 * (resid + resid.T)
+
+
+def reference_binding(s_knots, t_knots, params, s: float, t: float):
+    """One point's (node ids, temporal gain, spatial gain), point by point:
+    nearest-knot snapping, 2x2 inverses by LAPACK and np.kron lifts."""
+    def snap(knots, u):
+        span = max(1.0, float(np.max(np.abs(knots))))
+        i = int(np.argmin(np.abs(knots - u)))
+        return i if abs(knots[i] - u) <= HULL_TOL * span else None
+
+    def cell(knots, u):
+        i = int(np.clip(np.searchsorted(knots, u, side="right") - 1, 0,
+                        len(knots) - 2))
+        return i, float(np.clip(u - knots[i], 0.0, knots[i + 1] - knots[i]))
+
+    def pair(delta, u):
+        m2 = lambda d: np.array([[1.0, d], [0.0, 1.0]])
+        lam = k_matrix(u) @ m2(delta - u).T @ np.linalg.inv(k_matrix(delta))
+        return (lam, m2(u) - lam @ m2(delta),
+                k_matrix(u) - lam @ k_matrix(delta) @ lam.T)
+
+    I2, I6, I12 = np.eye(2), np.eye(6), np.eye(12)
+    n, k = snap(s_knots, s), snap(t_knots, t)
+    temporal = spatial = None
+    if k is None:
+        k, tau = cell(t_knots, t)
+        lam, psi, r2 = pair(t_knots[k + 1] - t_knots[k], tau)
+        temporal = (np.kron(lam, I12), np.kron(psi, I12),
+                    np.kron(r2, np.kron(I2, params.qt_psd)))
+    if n is None:
+        n, sigma = cell(s_knots, s)
+        lam, psi, r2 = pair(s_knots[n + 1] - s_knots[n], sigma)
+        spatial = (np.kron(I2, np.kron(lam, I6)), np.kron(I2, np.kron(psi, I6)),
+                   np.kron(I2, np.kron(r2, params.qs_psd)))
+    steps = [0] if spatial is None else [0, 1]
+    if temporal is not None:
+        steps += [d + len(s_knots) for d in steps]
+    return (tuple(k * len(s_knots) + n + d for d in steps), temporal,
+            spatial)
 
 
 class MeanOnlyPosterior:
@@ -32,21 +87,27 @@ class MeanOnlyPosterior:
 
 def test_locate_interior_and_knots():
     knots = np.array([0.0, 0.3, 1.0])
-    assert locate(knots, 0.15, "s") == (0, pytest.approx(0.15))
-    assert locate(knots, 0.3, "s") == (1, 0.0)
-    assert locate(knots, 0.0, "s") == (0, 0.0)
-    idx, off = locate(knots, 1.0, "s")
-    assert idx == 1 and off == pytest.approx(0.7)
+    idx, off, stage = locate(knots, [0.15, 0.3, 0.0, 1.0, 0.3 + 1e-12], "s")
+    # a cell interior keeps its stage; a knot drops it and names the knot
+    assert idx.tolist() == [0, 1, 0, 2, 1]
+    assert off == pytest.approx([0.15, 0.0, 0.0, 0.7, 1e-12])
+    assert stage.tolist() == [True, False, False, False, False]
+    # a forced cell keeps every stage
+    idx, off, stage = locate(knots, [0.3, 0.5], "s", cell=0)
+    assert idx.tolist() == [0, 0] and stage.all()
+    assert off == pytest.approx([0.3, 0.3])
 
 
 def test_locate_out_of_hull():
     knots = np.array([0.0, 1.0])
-    with pytest.raises(OutOfHullError):
-        locate(knots, -0.01, "s")
-    with pytest.raises(OutOfHullError):
-        locate(knots, 1.01, "s")
+    for u in (-0.01, 1.01, np.nan, np.inf):
+        with pytest.raises(OutOfHullError):
+            locate(knots, [0.5, u], "s")
     # within tolerance of the boundary is clamped, not rejected
-    assert locate(knots, 1.0 + 1e-12, "s") == (0, 1.0)
+    idx, off, stage = locate(knots, [1.0 + 1e-12], "s")
+    assert (idx[0], off[0], stage[0]) == (1, 1.0, False)
+    with pytest.raises(ValueError):
+        locate(knots, [0.5], "s", cell=1)
 
 
 def test_interpolant_node_counts(params):
@@ -60,8 +121,67 @@ def test_interpolant_node_counts(params):
         ((s[2], t[2]), 1),          # far corner of the hull
     ]
     for (si, ti), n in cases:
-        interp = make_interpolant(s, t, params, si, ti)
-        assert len(interp.node_ids) == n, (si, ti)
+        (b,) = bind(s, t, params, si, ti)
+        assert b.nodes.shape == (n, 1), (si, ti)
+    # the same points in one call, grouped by shape in input order
+    bindings = bind(s, t, params, [p[0][0] for p in cases],
+                    [p[0][1] for p in cases])
+    assert sorted(i for b in bindings for i in b.index) == list(range(5))
+    for b in bindings:
+        assert all(cases[i][1] == len(b.nodes) for i in b.index)
+
+
+def test_bind_matches_point_by_point_reference(params):
+    """Batched binding against the point-by-point reference: the same nodes
+    for every point and the same gains up to rounding, for cell interiors,
+    knot lines, grid nodes, hull edges and points within the knot tolerance
+    of a knot.  The gains differ from the reference's by rounding only."""
+    s_knots = np.array([0.0, 0.2, 0.45, 0.5, 1.0])
+    t_knots = np.array([0.0, 0.3, 0.7, 1.0])
+    rng = np.random.default_rng(31)
+    pts = [(rng.uniform(0, 1), rng.uniform(0, 1)) for _ in range(40)]
+    pts += [(s, t) for s in s_knots for t in (0.5, t_knots[2])]
+    pts += [(0.33, t) for t in t_knots]
+    pts += [(0.45 + 0.3 * HULL_TOL, 0.1), (0.45 - 0.3 * HULL_TOL, 0.7),
+            (1.0 + 0.5 * HULL_TOL, 0.2), (0.6, -0.5 * HULL_TOL)]
+    bindings = bind(s_knots, t_knots, params, *zip(*pts))
+    seen = 0
+    for b in bindings:
+        for j, i in enumerate(b.index):
+            nodes, temporal, spatial = reference_binding(
+                s_knots, t_knots, params, *pts[i])
+            assert tuple(b.nodes[:, j]) == nodes, pts[i]
+            for got, ref in ((b.temporal, temporal), (b.spatial, spatial)):
+                assert (got is None) == (ref is None), pts[i]
+                # R is a difference of terms that cancel: allow 1e-12
+                for op, op_ref in zip(got or (), ref or ()):
+                    assert np.max(np.abs(op[j] - op_ref)) \
+                        <= 1e-12 * np.max(np.abs(op_ref))
+            seen += 1
+    assert seen == len(pts)
+    assert {len(b.nodes) for b in bindings} == {1, 2, 4}
+
+
+def test_query_states_matches_single_points(linear_posterior):
+    """One batched call over points of every binding shape, more than one
+    chunk of them, answers each point as a batch of one does."""
+    cfg, post = linear_posterior
+    grid = post.grid
+    rng = np.random.default_rng(37)
+    s = np.concatenate([rng.uniform(0, grid.s_knots[-1], 70), grid.s_knots,
+                        np.full(3, grid.s_knots[1])])
+    t = np.concatenate([rng.uniform(0, grid.t_knots[-1], 70),
+                        np.full(grid.N, grid.t_knots[1]), [0.1, 0.5, 0.9]])
+    means, covs = query_states(post, s, t)
+    assert len(means) == len(s) and covs.shape == (len(s), 24, 24)
+    for i in range(len(s)):
+        x, c = query_state(post, s[i], t[i])
+        assert np.max(np.abs(means.R[i] - x.pose.R)) < 1e-14
+        assert np.max(np.abs(means.sv[i] - x.strain_velocity)) \
+            < 1e-12 * max(1.0, np.max(np.abs(x.strain_velocity)))
+        assert np.max(np.abs(covs[i] - c)) < 1e-12 * np.max(np.abs(c))
+    with pytest.raises(OutOfHullError):
+        query_states(post, np.append(s, 0.1), np.append(t, np.nan))
 
 
 # conditioning weights against closed forms and the dense oracle
@@ -212,11 +332,10 @@ def test_off_knot_hull_edge_binds_edge_pair(linear_posterior):
         (0.5, T + off, (0, 1), (k_last + 2, k_last + 3)),
     ]
     for s, t, (us, ut), pair in cases:
-        interp = make_interpolant(grid.s_knots, grid.t_knots, post.params,
-                                  s, t)
-        assert interp.node_ids == pair, (s, t)
-        f = build_measurement_factor(
-            Measurement("position3", s, t, np.zeros(3), np.eye(3)), grid,
+        (b,) = bind(grid.s_knots, grid.t_knots, post.params, s, t)
+        assert tuple(b.nodes[:, 0]) == pair, (s, t)
+        (f,) = build_measurement_factors(
+            [Measurement("position3", s, t, np.zeros(3), np.eye(3))], grid,
             post.params)
         assert isinstance(f, InterpolatedMeasurementFactor)
         assert f.nodes == pair, (s, t)

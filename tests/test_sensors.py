@@ -9,7 +9,7 @@ from stgp.liegroup import Pose, se3_exp
 from stgp.oracle import dense_condition_query
 from stgp.prior import NodeState, StateArrays
 from stgp.sensors import (KINDS, InterpolatedMeasurementFactor, Measurement,
-                          NodeMeasurementFactor, build_measurement_factor,
+                          NodeMeasurementFactor, build_measurement_factors,
                           sensor_model)
 from stgp.solver import apply_update
 from conftest import factor_terms, random_state, random_states, retract
@@ -185,7 +185,7 @@ def test_bind_on_node_collapses(params):
     x = grid.state(1, 1)
     meas = Measurement("position3", float(grid.s_knots[1]),
                        float(grid.t_knots[1]), x.pose.t + 0.001, np.eye(3))
-    f = build_measurement_factor(meas, grid, params)
+    (f,) = build_measurement_factors([meas], grid, params)
     assert isinstance(f, NodeMeasurementFactor)
     assert f.nodes == (grid.flat(1, 1),)
     ref = measurement_model(meas, x)[0]
@@ -197,7 +197,7 @@ def test_bind_on_knot_line_two_nodes(params):
     t_mid = 0.5 * (grid.t_knots[0] + grid.t_knots[1])
     meas = Measurement("position3", float(grid.s_knots[1]), float(t_mid),
                        np.zeros(3), np.eye(3))
-    f = build_measurement_factor(meas, grid, params)
+    (f,) = build_measurement_factors([meas], grid, params)
     assert isinstance(f, InterpolatedMeasurementFactor)
     assert len(f.nodes) == 2
     assert f.nodes == (grid.flat(1, 0), grid.flat(1, 1))
@@ -206,7 +206,7 @@ def test_bind_on_knot_line_two_nodes(params):
 def test_bind_interior_four_nodes(params):
     grid = make_test_grid(params)
     meas = Measurement("strain6", 0.3, 0.7, np.zeros(6), np.eye(6))
-    f = build_measurement_factor(meas, grid, params)
+    (f,) = build_measurement_factors([meas], grid, params)
     assert len(f.nodes) == 4
 
 
@@ -214,7 +214,32 @@ def test_bind_out_of_hull_raises(params):
     grid = make_test_grid(params)
     meas = Measurement("position3", 2.0, 0.5, np.zeros(3), np.eye(3))
     with pytest.raises(ValueError):
-        build_measurement_factor(meas, grid, params)
+        build_measurement_factors([meas], grid, params)
+
+
+def test_bind_many_in_input_order(params):
+    """One call over measurements of every binding shape gives, in input
+    order, the factors that one call per measurement gives."""
+    grid = make_test_grid(params)
+    s1, t1 = float(grid.s_knots[1]), float(grid.t_knots[1])
+    meas = [Measurement(kind, s, t, np.zeros(dim), np.eye(dim))
+            for kind, dim, (s, t) in [
+                ("position3", 3, (0.3, 0.7)), ("strain6", 6, (s1, t1)),
+                ("gyro3", 3, (s1, 0.31)), ("position3", 3, (0.62, t1)),
+                ("position3", 3, (s1, t1)), ("strain6", 6, (0.1, 1.9))]]
+    factors = build_measurement_factors(meas, grid, params)
+    assert [len(f.nodes) for f in factors] == [4, 1, 2, 2, 1, 4]
+    for f, m in zip(factors, meas):
+        (ref,) = build_measurement_factors([m], grid, params)
+        assert type(f) is type(ref) and f.meas is m
+        assert f.nodes == ref.nodes
+        assert np.array_equal(f.weight, ref.weight)
+        for got, want in ((f.temporal, ref.temporal),
+                          (f.spatial, ref.spatial)):
+            assert (got is None) == (want is None)
+            for op, op_ref in zip(got or (), want or ()):
+                assert np.max(np.abs(op - op_ref)) \
+                    <= 1e-15 * np.max(np.abs(op_ref))
 
 
 def test_offgrid_jacobians_fd(params):
@@ -232,7 +257,7 @@ def test_offgrid_jacobians_fd(params):
                 dim = 3 if kind != "strain6" else 6
                 meas = Measurement(kind, s, t, 0.1 * rng.standard_normal(dim),
                                    np.eye(dim))
-            f = build_measurement_factor(meas, grid, params)
+            (f,) = build_measurement_factors([meas], grid, params)
             jacs = factor_terms(f, grid)[1:]
             h = 1e-6
             for slot, node in enumerate(f.nodes):
@@ -258,7 +283,7 @@ def test_offgrid_linear_regime_matches_dense(params):
     s, t = 0.3, 0.7
     meas = Measurement("position3", s, t, np.array([0.01, 0.0, 0.0]),
                        np.eye(3))
-    f = build_measurement_factor(meas, grid, params)
+    (f,) = build_measurement_factors([meas], grid, params)
     W, _, corners = dense_condition_query(s_knots, t_knots, params, s, t)
     # the position error reads -translation: rows 0:3 of the query chart
     jacs = factor_terms(f, grid)[1:]
@@ -279,7 +304,7 @@ def test_constant_field_interpolates_to_itself(params):
     x_ref = grid.states[0]
     for (s, t) in ((0.25, 0.33), (0.7, 1.51), (0.5, 1.0)):
         meas = Measurement("pose6", s, t, x_ref.pose, np.eye(6))
-        f = build_measurement_factor(meas, grid, params)
+        (f,) = build_measurement_factors([meas], grid, params)
         assert np.max(np.abs(factor_terms(f, grid, False)[0])) < 1e-10
 
 

@@ -229,7 +229,7 @@ def test_on_node_position_touches_one_diagonal_block(params):
                        1e-6 * np.eye(3))
     (factor,) = build_measurement_factors([meas], grid, params)
     assert isinstance(factor, NodeMeasurementFactor)
-    assert factor.node == 3
+    assert factor.nodes == (3,)
     with_meas = FactorSet(prior.unary, prior.binary_spatial,
                           prior.binary_temporal, prior.quaternary, [factor])
     D = dense(linearize(with_meas, grid)) - dense(linearize(prior, grid))
@@ -415,24 +415,30 @@ def test_corner_cov_matches_dense_inverse(N, K):
                              - ref[a:a + BLOCK, a:a + BLOCK])) < tol
     pairs = list(stencil_pairs(N, K))
     for i, j in pairs:
+        if i == j:
+            continue
         a, b = BLOCK * i, BLOCK * j
-        assert np.max(np.abs(cc.pair_block(i, j)
+        assert np.max(np.abs(cc.joint([i, j])[:BLOCK, BLOCK:]
                              - ref[a:a + BLOCK, b:b + BLOCK])) < tol
-        assert np.max(np.abs(cc.pair_block(j, i)
+        assert np.max(np.abs(cc.joint([j, i])[:BLOCK, BLOCK:]
                              - ref[b:b + BLOCK, a:a + BLOCK])) < tol
     filled = cc.sig_off.reshape(N * K * 4, -1).any(axis=1)
     assert filled.sum() == len(pairs) - N * K
 
 
 def test_corner_cov_joints_are_symmetric_psd():
+    """The corner joint of every cell, one (4, B) gather for all of them,
+    is symmetric PSD and equals each cell's own (4,) gather."""
     system = random_banded_system(77, N=3, K=3)
     cc = corner_covariances(factorize(system))
-    for n in range(2):
-        for k in range(2):
-            J = cc.cell_joint(n, k)
-            assert J.shape == (4 * BLOCK, 4 * BLOCK)
-            assert np.max(np.abs(J - J.T)) < 1e-12
-            assert np.min(np.linalg.eigvalsh(J)) > -1e-10
+    c00 = np.array([k * 3 + n for k in range(2) for n in range(2)])
+    cells = np.stack([c00, c00 + 1, c00 + 3, c00 + 4])
+    joints = cc.joint(cells)
+    assert joints.shape == (4, 4 * BLOCK, 4 * BLOCK)
+    for J, nodes in zip(joints, cells.T):
+        assert np.array_equal(J, cc.joint(nodes))
+        assert np.max(np.abs(J - J.T)) < 1e-12
+        assert np.min(np.linalg.eigvalsh(J)) > -1e-10
     assert np.all(np.diagonal(cc.sig_diag, axis1=-2, axis2=-1) > 0.0)
 
 
@@ -440,7 +446,9 @@ def test_pair_block_rejects_distant_rows():
     system = random_banded_system(5, N=2, K=3)
     cc = corner_covariances(factorize(system))
     with pytest.raises(ValueError):
-        cc.pair_block(0, 4)  # rows 0 and 2
+        cc.joint([0, 4])  # rows 0 and 2
     cc = corner_covariances(factorize(random_banded_system(6, N=3, K=2)))
     with pytest.raises(ValueError):
-        cc.pair_block(0, 2)  # one row, two knots apart
+        cc.joint([0, 2])  # one row, two knots apart
+    with pytest.raises(ValueError):
+        cc.joint(np.array([[0, 1], [1, 2], [3, 3]]))  # 2 and 3 in set 1
