@@ -26,10 +26,18 @@ posterior.bin is a NumPy .npz archive:
   report            report.json content as a JSON string
 (Major version 1 stored dense time-row covariance superblocks instead.)
 
-Exit codes: 0 ok, 2 invalid config, measurements, query (out of the hull or
-not finite) or posterior.bin (an array missing), 3 I/O failure (posterior.bin
-truncated included), 4 estimator did not converge (artifacts still written),
-5 normal equations not positive definite.  Failures write no standard output.
+Exit codes: 0 ok; 3 I/O failure (posterior.bin truncated included); 4
+estimator did not converge (artifacts still written); 5 normal equations not
+positive definite; 2 invalid input, which is one of
+  config         a field missing or out of range; an integer field (n_space,
+                 n_time, seed, refinement, max_iters) not an integer; a
+                 number (a prior diagonal and a sensor's std, rate, samples
+                 and locations included) not finite; max_iters < 1
+  measurements   a record malformed, or its value or noise_cov not finite
+  query          a point out of the hull or not finite
+  posterior.bin  an array missing or of a shape that does not fit the knot
+                 counts, or knots not finite and increasing
+Failures write no standard output.
 """
 
 from __future__ import annotations
@@ -48,11 +56,12 @@ from .graph import Grid, build_grid, build_prior_factors
 from .liegroup import Pose, quaternion_to_rotation, rotation_to_quaternion
 from .prior import NodeState, PriorParams, StateArrays
 # query_state is kept only because the frozen bench/pipeline.py patches it
-from .query import OutOfHullError, query_state, query_states  # noqa: F401
+from .query import (CHUNK, OutOfHullError, query_state,  # noqa: F401
+                    query_states)
 from .sensors import Measurement, build_measurement_factors
 from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
                   generate_measurements)
-from .solver import (ConvergenceReport, CornerCovariances,
+from .solver import (BLOCK, SLOTS, ConvergenceReport, CornerCovariances,
                      NotPositiveDefiniteError, Posterior, SolverOptions,
                      gauss_newton)
 
@@ -254,22 +263,41 @@ def save_posterior(path: str, post: Posterior, report_dict: dict) -> None:
 
 def load_posterior(path: str) -> Posterior:
     """The posterior archive at `path`.  OSError when it cannot be read as
-    an archive, SchemaError when it lacks an array or a report field."""
+    an archive, SchemaError when it lacks an array or a report field, when
+    its knots are not finite and increasing or when an array's shape does
+    not fit the knot counts."""
     if not zipfile.is_zipfile(path):  # also false for a missing file
         raise OSError(f"cannot read {path}: missing or not a zip archive")
     try:
         with np.load(path, allow_pickle=False) as z:
             check_schema(str(z["schema"]), "posterior")
             s_knots, t_knots = z["s_knots"], z["t_knots"]
+            for name, knots in (("s_knots", s_knots), ("t_knots", t_knots)):
+                if knots.ndim != 1 or not len(knots) \
+                        or not np.all(np.isfinite(knots)) \
+                        or np.any(np.diff(knots) <= 0):
+                    raise SchemaError(f"posterior {path}: {name} must be "
+                                      "finite and increasing")
             N, K = len(s_knots), len(t_knots)
-            states = StateArrays(z["R"], z["t"], z["strain"], z["velocity"],
-                                 z["sv"])
+            shapes = dict(R=(N * K, 3, 3), t=(N * K, 3), strain=(N * K, 6),
+                          velocity=(N * K, 6), sv=(N * K, 6),
+                          sig_diag=(K, N, BLOCK, BLOCK),
+                          sig_off=(K, N, SLOTS - 1, BLOCK, BLOCK))
+            arrays = {name: z[name] for name in shapes}
+            for name, shape in shapes.items():
+                got = arrays[name].shape
+                if got != shape:
+                    raise SchemaError(f"posterior {path}: {name} has shape "
+                                      f"{got}, expected {shape}")
+            states = StateArrays(arrays["R"], arrays["t"], arrays["strain"],
+                                 arrays["velocity"], arrays["sv"])
             mean = NodeState(Pose(z["mean_R"], z["mean_t"]),
                              z["mean_strain"], z["mean_velocity"], z["mean_sv"])
             params = PriorParams(qs_psd=z["qs_psd"], qt_psd=z["qt_psd"],
                                  qst_psd=z["qst_psd"], p0=z["p0"],
                                  prior_mean=mean)
-            cov = CornerCovariances(N, K, z["sig_diag"], z["sig_off"])
+            cov = CornerCovariances(N, K, arrays["sig_diag"],
+                                    arrays["sig_off"])
             rep = json.loads(str(z["report"]))
         fields = dataclasses.fields(ConvergenceReport)
         report = ConvergenceReport(**{f.name: rep[f.name] for f in fields})
@@ -363,9 +391,15 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
         s_vals, t_vals = np.tile(s_vals, nt), np.repeat(t_vals, ns)
     else:
         s_vals, t_vals = np.array([s], dtype=float), np.array([t], dtype=float)
-    # every point is answered before the first line is written
-    means, covs = query_states(post, s_vals, t_vals)
-    stds = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
+    # every point is answered before the first line is written; of each
+    # slice's covariances only the standard deviations are kept
+    means = post.grid.states.take(np.zeros(len(s_vals), dtype=int))
+    stds = np.empty((len(s_vals), 24))
+    for lo in range(0, len(s_vals), CHUNK):
+        sl = slice(lo, lo + CHUNK)
+        mean, covs = query_states(post, s_vals[sl], t_vals[sl])
+        means.put(sl, mean)
+        stds[sl] = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
     stream.write(",".join(STATE_COLUMNS + STD_COLUMNS) + "\n")
     for i, (sv, tv) in enumerate(zip(s_vals, t_vals)):
         stream.write(state_row(float(sv), float(tv), means[i], stds[i]) + "\n")

@@ -4,8 +4,9 @@ Nodes live on an arclength x time lattice, flattened time-major:
 flat index = k * N + n for arclength index n and time index k.  The grid
 holds their states as one `StateArrays`.  The prior couples each node only
 to its 8 lattice neighbours, which keeps the normal equations block-banded
-with bandwidth min(N, K) + 1 once the solver orders the nodes along the
-longer grid axis.
+once the solver orders the nodes along the longer grid axis: with bandwidth
+min(N, K) + 1 when both axes have two knots or more, 1 along a single row
+or column and 0 for one node.
 
 The prior is four factor kinds (unary, spatial binary, temporal binary and
 cell), each the same kernel applied at many lattice sites.

@@ -72,6 +72,10 @@ class Measurement:
                 raise ValueError("strain6 mask selects no components")
             self.mask = m
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
+        parts = (self.value.R, self.value.t) if self.kind == "pose6" \
+            else (self.value,)
+        if not all(np.all(np.isfinite(a)) for a in parts + (self.noise_cov,)):
+            raise ValueError(f"{self.kind} value and noise_cov must be finite")
         d = self.dim
         if self.noise_cov.shape == ():
             self.noise_cov = float(self.noise_cov) * np.eye(d)

@@ -12,6 +12,7 @@ they stay consistent with the poses by construction.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,6 +28,20 @@ _ALPHA = 0.25 + math.sqrt(3.0) / 6.0
 _BETA = 0.25 - math.sqrt(3.0) / 6.0
 
 _RANGE_TOL = 1e-9
+
+
+def _require_int(name: str, value, low: int) -> None:
+    if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+        raise TypeError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be >= {low}")
+
+
+def _require_finite(name: str, value) -> None:
+    """A real number, or an array of them, every entry finite."""
+    a = np.asarray(value)
+    if a.dtype.kind not in "iuf" or not np.all(np.isfinite(a)):
+        raise ValueError(f"{name} must be finite and real, got {value!r}")
 
 
 @dataclass
@@ -48,6 +63,11 @@ class SensorSpec:
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown sensor kind {self.kind!r}")
+        _require_finite("sensor std", self.std)
+        for name in ("rate", "samples", "locations"):
+            value = getattr(self, name)
+            if value is not None and not isinstance(value, str):
+                _require_finite(f"sensor {name}", value)
         if self.std < 0:
             raise ValueError("sensor std must be >= 0")
         if self.samples is None:
@@ -100,16 +120,18 @@ class ScenarioConfig:
         self.qt_diag = np.asarray(self.qt_diag, dtype=float).reshape(6)
         self.qst_diag = np.asarray(self.qst_diag, dtype=float).reshape(6)
         self.p0_diag = np.asarray(self.p0_diag, dtype=float).reshape(24)
+        for name, low in (("n_space", 1), ("n_time", 1), ("seed", 0),
+                          ("refinement", 1), ("max_iters", 1)):
+            _require_int(name, getattr(self, name), low)
+        for name in ("length", "duration", "kappa0", "kappa_a", "period",
+                     "tol", "qs_diag", "qt_diag", "qst_diag", "p0_diag"):
+            _require_finite(name, getattr(self, name))
         if self.length <= 0:
             raise ValueError("length must be > 0")
-        if self.n_space < 1 or self.n_time < 1:
-            raise ValueError("grid sizes must be >= 1")
         if self.duration < 0 or (self.n_time > 1 and self.duration <= 0):
             raise ValueError("duration must be positive for K > 1")
         if self.period <= 0:
             raise ValueError("period must be > 0")
-        if self.refinement < 1:
-            raise ValueError("refinement must be >= 1")
         if np.any(self.qs_diag <= 0) or np.any(self.qt_diag <= 0) \
                 or np.any(self.qst_diag <= 0) or np.any(self.p0_diag <= 0):
             raise ValueError("prior PSD diagonals must be positive")

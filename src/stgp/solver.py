@@ -18,11 +18,18 @@ blocks with the 4 neighbours that follow it in time-major order (slots 1-4,
 `FORWARD`).  Slots with no neighbour, at the grid's edges, hold zeros.
 
 Ordering and band.  The factorization permutes the nodes so the sweep runs
-along the longer grid axis (along time when N == K), where stencil
-neighbours are at most b = min(N, K) + 1 positions apart: the matrix has
-24*(b + 1) - 1 sub-diagonals, and one LAPACK banded Cholesky (`dpbtrf`,
-solved by `dpbtrs`) costs time linear in the longer axis.  A failed pivot
-is mapped back through the ordering to its time-major node.
+along the longer grid axis (along time when N == K).  Stencil neighbours
+are then at most b positions apart, b = min(N, K) + 1 when both axes have
+two knots or more, 1 along a single row or column and 0 for one node, so
+the matrix has 24*(b + 1) - 1 sub-diagonals and one LAPACK banded Cholesky
+(`dpbtrf`, solved by `dpbtrs`) costs time linear in the longer axis.  The
+stencil reaches the band block by block: each stored stencil block has a
+band block column, an offset below the diagonal and a flag for a transposed
+read (`_BandLayout`, O(NK) ints).  The block columns, stored by matrix
+column with one zero block to spare, are LAPACK's band storage through one
+strided view (`_skewed`): assembly scatters into them and copies the view
+out, and the factor is un-skewed through it once for the selected inverse.
+A failed pivot is mapped back through the ordering to its time-major node.
 
 Selected inverse.  The covariance's band is closed under the Takahashi
 recursion (Takahashi, Fagan & Chin 1973; Rue & Held 2005): sweeping block
@@ -39,6 +46,7 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .graph import FactorSet, Grid
@@ -202,127 +210,110 @@ def sweep_order(N: int, K: int) -> np.ndarray:
     return (nodes.T if N > K else nodes).reshape(-1)
 
 
-def _block_elements(block: np.ndarray, trans: np.ndarray) -> np.ndarray:
-    """Flat element indices of the 24x24 blocks `block` of a block stack,
-    each read transposed where `trans`."""
-    e, a = np.ogrid[:BLOCK, :BLOCK]
-    within = np.where(trans[:, None, None], a * BLOCK + e, e * BLOCK + a)
-    return block[:, None, None] * BLOCK * BLOCK + within
-
-
-@dataclass(frozen=True)
+@dataclass
 class _BandLayout:
-    """Gather indices between the stencil layout and LAPACK's lower band
-    storage, ab[r, c] = A[c + r, c] for the permuted matrix A, indexed as
-    the C-order (n, kd+1) array `ab.T`.  Band block (c, d) is A's block
-    (c + d, c); stencil block (u, s) is H[u, v], v the slot's neighbour."""
+    """The block map from the stencil layout to LAPACK's lower band storage,
+    ab[r, c] = A[c + r, c] for the permuted matrix A.
 
-    order: np.ndarray       # (NK,) time-major node at each band position
-    width: int              # block bandwidth b
-    to_band: np.ndarray     # (n, kd+1): system blocks -> ab.T
-    from_band: np.ndarray   # (NK, b+1, 24, 24): ab.T -> band block columns
-    to_stencil: np.ndarray  # (K, N, SLOTS, 24, 24): band blocks -> stencil
+    Band blocks live in block columns stored by matrix column,
+    `cols[P, a, 24d + e] = A[24(P + d) + e, 24P + a]` for d = 0..b + 1, from
+    which `_skewed` reads ab.  Stencil block H[u, v] sits in block column
+    min(p, q) at offset |p - q|, p and q the band positions of u and v; it
+    is A's lower block there, and so read transposed, when p >= q."""
+
+    order: np.ndarray  # (NK,) time-major node at each band position
+    width: int         # block bandwidth b
+    # (transposed, flat stencil blocks u * SLOTS + s, band index) of the
+    # plain blocks, then of the transposed ones; the band index reads block
+    # columns viewed as (NK, 24, blocks, 24)
+    parts: tuple
 
 
-@functools.lru_cache(maxsize=4)
 def _band_layout(N: int, K: int) -> _BandLayout:
-    nb = N * K
     order = sweep_order(N, K)
     pos = np.argsort(order)
-    k, n = np.divmod(np.arange(nb), N)
+    k, n = np.divmod(np.arange(N * K), N)
     # every node u, stencil slot s and the neighbour v in it
     dn, dk = np.array(((0, 0),) + FORWARD).T[:, :, None]
     s, u = np.nonzero((n + dn >= 0) & (n + dn < N) & (k + dk < K))
     v = u + dk[s, 0] * N + dn[s, 0]
     p, q = pos[u], pos[v]
-    b = int(np.max(np.abs(p - q)))
-    kd = BLOCK * (b + 1) - 1
-    band_block = np.minimum(p, q) * (b + 1) + np.abs(p - q)
-    stencil_block = u * SLOTS + s
-    # A's block (max, min) is H[u, v] when v comes first, else its transpose
-    trans = q > p
+    col, off = np.minimum(p, q), np.abs(p - q)
+    parts = tuple((t, u[m] * SLOTS + s[m], (col[m], slice(None), off[m]))
+                  for t, m in ((False, p < q), (True, p >= q)))
+    return _BandLayout(order, int(np.max(off)), parts)
 
-    # band blocks -> stencil elements; missing band blocks read the stencil
-    # slot a grid edge leaves empty (slot 1 of the last node has no n + 1)
-    n_band = nb * (b + 1)
-    zero = (nb * SLOTS - SLOTS + 1) * BLOCK * BLOCK
-    band_src = np.full((n_band + 1, BLOCK, BLOCK), zero, dtype=np.intp)
-    band_src[band_block] = _block_elements(stencil_block, trans)
-    c, a, r = np.ogrid[:nb, :BLOCK, :kd + 1]
-    d, e = np.divmod(a + r, BLOCK)
-    to_band = band_src[np.where(d <= b, c * (b + 1) + d, n_band), e, a]
 
-    # ab.T -> band block columns: entries above the diagonal and rows past
-    # the matrix read ab.T's last element, which lies below A's last row:
-    # the assembly put a zero there and LAPACK never references it
-    c, d, e, a = np.ogrid[:nb, :b + 1, :BLOCK, :BLOCK]
-    r = BLOCK * d + e - a
-    from_band = np.where((r >= 0) & (c + d < nb), (BLOCK * c + a) * (kd + 1)
-                         + r, BLOCK * nb * (kd + 1) - 1)
-
-    # band block columns -> stencil; empty slots read a trailing zero block
-    stencil_src = np.full((nb * SLOTS, BLOCK, BLOCK), n_band * BLOCK * BLOCK
-                          + np.arange(BLOCK * BLOCK).reshape(BLOCK, BLOCK))
-    stencil_src[stencil_block] = _block_elements(band_block, trans)
-
-    def frozen(x):
-        x = np.ascontiguousarray(x, dtype=np.intp)
-        x.flags.writeable = False
-        return x
-
-    return _BandLayout(frozen(order), b,
-                       frozen(to_band.reshape(BLOCK * nb, kd + 1)),
-                       frozen(from_band),
-                       frozen(stencil_src.reshape(K, N, SLOTS, BLOCK, BLOCK)))
+def _skewed(cols: np.ndarray) -> np.ndarray:
+    """ab.T as a view of block columns `cols` (NK, 24, W): row 24P + a is
+    column a of block column P read from its row a on, W - 24 entries.  The
+    last block of each row, a zero block, keeps every read inside its row."""
+    st = cols.strides
+    return as_strided(cols, cols.shape[:2] + (cols.shape[2] - BLOCK,),
+                      (st[0], st[1] + st[2], st[2]))
 
 
 @dataclass
 class BandedFactorization:
     """`band` is `dpbtrf`'s lower Cholesky factor of the permuted system, in
-    LAPACK band storage.  `L` and `X` are its block columns, gathered on
-    access: the (NK, 24, 24) diagonal blocks and the (NK, 24b, 24) panels
+    LAPACK band storage.  `L` and `X` are its block columns, read from one
+    un-skew: the (NK, 24, 24) diagonal blocks and the (NK, 24b, 24) panels
     below them, in band order."""
 
     N: int
     K: int
     band: np.ndarray
+    layout: _BandLayout
+
+    @functools.cached_property
+    def _cols(self) -> np.ndarray:
+        cols = np.zeros((self.N * self.K, BLOCK, len(self.band) + BLOCK))
+        _skewed(cols)[...] = self.band.T.reshape(len(cols), BLOCK, -1)
+        return cols
 
     @property
     def L(self) -> np.ndarray:
-        idx = _band_layout(self.N, self.K).from_band[:, 0]
-        return np.take(self.band.T, idx)
+        return np.ascontiguousarray(np.swapaxes(self._cols[..., :BLOCK], 1, 2))
 
     @property
     def X(self) -> np.ndarray:
-        lay = _band_layout(self.N, self.K)
-        panels = np.take(self.band.T, lay.from_band[:, 1:])
-        return panels.reshape(self.N * self.K, BLOCK * lay.width, BLOCK)
+        return np.ascontiguousarray(
+            np.swapaxes(self._cols[..., BLOCK:-BLOCK], 1, 2))
 
 
-def assemble_band(system: BlockBandedSystem) -> np.ndarray:
+def assemble_band(system: BlockBandedSystem,
+                  layout: Optional[_BandLayout] = None) -> np.ndarray:
     """The permuted system in LAPACK lower band storage, (kd+1, 24NK) in
-    Fortran order."""
-    lay = _band_layout(system.N, system.K)
-    return np.take(system.blocks, lay.to_band).T
+    Fortran order: one scatter of the plain stencil blocks and one of the
+    transposed into zeroed block columns, copied out through `_skewed`."""
+    lay = layout or _band_layout(system.N, system.K)
+    cols = np.zeros((system.N * system.K, BLOCK, BLOCK * (lay.width + 2)))
+    band = cols.reshape(len(cols), BLOCK, -1, BLOCK)
+    blocks = system.blocks.reshape(-1, BLOCK, BLOCK)
+    for t, st, idx in lay.parts:
+        band[idx] = (np.swapaxes(blocks, 1, 2) if t else blocks)[st]
+    ab = _skewed(cols)
+    return ab.reshape(-1, ab.shape[2]).T
 
 
 def factorize(system: BlockBandedSystem) -> BandedFactorization:
     """Banded Cholesky of the normal equations in the sweep order.  A failed
     pivot names the time-major node it falls in."""
-    ab, info = dpbtrf(assemble_band(system), lower=1, overwrite_ab=1)
+    lay = _band_layout(system.N, system.K)
+    ab, info = dpbtrf(assemble_band(system, lay), lower=1, overwrite_ab=1)
     if info > 0:
-        node = int(_band_layout(system.N, system.K).order[(info - 1) // BLOCK])
+        node = int(lay.order[(info - 1) // BLOCK])
         raise NotPositiveDefiniteError(
             node, "failed pivot in the banded Cholesky factorization")
     if info < 0:
         raise ValueError(f"illegal value in Cholesky argument {-info}")
-    return BandedFactorization(system.N, system.K, ab)
+    return BandedFactorization(system.N, system.K, ab, lay)
 
 
 def solve_factorized(fact: BandedFactorization, rhs: np.ndarray) -> np.ndarray:
     """Solve H x = rhs for a time-major right-hand side of 24NK entries;
     returns the flat time-major solution."""
-    order = _band_layout(fact.N, fact.K).order
+    order = fact.layout.order
     r = np.asarray(rhs, dtype=float).reshape(-1, BLOCK)[order]
     x, info = dpbtrs(fact.band, r.reshape(-1, 1), lower=1)
     if info != 0:
@@ -394,15 +385,14 @@ def corner_covariances(fact: BandedFactorization) -> CornerCovariances:
     """
     N, K = fact.N, fact.K
     nb = N * K
-    lay = _band_layout(N, K)
+    lay = fact.layout
     b = lay.width
     w = BLOCK * (b + 1)
     l_inv = np.linalg.inv(fact.L)
     xl = fact.X @ l_inv
     ltl = np.swapaxes(l_inv, 1, 2) @ l_inv
-    # band block columns, plus a trailing zero column for empty stencil slots
-    cols = np.empty((nb + 1, w, BLOCK))
-    cols[nb] = 0.0
+    # band block columns by matrix column, as `_BandLayout` keeps them
+    cols = np.empty((nb, BLOCK, w))
     buf = np.zeros((2 * w, 2 * w))
     o = w + BLOCK
     for p in range(nb - 1, -1, -1):
@@ -417,8 +407,12 @@ def corner_covariances(fact: BandedFactorization) -> CornerCovariances:
         win[BLOCK:, :BLOCK] = col
         win[:BLOCK, BLOCK:] = col.T
         win[:BLOCK, :BLOCK] = 0.5 * (diag + diag.T)
-        cols[p] = win[:, :BLOCK]
-    sig = np.take(cols, lay.to_stencil)
+        cols[p] = win[:BLOCK]
+    band = cols.reshape(nb, BLOCK, b + 1, BLOCK)
+    sig = np.zeros((nb * SLOTS, BLOCK, BLOCK))
+    for t, st, idx in lay.parts:
+        sig[st] = np.swapaxes(band[idx], 1, 2) if t else band[idx]
+    sig = sig.reshape(K, N, SLOTS, BLOCK, BLOCK)
     return CornerCovariances(N, K, sig[:, :, 0], sig[:, :, 1:])
 
 
@@ -431,6 +425,10 @@ class SolverOptions:
     max_iters: int = 50
     tol: float = 1e-8
     max_step_halvings: int = 8
+
+    def __post_init__(self):
+        if self.max_iters < 1:
+            raise ValueError("max_iters must be >= 1")
 
 
 @dataclass
@@ -514,13 +512,10 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
     tl = tf = ts = 0.0
     converged = False
     message = "iteration limit reached"
-    iterations = 0
-    fact = None
     system = None
     cost = None
 
-    for _ in range(opts.max_iters):
-        iterations += 1
+    for iterations in range(1, opts.max_iters + 1):
         if system is None:
             t = time.perf_counter()
             system = _linearize(geom, grid)
@@ -563,12 +558,6 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
         system = trial_system
         cost = system.cost
         trace.append(cost)
-
-    if fact is None:
-        system = _linearize(geom, grid)
-        cost = system.cost
-        trace.append(cost)
-        fact = factorize(system)
 
     report = ConvergenceReport(
         converged=converged, iterations=iterations,

@@ -2,14 +2,16 @@
 own readers, and the documented exit codes of the command-line entry point."""
 
 import dataclasses
+import io
 import json
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from stgp import cli
-from stgp.query import query_state
+from stgp.query import query_state, query_states
 from stgp.sim import GroundTruth
 from stgp.solver import ConvergenceReport, NotPositiveDefiniteError
 
@@ -113,6 +115,29 @@ def test_exit_invalid_schema_major(tmp_path):
                      str(tmp_path / "run")]) == cli.EXIT_INVALID
 
 
+@pytest.mark.parametrize("changes", [
+    {"n_space": 4.5}, {"max_iters": 2.5}, {"seed": "x"}, {"tol": "abc"},
+    {"n_time": True}, {"duration": float("inf")}, {"length": float("nan")},
+    {"max_iters": 0}, {"qt_diag": [1.0] * 5 + [float("nan")]},
+    {"sensors": [{"kind": "strain6", "std": float("nan"), "rate": 2.0,
+                  "locations": "knots"}]},
+    {"sensors": [{"kind": "position3", "std": 0.01,
+                  "samples": [[0.3, float("inf")]]}]},
+], ids=["n_space-float", "max_iters-float", "seed-str", "tol-str",
+        "n_time-bool", "duration-inf", "length-nan", "max_iters-0",
+        "qt_diag-nan", "std-nan", "sample-inf"])
+def test_exit_invalid_config_fields(tmp_path, capsys, changes):
+    """A config field of the wrong type, not finite or out of range exits 2
+    with one error line and nothing on standard output."""
+    cfg = write_config(tmp_path, **changes)
+    assert cli.main(["simulate", "--config", cfg, "--out",
+                     str(tmp_path / "run")]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid config:")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == ""
+
+
 def test_exit_invalid_posterior_major_1(run_dir, tmp_path, capsys):
     """A posterior of major version 1 (dense time-row superblocks) is
     refused, not misread."""
@@ -169,6 +194,31 @@ def test_exit_invalid_input_files(run_dir, tmp_path, capsys, what, content):
     assert err.startswith("error:") and len(err.splitlines()) == 1
 
 
+@pytest.mark.parametrize("field", ["value", "noise_cov"])
+def test_exit_invalid_nonfinite_measurement(run_dir, tmp_path, capsys,
+                                            field):
+    """A measurement whose value or noise covariance is not finite is
+    refused by the reader, before any estimation runs."""
+    _, out = run_dir
+    with open(os.path.join(out, "measurements.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    rec = next(r for r in raw["measurements"] if r["kind"] == "position3")
+    if field == "value":
+        rec["value"][0] = float("nan")
+    else:
+        rec["noise_cov"][1][1] = float("inf")
+    path = str(tmp_path / "measurements.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    assert cli.main(["estimate", "--config", CONFIG, "--out",
+                     str(tmp_path / "run"), "--measurements", path]) \
+        == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid measurements:")
+    assert "must be finite" in captured.err and captured.out == ""
+    assert not os.path.exists(tmp_path / "run" / "report.json")
+
+
 @pytest.mark.parametrize("keep", ["empty", "few", "half"])
 def test_exit_io_truncated_posterior(run_dir, tmp_path, capsys, keep):
     """A posterior.bin cut short cannot be read as an archive: exit 3."""
@@ -195,6 +245,79 @@ def test_exit_invalid_posterior_missing_array(run_dir, tmp_path, capsys):
     assert cli.main(["query", "--out", str(tmp_path), "--grid", "2x2"]) \
         == cli.EXIT_INVALID
     assert "sig_off" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("name", ["R", "t", "strain", "velocity", "sv",
+                                  "sig_diag", "sig_off", "s_knots",
+                                  "t_knots"])
+def test_exit_invalid_posterior_shapes(run_dir, tmp_path, capsys, name):
+    """An array cut short, so that its shape no longer fits the knot counts,
+    or knots that are not increasing or not finite are refused as a schema
+    violation: exit 2, naming the array."""
+    _, out = run_dir
+    with np.load(os.path.join(out, "posterior.bin")) as z:
+        payload = {k: z[k] for k in z.files}
+    if name == "s_knots":
+        payload[name] = payload[name][::-1]
+    elif name == "t_knots":
+        payload[name][1] = np.nan
+    else:
+        payload[name] = payload[name][:-1]
+    with open(tmp_path / "posterior.bin", "wb") as fh:
+        np.savez(fh, **payload)
+    assert cli.main(["query", "--out", str(tmp_path), "--grid", "2x2"]) \
+        == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and name in captured.err
+    assert captured.out == ""
+
+
+def test_query_grid_rows_match_one_batch(run_dir):
+    """cmd_query answers a grid slice by slice, yet prints byte for byte
+    the rows of one query_states call over all of its points."""
+    _, out = run_dir
+    buf = io.StringIO()
+    assert cli.cmd_query(out, grid_arg="7x5", stream=buf) == cli.EXIT_OK
+    post = cli.load_posterior(os.path.join(out, "posterior.bin"))
+    s = np.tile(np.linspace(post.grid.s_knots[0], post.grid.s_knots[-1], 7),
+                5)
+    t = np.repeat(np.linspace(post.grid.t_knots[0], post.grid.t_knots[-1],
+                              5), 7)
+    means, covs = query_states(post, s, t)
+    stds = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
+    rows = [cli.state_row(float(a), float(b), means[i], stds[i])
+            for i, (a, b) in enumerate(zip(s, t))]
+    header = ",".join(cli.STATE_COLUMNS + cli.STD_COLUMNS)
+    assert buf.getvalue().splitlines() == [header] + rows
+
+
+def test_query_grid_memory_per_point(run_dir, monkeypatch):
+    """cmd_query keeps a mean state and 24 standard deviations per point,
+    not its covariance.  The interpolation is replaced by a stand-in that
+    answers each call with fresh (P, 24, 24) covariances, so the traced
+    peak of a 30x30 grid, written to a stream that discards it, is what
+    the command itself holds, the loaded posterior included: below 1.5 KB
+    per point (the covariances alone take 4.6 KB)."""
+    _, out = run_dir
+
+    def answers(post, s, t):
+        return (post.grid.states.take(np.zeros(len(s), dtype=int)),
+                np.tile(np.eye(24), (len(s), 1, 1)))
+
+    class Discard:
+        def write(self, text):
+            pass
+
+    monkeypatch.setattr(cli, "query_states", answers)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        assert cli.cmd_query(out, grid_arg="30x30", stream=Discard()) \
+            == cli.EXIT_OK
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert peak < 1500 * 30 * 30
 
 
 @pytest.mark.parametrize("args", [["--grid", "0x3"], [], ["--s", "0.3"]])

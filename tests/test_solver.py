@@ -1,6 +1,8 @@
 """Block-banded normal equations: assembly, factorization backed by dense
 oracles, and the Gauss-Newton loop."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -12,9 +14,9 @@ from stgp.sensors import Measurement, NodeMeasurementFactor, \
     build_measurement_factors
 from stgp.sim import GroundTruth, generate_measurements
 from stgp.solver import (BLOCK, BlockBandedSystem, NotPositiveDefiniteError,
-                         SolverOptions, apply_update, assemble_band,
-                         corner_covariances, evaluate_cost, factorize,
-                         gauss_newton, linearize, solve_factorized,
+                         SolverOptions, _band_layout, apply_update,
+                         assemble_band, corner_covariances, evaluate_cost,
+                         factorize, gauss_newton, linearize, solve_factorized,
                          sweep_order)
 from conftest import (add_block, add_rhs, dense, factor_terms, matvec,
                       random_states, stencil_pairs)
@@ -57,12 +59,20 @@ def test_matvec_matches_dense():
         assert np.max(np.abs(matvec(system, x) - H @ x)) < 1e-9
 
 
-SHAPES = [(5, 3), (3, 5), (4, 4)]  # sweeps along s, along t, the N == K rule
+# sweeps along s, along t, the N == K rule, and thin grids whose bandwidth
+# is not min(N, K) + 1
+SHAPES = [(5, 3), (3, 5), (4, 4), (1, 4), (4, 1), (1, 1), (2, 2), (2, 6)]
 
 
 def scalar_order(N, K):
     """The sweep order as a permutation of the 24NK scalar unknowns."""
     return (BLOCK * sweep_order(N, K)[:, None] + np.arange(BLOCK)).ravel()
+
+
+def band_width(N, K):
+    """Largest distance in the sweep order between stencil neighbours."""
+    pos = np.argsort(sweep_order(N, K))
+    return max(abs(pos[i] - pos[j]) for i, j in stencil_pairs(N, K))
 
 
 @pytest.mark.parametrize("N,K", SHAPES)
@@ -72,10 +82,13 @@ def test_sweep_order_round_trips(N, K):
     pos = np.argsort(order)
     assert np.array_equal(order[pos], np.arange(N * K))
     # the faster index runs along the shorter axis (time when N == K)
-    assert np.array_equal(order[:2], [0, N] if N > K else [0, 1])
-    # stencil neighbours are at most min(N, K) + 1 positions apart
-    gaps = [abs(pos[i] - pos[j]) for i, j in stencil_pairs(N, K)]
-    assert max(gaps) == min(N, K) + 1
+    k, n = np.divmod(order, N)
+    slow, fast = (n, k) if N > K else (k, n)
+    assert np.array_equal(np.lexsort((fast, slow)), np.arange(N * K))
+    # stencil neighbours are min(N, K) + 1 positions apart at most when both
+    # axes have two knots or more, 1 along a single row or column
+    assert band_width(N, K) == (min(N, K) + 1 if min(N, K) > 1
+                                else int(N * K > 1))
 
 
 @pytest.mark.parametrize("N,K", SHAPES)
@@ -88,7 +101,8 @@ def test_band_matches_permuted_dense(N, K):
     A = dense(system)[np.ix_(perm, perm)]
     ab = assemble_band(system)
     kd, n = ab.shape[0] - 1, ab.shape[1]
-    assert kd == BLOCK * (min(N, K) + 2) - 1
+    b = band_width(N, K)
+    assert kd == BLOCK * (b + 1) - 1
     ref = np.zeros_like(ab)
     for r in range(kd + 1):
         ref[r, :n - r] = np.diagonal(A, -r)
@@ -96,14 +110,20 @@ def test_band_matches_permuted_dense(N, K):
     fact = factorize(system)
     L, X = fact.L, fact.X
     C = np.linalg.cholesky(A)
-    b = min(N, K) + 1
     for p in range(N * K):
         a = BLOCK * p
         assert np.max(np.abs(L[p] - C[a:a + BLOCK, a:a + BLOCK])) < 1e-12
         panel = np.zeros((BLOCK * b, BLOCK))
         rows = C[a + BLOCK:a + BLOCK * (b + 1), a:a + BLOCK]
         panel[:len(rows)] = rows
-        assert np.max(np.abs(X[p] - panel)) < 1e-12
+        assert np.all(np.abs(X[p] - panel) < 1e-12)  # b = 0: no panel
+
+
+@pytest.mark.parametrize("N,K", [(41, 11), (11, 41)])
+def test_band_layout_is_linear_in_nodes(N, K):
+    """The stencil reaches the band through a few ints per stored block:
+    the whole layout, pickled, stays under 256 bytes per node."""
+    assert len(pickle.dumps(_band_layout(N, K))) < 256 * N * K
 
 
 # linearization against brute-force normal equations
@@ -388,6 +408,8 @@ def test_gn_iteration_cap_reported(identity_params):
     assert not post.report.converged
     assert post.report.iterations == 2
     assert "iteration limit" in post.report.message
+    with pytest.raises(ValueError, match="max_iters must be >= 1"):
+        SolverOptions(max_iters=0)
 
 
 # marginal covariances from the factorization
