@@ -32,11 +32,14 @@ positive definite; 2 invalid input, which is one of
   config         a field missing or out of range; an integer field (n_space,
                  n_time, seed, refinement, max_iters) not an integer; a
                  number (a prior diagonal and a sensor's std, rate, samples
-                 and locations included) not finite; max_iters < 1
+                 and locations included) not finite; max_iters < 1; tol <= 0
+                 (tol bounds the Gauss-Newton decrement at convergence, in
+                 chi-square units of the cost)
   measurements   a record malformed, or its value or noise_cov not finite
   query          a point out of the hull or not finite
   posterior.bin  an array missing or of a shape that does not fit the knot
-                 counts, or knots not finite and increasing
+                 counts, knots not finite and increasing, or the prior mean
+                 state mis-shaped or not finite
 Failures write no standard output.
 """
 
@@ -68,7 +71,7 @@ from .solver import (BLOCK, SLOTS, ConvergenceReport, CornerCovariances,
 # (major, minor) of each artifact kind
 SCHEMA_VERSIONS = {"config": (1, 0), "measurements": (1, 0),
                    "ground_truth": (1, 0), "estimate": (1, 0),
-                   "report": (1, 0), "posterior": (2, 0)}
+                   "report": (1, 1), "posterior": (2, 0)}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -264,8 +267,9 @@ def save_posterior(path: str, post: Posterior, report_dict: dict) -> None:
 def load_posterior(path: str) -> Posterior:
     """The posterior archive at `path`.  OSError when it cannot be read as
     an archive, SchemaError when it lacks an array or a report field, when
-    its knots are not finite and increasing or when an array's shape does
-    not fit the knot counts."""
+    its knots are not finite and increasing, when an array's shape does
+    not fit the knot counts or when the prior mean state is mis-shaped or
+    not finite.  A report of stgp.report/1.0 loads with no decrements."""
     if not zipfile.is_zipfile(path):  # also false for a missing file
         raise OSError(f"cannot read {path}: missing or not a zip archive")
     try:
@@ -282,7 +286,9 @@ def load_posterior(path: str) -> Posterior:
             shapes = dict(R=(N * K, 3, 3), t=(N * K, 3), strain=(N * K, 6),
                           velocity=(N * K, 6), sv=(N * K, 6),
                           sig_diag=(K, N, BLOCK, BLOCK),
-                          sig_off=(K, N, SLOTS - 1, BLOCK, BLOCK))
+                          sig_off=(K, N, SLOTS - 1, BLOCK, BLOCK),
+                          mean_R=(3, 3), mean_t=(3,), mean_strain=(6,),
+                          mean_velocity=(6,), mean_sv=(6,))
             arrays = {name: z[name] for name in shapes}
             for name, shape in shapes.items():
                 got = arrays[name].shape
@@ -291,14 +297,21 @@ def load_posterior(path: str) -> Posterior:
                                       f"{got}, expected {shape}")
             states = StateArrays(arrays["R"], arrays["t"], arrays["strain"],
                                  arrays["velocity"], arrays["sv"])
-            mean = NodeState(Pose(z["mean_R"], z["mean_t"]),
-                             z["mean_strain"], z["mean_velocity"], z["mean_sv"])
+            for name in shapes:
+                if name.startswith("mean_") \
+                        and not np.all(np.isfinite(arrays[name])):
+                    raise SchemaError(f"posterior {path}: {name} not finite")
+            mean = NodeState(Pose(arrays["mean_R"], arrays["mean_t"]),
+                             arrays["mean_strain"], arrays["mean_velocity"],
+                             arrays["mean_sv"])
             params = PriorParams(qs_psd=z["qs_psd"], qt_psd=z["qt_psd"],
                                  qst_psd=z["qst_psd"], p0=z["p0"],
                                  prior_mean=mean)
             cov = CornerCovariances(N, K, arrays["sig_diag"],
                                     arrays["sig_off"])
             rep = json.loads(str(z["report"]))
+        if rep.get("schema") == "stgp.report/1.0":
+            rep.setdefault("decrements", [])  # added in 1.1
         fields = dataclasses.fields(ConvergenceReport)
         report = ConvergenceReport(**{f.name: rep[f.name] for f in fields})
     except zipfile.BadZipFile as exc:

@@ -96,7 +96,13 @@ def rate_schedule(rate: float, duration: float) -> np.ndarray:
 
 @dataclass
 class ScenarioConfig:
-    """Everything one experiment needs: robot, grid, prior, sensors, solver."""
+    """Everything one experiment needs: robot, grid, prior, sensors, solver.
+
+    `tol` (> 0) ends Gauss-Newton once the decrement delta^T H delta, the
+    cost decrease the linearized step predicts, falls below it, in
+    chi-square units: the returned state is then within sqrt(tol)
+    posterior standard deviations of the next iterate at every node.
+    """
 
     length: float
     n_space: int
@@ -132,6 +138,8 @@ class ScenarioConfig:
             raise ValueError("duration must be positive for K > 1")
         if self.period <= 0:
             raise ValueError("period must be > 0")
+        if self.tol <= 0:
+            raise ValueError("tol must be > 0")
         if np.any(self.qs_diag <= 0) or np.any(self.qt_diag <= 0) \
                 or np.any(self.qst_diag <= 0) or np.any(self.p0_diag <= 0):
             raise ValueError("prior PSD diagonals must be positive")

@@ -36,6 +36,14 @@ def test_fig3_position_rmse(fig3):
     assert 1e3 * np.sqrt(np.mean(sq)) < 4.0
 
 
+def test_fig3_iterations(fig3):
+    """The decrement stop ends Gauss-Newton at iteration 7: the decrement
+    reads 1.9e-8 at iteration 6 and 3.2e-10 at 7."""
+    post, _ = fig3
+    assert post.report.iterations <= 7
+    assert sum(post.report.halvings) == 0
+
+
 def test_fig3_nees(fig3):
     """Mean per-node 24-dim NEES over 24; measured 0.40.  The node error is
     the truth's chart about the estimated pose minus the estimate's own."""

@@ -71,6 +71,35 @@ def test_loaded_report_matches_report_json(run_dir):
     for f in dataclasses.fields(ConvergenceReport):
         assert getattr(post.report, f.name) == report[f.name], f.name
     assert post.report.time_total > 0
+    assert report["schema"] == "stgp.report/1.1"
+    assert len(post.report.decrements) == post.report.iterations
+    assert 0 <= post.report.decrements[-1] < post.report.decrements[0]
+
+
+def test_loads_report_1_0_without_decrements(run_dir, tmp_path):
+    """A posterior whose embedded report predates the decrements
+    (stgp.report/1.0) loads with none and every other field intact."""
+    _, out = run_dir
+    with np.load(os.path.join(out, "posterior.bin")) as z:
+        payload = {k: z[k] for k in z.files}
+    report = json.loads(str(payload["report"]))
+    del report["decrements"]
+    report["schema"] = "stgp.report/1.0"
+    payload["report"] = json.dumps(report, sort_keys=True)
+    with open(tmp_path / "posterior.bin", "wb") as fh:
+        np.savez(fh, **payload)
+    post = cli.load_posterior(str(tmp_path / "posterior.bin"))
+    assert post.report.decrements == []
+    for f in dataclasses.fields(ConvergenceReport):
+        if f.name != "decrements":
+            assert getattr(post.report, f.name) == report[f.name], f.name
+    # a 1.1 report must carry them
+    report["schema"] = "stgp.report/1.1"
+    payload["report"] = json.dumps(report, sort_keys=True)
+    with open(tmp_path / "posterior.bin", "wb") as fh:
+        np.savez(fh, **payload)
+    with pytest.raises(cli.SchemaError, match="decrements"):
+        cli.load_posterior(str(tmp_path / "posterior.bin"))
 
 
 def test_posterior_round_trips_bit_for_bit(linear_posterior, tmp_path):
@@ -118,14 +147,15 @@ def test_exit_invalid_schema_major(tmp_path):
 @pytest.mark.parametrize("changes", [
     {"n_space": 4.5}, {"max_iters": 2.5}, {"seed": "x"}, {"tol": "abc"},
     {"n_time": True}, {"duration": float("inf")}, {"length": float("nan")},
-    {"max_iters": 0}, {"qt_diag": [1.0] * 5 + [float("nan")]},
+    {"max_iters": 0}, {"tol": 0}, {"tol": -1e-8},
+    {"qt_diag": [1.0] * 5 + [float("nan")]},
     {"sensors": [{"kind": "strain6", "std": float("nan"), "rate": 2.0,
                   "locations": "knots"}]},
     {"sensors": [{"kind": "position3", "std": 0.01,
                   "samples": [[0.3, float("inf")]]}]},
 ], ids=["n_space-float", "max_iters-float", "seed-str", "tol-str",
         "n_time-bool", "duration-inf", "length-nan", "max_iters-0",
-        "qt_diag-nan", "std-nan", "sample-inf"])
+        "tol-0", "tol-negative", "qt_diag-nan", "std-nan", "sample-inf"])
 def test_exit_invalid_config_fields(tmp_path, capsys, changes):
     """A config field of the wrong type, not finite or out of range exits 2
     with one error line and nothing on standard output."""
@@ -249,18 +279,22 @@ def test_exit_invalid_posterior_missing_array(run_dir, tmp_path, capsys):
 
 @pytest.mark.parametrize("name", ["R", "t", "strain", "velocity", "sv",
                                   "sig_diag", "sig_off", "s_knots",
-                                  "t_knots"])
+                                  "t_knots", "mean_R", "mean_t",
+                                  "mean_strain", "mean_velocity", "mean_sv",
+                                  "mean_R-nan", "mean_sv-nan"])
 def test_exit_invalid_posterior_shapes(run_dir, tmp_path, capsys, name):
-    """An array cut short, so that its shape no longer fits the knot counts,
-    or knots that are not increasing or not finite are refused as a schema
-    violation: exit 2, naming the array."""
+    """An array cut short, so that its shape no longer fits the knot counts
+    or, for the prior mean state, its (3, 3), (3,) or (6,) shape, knots
+    that are not increasing, or knots or a prior mean array that are not
+    finite are refused as a schema violation: exit 2, naming the array."""
     _, out = run_dir
+    name, _, edit = name.partition("-")
     with np.load(os.path.join(out, "posterior.bin")) as z:
         payload = {k: z[k] for k in z.files}
     if name == "s_knots":
         payload[name] = payload[name][::-1]
-    elif name == "t_knots":
-        payload[name][1] = np.nan
+    elif name == "t_knots" or edit == "nan":
+        payload[name].flat[1] = np.nan
     else:
         payload[name] = payload[name][:-1]
     with open(tmp_path / "posterior.bin", "wb") as fh:

@@ -368,6 +368,26 @@ def test_gn_converges_with_nonincreasing_cost():
     assert np.linalg.norm(est - ref) < 0.01
 
 
+def test_gn_stop_bounds_next_step_in_posterior_sigma():
+    """At the returned state one more Gauss-Newton step moves no node by
+    more than sqrt(tol) posterior standard deviations, measured with the
+    posterior's own node marginals, and the last decrement is below tol."""
+    cfg, params, truth, grid, factors = small_scenario()
+    post = gauss_newton(grid, factors, params,
+                        SolverOptions(max_iters=cfg.max_iters, tol=cfg.tol))
+    rep = post.report
+    assert rep.converged and "decrement" in rep.message
+    assert len(rep.decrements) == rep.iterations
+    assert 0 <= rep.decrements[-1] < cfg.tol
+    system = linearize(factors, post.grid)
+    delta = solve_factorized(factorize(system), system.rhs_flat())
+    dn = delta.reshape(-1, BLOCK, 1)
+    mah = dn.swapaxes(1, 2) @ np.linalg.solve(post.node_marginals, dn)
+    assert np.sqrt(np.max(mah)) <= np.sqrt(cfg.tol)
+    with pytest.raises(ValueError, match="tol must be > 0"):
+        SolverOptions(tol=0.0)
+
+
 def test_gn_update_applies_in_each_node_chart(params):
     grid = build_grid([0.0, 0.5], [0.0], params.prior_mean)
     delta = np.zeros(2 * BLOCK)
