@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .liegroup import (Pose, ad6, adjoint, dleft_jacobian_inv_vec, se3_exp,
+from .liegroup import (Pose, ad6, dleft_jacobian_inv_vec, se3_exp,
                        se3_left_jacobian, se3_left_jacobian_inv, so3_log,
                        so3_left_jacobian_inv)
 
@@ -247,11 +247,10 @@ def encode_with_jacobians_batch(sa: StateArrays, Rb: np.ndarray, tb: np.ndarray,
     B = xi.shape[:-1]
     enc = np.zeros(B + (24, 24))
     enc[..., 0:6, 0:6] = jli
-    ad_rel = adjoint(se3_exp(xi))
-    jr_inv = jli @ ad_rel
+    # J_l^{-1}(xi) Ad(exp xi) = J_l^{-1}(-xi): the series' one odd term flips
+    jr_inv = jli + ad6(xi)
     bm = np.zeros(B + (24, 6))
     bm[..., 0:6, :] = -jr_inv
-    # one series sweep for all three transported derivatives
     dvs = dleft_jacobian_inv_vec(xi[..., None, :], vs)
     own = dvs @ jli_s - 0.5 * (jli_s @ ad6(vs))
     base = -(dvs @ jr_inv[..., None, :, :])

@@ -1,14 +1,35 @@
 """Rotation and rigid-motion kernels against series and matrix-exponential
 references."""
 
+from fractions import Fraction
+from math import comb, factorial
+
 import numpy as np
+import pytest
 from scipy.linalg import expm
 
-from stgp.liegroup import (Pose, _djac_vec_series, ad6, adjoint,
-                           dleft_jacobian_inv_vec, hat3,
+from stgp.liegroup import (Pose, ad6, adjoint, dleft_jacobian_inv_vec, hat3,
                            quaternion_to_rotation, rotation_to_quaternion,
                            se3_exp, se3_left_jacobian, se3_left_jacobian_inv,
-                           se3_log, so3_exp, so3_left_jacobian, so3_log)
+                           se3_log, so3_exp, so3_left_jacobian,
+                           so3_left_jacobian_inv, so3_log)
+
+
+def bernoulli_exact(nmax: int):
+    """B_0..B_nmax (B_1 = -1/2) as fractions, from sum_k C(m+1, k) B_k = 0."""
+    b = [Fraction(1)]
+    for m in range(1, nmax + 1):
+        b.append(-sum(comb(m + 1, k) * b[k] for k in range(m)) / (m + 1))
+    return b
+
+
+NMAX = 80
+# B_n/n!: J_l^{-1}(xi) = sum_n B_n/n! ad(xi)^n, for |phi| < 2 pi.  Exact:
+# scipy.special.bernoulli is off by 1.7e-12 at B_4.
+BERNOULLI_OVER_FACT = np.array([float(b / factorial(n)) for n, b in
+                                enumerate(bernoulli_exact(NMAX))])
+# 1/(n+1)!: J_l(xi) = sum_n ad(xi)^n / (n+1)!
+INV_FACT_SHIFTED = np.array([1.0 / factorial(n + 1) for n in range(NMAX + 1)])
 
 
 def vee3(m: np.ndarray) -> np.ndarray:
@@ -22,13 +43,48 @@ def se3_hat(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def dleft_jacobian_vec(xi: np.ndarray, v: np.ndarray,
-                       nmax: int = 60) -> np.ndarray:
-    """Directional-derivative matrix of J_l(xi) @ v with respect to xi, by
-    the series that `dleft_jacobian_inv_vec` sums with 1/(n+1)! terms."""
-    fact = np.cumprod(np.concatenate(([1.0], np.arange(1.0, nmax + 2))))
-    coeffs = 1.0 / fact[1:]  # 1/(n+1)! at index n
-    return _djac_vec_series(xi, v, np.concatenate(([1.0], coeffs[1:])), nmax)
+def series_power(m: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """sum_n coeffs[n] m^n, term by term."""
+    out = np.zeros(m.shape)
+    term = np.broadcast_to(np.eye(m.shape[-1]), m.shape)
+    for c in coeffs:
+        out = out + c * term
+        term = term @ m
+    return out
+
+
+def djac_vec_series(xi: np.ndarray, v: np.ndarray,
+                    coeffs: np.ndarray) -> np.ndarray:
+    """d/dxi [sum_n coeffs[n] ad(xi)^n v], term by term, by the recurrence
+    D_n = -ad(w_{n-1}) + ad(xi) D_{n-1},  w_n = ad(xi)^n v."""
+    p = ad6(xi)
+    w = np.asarray(v, dtype=float)
+    d = np.zeros(xi.shape[:-1] + (6, 6))
+    acc = np.zeros_like(d)
+    for c in coeffs[1:]:
+        d = -ad6(w) + p @ d
+        w = np.squeeze(p @ w[..., None], -1)
+        acc = acc + c * d
+    return acc
+
+
+def dleft_jacobian_vec(xi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """Directional-derivative matrix of J_l(xi) @ v with respect to xi."""
+    return djac_vec_series(xi, v, INV_FACT_SHIFTED)
+
+
+def twists_at_angles(seed: int, angles: np.ndarray) -> np.ndarray:
+    """Random twists with the given angular norms (standard normal rho)."""
+    rng = np.random.default_rng(seed)
+    xi = rng.standard_normal((len(angles), 6))
+    xi[:, 3:] *= (angles / np.linalg.norm(xi[:, 3:], axis=1))[:, None]
+    return xi
+
+
+def max_rel(a: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Per item: the largest entry error over the largest reference entry."""
+    axes = (-2, -1)
+    return np.max(np.abs(a - ref), axis=axes) / np.max(np.abs(ref), axis=axes)
 
 
 def random_twists(seed: int, n: int, max_angle: float) -> np.ndarray:
@@ -207,14 +263,12 @@ def test_left_jacobian_zero_is_identity():
 def test_left_jacobian_matches_series():
     # J_l(xi) = sum_n ad(xi)^n / (n+1)!
     for xi in random_twists(17, 30, 0.8 * np.pi):
-        ref = np.zeros((6, 6))
-        term = np.eye(6)
-        fact = 1.0
-        for n in range(60):
-            fact *= (n + 1)
-            ref += term / fact
-            term = term @ ad6(xi)
+        ref = series_power(ad6(xi), INV_FACT_SHIFTED)
         assert np.allclose(se3_left_jacobian(xi), ref, atol=1e-12)
+    # just either side of the small-angle switch, where cos t - 1 cancels
+    xi = twists_at_angles(28, np.repeat([0.0099, 0.0101, 0.02], 20))
+    ref = series_power(ad6(xi), INV_FACT_SHIFTED)
+    assert np.max(max_rel(se3_left_jacobian(xi), ref)) < 1e-13
 
 
 def test_left_jacobian_inverse_pairing():
@@ -249,10 +303,37 @@ def test_so3_left_jacobian_series():
         assert np.allclose(so3_left_jacobian(phi), ref, atol=1e-12)
 
 
+def test_so3_left_jacobian_inv_near_pi():
+    # (1 + cos t) / sin t is 0/0 at pi
+    phi = twists_at_angles(29, np.repeat([3.0, np.pi - 1e-4, np.pi - 1e-7],
+                                         10))[:, 3:]
+    ref = series_power(hat3(phi), BERNOULLI_OVER_FACT)
+    assert np.max(max_rel(so3_left_jacobian_inv(phi), ref)) < 1e-13
+
+
+ANGLE_BUCKETS = {
+    "zero": lambda rng, n: np.zeros(n),
+    "below-1e-6": lambda rng, n: 10.0 ** rng.uniform(-12, -6, n),
+    "1e-6-to-1e-2": lambda rng, n: 10.0 ** rng.uniform(-6, -2, n),
+    "1e-2-to-1": lambda rng, n: rng.uniform(1e-2, 1.0, n),
+    "1-to-0.9pi": lambda rng, n: rng.uniform(1.0, 0.9 * np.pi, n),
+    "0.9pi-to-pi": lambda rng, n: rng.uniform(0.9 * np.pi, np.pi, n),
+}
+
+
+@pytest.mark.parametrize("bucket", list(ANGLE_BUCKETS))
+def test_dleft_jacobian_inv_vec_matches_series(bucket):
+    rng = np.random.default_rng(30)
+    xi = twists_at_angles(31, ANGLE_BUCKETS[bucket](rng, 1000))
+    v = rng.standard_normal((1000, 6))
+    ref = djac_vec_series(xi, v, BERNOULLI_OVER_FACT)
+    assert np.max(max_rel(dleft_jacobian_inv_vec(xi, v), ref)) < 1e-13
+
+
 def test_dleft_jacobian_vec_directional():
     # D(xi, v) delta = d/da [J_l(xi + a*delta) v] at a = 0
     rng = np.random.default_rng(22)
-    for xi in random_twists(23, 10, 0.6 * np.pi):
+    for xi in random_twists(23, 10, 0.9 * np.pi):
         v = rng.standard_normal(6)
         D = dleft_jacobian_vec(xi, v)
         Di = dleft_jacobian_inv_vec(xi, v)

@@ -12,7 +12,7 @@ from scipy.integrate import quad
 
 import stgp.prior as P
 from stgp.graph import Grid, build_grid
-from stgp.liegroup import Pose
+from stgp.liegroup import Pose, ad6, se3_left_jacobian_inv
 from stgp.oracle import (k_matrix, phi_cell, q_binary_s, q_binary_t,
                          q_quaternary)
 from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
@@ -190,6 +190,32 @@ def test_chart_decode_batch_roundtrip():
     one = chart_decode_batch(z[3:4], Rb[3:4], tb[3:4])[0]
     assert np.array_equal(one.pose.R, got.R[3])
     assert np.array_equal(one.strain_velocity, got.sv[3])
+
+
+def test_left_jacobian_inv_of_negated_twist():
+    """J_l^{-1}(-xi) = J_l^{-1}(xi) + ad(xi), the J_r^{-1} that
+    `encode_with_jacobians_batch` uses, over the whole chart range."""
+    rng = np.random.default_rng(40)
+    xi = rng.standard_normal((500, 6))
+    xi[:, 3:] *= (np.linspace(0.0, P.CHART_ANGLE_LIMIT, 500)
+                  / np.linalg.norm(xi[:, 3:], axis=1))[:, None]
+    lhs = se3_left_jacobian_inv(-xi)
+    err = np.abs(se3_left_jacobian_inv(xi) + ad6(xi) - lhs)
+    assert np.max(err.max(axis=(1, 2)) / np.abs(lhs).max(axis=(1, 2))) < 1e-14
+
+
+def test_encode_batch_of_one_is_bitwise():
+    """Each item's chart and Jacobians come out bit for bit as they do in a
+    batch of one: nothing in the kernel mixes items of the batch."""
+    sa = StateArrays.from_states(random_states(41, 50, angle=2.0, trans=1.0,
+                                               deriv=1.0))
+    base = StateArrays.from_states(random_states(42, 50, angle=0.5))
+    full = P.encode_with_jacobians_batch(sa, base.R, base.t)
+    for i in range(50):
+        one = P.encode_with_jacobians_batch(sa.take([i]), base.R[i:i + 1],
+                                            base.t[i:i + 1])
+        for a, b in zip(one, full):
+            assert np.array_equal(a[0], b[i])
 
 
 def test_chart_range_error():
