@@ -24,10 +24,11 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .prior import (NodeState, PriorParams, StateArrays, binary_batch,
-                    chart_decode_batch, encode_with_jacobians_batch,
-                    phi_s_batch, phi_t_batch, q_binary_s_inv, q_binary_t_inv,
-                    q_quaternary_inv, quaternary_batch, unary_batch)
+from .prior import (NodeState, PriorParams, StateArrays, apply_phi_s,
+                    apply_phi_t, binary_batch, chart_decode_batch,
+                    encode_with_jacobians_batch, phi_s_batch, phi_t_batch,
+                    q_binary_s_inv, q_binary_t_inv, q_quaternary_inv,
+                    quaternary_batch, unary_batch)
 
 
 @dataclass
@@ -75,10 +76,6 @@ def _check_knots(knots: np.ndarray, name: str):
         raise ValueError(f"{name} must be strictly increasing")
 
 
-def _mv(m: np.ndarray, v: np.ndarray) -> np.ndarray:
-    return np.squeeze(m @ v[..., None], -1)
-
-
 def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
                init: Union[NodeState, Callable[[float, float], NodeState]]) -> Grid:
     """Lay out the lattice and initialize every node.
@@ -111,17 +108,17 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
         row, col, inner = k == 0, n == 0, (n > 0) & (k > 0)
         base = sa.take(i - N * (k > 0) - (n > 0))
         z = base.chart_origin()
-        z[row] = _mv(phi_s_batch(ds[n[row] - 1]), z[row])
-        z[col] = _mv(phi_t_batch(dt[k[col] - 1]), z[col])
+        z[row] = apply_phi_s(ds[n[row] - 1], z[row])
+        z[col] = apply_phi_t(dt[k[col] - 1], z[col])
         if inner.any():
-            ps = phi_s_batch(ds[n[inner] - 1])
-            pt = phi_t_batch(dt[k[inner] - 1])
+            dsi, dti = ds[n[inner] - 1], dt[k[inner] - 1]
             Rb, tb = base.R[inner], base.t[inner]
             z10 = encode_with_jacobians_batch(sa.take(i[inner] - N), Rb, tb,
                                               want_jac=False)[0]
             z01 = encode_with_jacobians_batch(sa.take(i[inner] - 1), Rb, tb,
                                               want_jac=False)[0]
-            z[inner] = _mv(ps, z01) + _mv(pt, z10) - _mv(pt @ ps, z[inner])
+            z[inner] = (apply_phi_s(dsi, z01) + apply_phi_t(dti, z10)
+                        - apply_phi_t(dti, apply_phi_s(dsi, z[inner])))
         sa.put(i, chart_decode_batch(z, base.R, base.t))
     return Grid(s_knots, t_knots, sa)
 

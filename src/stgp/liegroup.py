@@ -9,10 +9,29 @@ Conventions, fixed once here and relied on everywhere else:
   ambiguous; we return the axis whose first nonzero component is positive.
 * Closed-form small-angle branches switch below ANGLE_EPS; the series forms
   used there agree with the closed forms to well under 1e-12.
-* ad = ad6(xi) satisfies ad^5 + 2u ad^3 + u^2 ad = 0, u = |phi|^2, so the
-  Bernoulli series of J_l^{-1} is I - ad/2 + c2(u) ad^2 + c4(u) ad^4 (Barfoot
-  & Furgale, IEEE T-RO 2014); 30 terms of c2, c4 in u reach double precision
-  for |phi| <= pi, and charts stay below 0.9 pi (prior.CHART_ANGLE_LIMIT).
+
+Where each Jacobian comes from:
+
+* Inverse left Jacobians, from the ad polynomial.  ad = ad6(xi) satisfies
+  ad^5 + 2u ad^3 + u^2 ad = 0, u = |phi|^2, so the Bernoulli series of
+  J_l^{-1} is I - ad/2 + c2(u) ad^2 + c4(u) ad^4 (Barfoot & Furgale, IEEE
+  T-RO 2014), and since hat(phi)^4 = -u hat(phi)^2 the SO(3) one is
+  I - hat(phi)/2 + (c2 - u c4) hat(phi)^2.  30 terms of c2, c4 in u reach
+  double precision for |phi| <= pi, the domain of se3_left_jacobian_inv,
+  so3_left_jacobian_inv and dleft_jacobian_inv_vec; their callers stay in
+  it (se3_log returns angles up to pi, charts stay below
+  prior.CHART_ANGLE_LIMIT = 0.9 pi).
+* Left Jacobians and exponentials, from closed forms in the angle (with the
+  small-angle series above): so3_exp, so3_left_jacobian, se3_exp and
+  se3_exp_with_jacobian, valid at any angle, because a Gauss-Newton step
+  decoded through them can turn a chart past pi.
+
+so3_log takes the angle as atan2(|vee(R - R^T)|/2, (tr R - 1)/2) and the
+vector as angle/sin(angle) * vee(R - R^T)/2.  The axis of that vee loses
+relative accuracy as 1/sin(angle), so items with cos(angle) below
+SO3_LOG_QUAT_COS (angles above about 0.955 pi) take angle and axis from the
+unit quaternion instead, which also fixes the sign at exactly pi.  On the
+vee side of the switch the two routes agree to within 1e-15 per radian.
 
 All functions broadcast over leading batch dimensions; a bare (3,) / (3,3) /
 (6,) / (4,4) input returns an unbatched result.
@@ -24,8 +43,11 @@ import numpy as np
 from scipy.special import zeta
 
 ANGLE_EPS = 1e-2
-# Angular norm above which left-Jacobian inverses are refused (singular at 2*pi).
-JACOBIAN_INV_ANGLE_LIMIT = 2.0 * np.pi - 1e-6
+# cos(angle) below which so3_log takes the quaternion route (module docstring)
+SO3_LOG_QUAT_COS = -0.99
+
+_I3 = np.eye(3)
+_I6 = np.eye(6)
 
 
 def _jinv_series(terms: int = 30) -> np.ndarray:
@@ -41,19 +63,43 @@ def _jinv_series(terms: int = 30) -> np.ndarray:
 
 
 _JINV_SERIES = _jinv_series()
+_JINV_POWERS = np.arange(_JINV_SERIES.shape[1])
+
+
+def jinv_coeffs(u: np.ndarray) -> np.ndarray:
+    """(4, ...) array of c2, c4, dc2/du and dc4/du at u = |phi|^2 <= pi^2.
+    Each item sums its own series, so its bits do not depend on its batch."""
+    u = np.asarray(u, dtype=float)[..., None, None]
+    return np.moveaxis(np.sum(u ** _JINV_POWERS * _JINV_SERIES, axis=-1), -1, 0)
+
+
+def _skew_scatter(n: int, blocks):
+    """Flat destinations, sources and signs of the nonzeros of an n x n
+    matrix made of skew blocks; each block is (row, col, first source)."""
+    pattern = ((0, 1, 2, -1), (0, 2, 1, 1), (1, 0, 2, 1), (1, 2, 0, -1),
+               (2, 0, 1, -1), (2, 1, 0, 1))
+    dst, src, sign = zip(*[(n * (r0 + r) + c0 + c, s0 + s, g)
+                           for r0, c0, s0 in blocks
+                           for r, c, s, g in pattern])
+    return n, np.array(dst), np.array(src), np.array(sign, dtype=float)
+
+
+_HAT3 = _skew_scatter(3, [(0, 0, 0)])
+_AD6 = _skew_scatter(6, [(0, 0, 3), (0, 3, 0), (3, 3, 3)])
+
+
+def _scatter(v: np.ndarray, layout) -> np.ndarray:
+    """The n x n skew-block matrix of each vector in v, in one scatter."""
+    n, dst, src, sign = layout
+    v = np.asarray(v, dtype=float)
+    out = np.zeros(v.shape[:-1] + (n * n,))
+    out[..., dst] = v[..., src] * sign
+    return out.reshape(v.shape[:-1] + (n, n))
 
 
 def hat3(v: np.ndarray) -> np.ndarray:
     """Skew matrix of a 3-vector: hat3(a) @ b == cross(a, b)."""
-    v = np.asarray(v, dtype=float)
-    out = np.zeros(v.shape[:-1] + (3, 3))
-    out[..., 0, 1] = -v[..., 2]
-    out[..., 0, 2] = v[..., 1]
-    out[..., 1, 0] = v[..., 2]
-    out[..., 1, 2] = -v[..., 0]
-    out[..., 2, 0] = -v[..., 1]
-    out[..., 2, 1] = v[..., 0]
-    return out
+    return _scatter(v, _HAT3)
 
 
 def _sinc_coeffs(theta: np.ndarray):
@@ -133,14 +179,11 @@ def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def so3_log(r: np.ndarray) -> np.ndarray:
-    """Rotation vector of R, angle in [0, pi].
-
-    Goes through the quaternion so the axis stays accurate arbitrarily close
-    to pi.  In the exact-pi branch (where +/-axis give the same rotation) the
-    sign is canonicalized: first nonzero axis component positive.
-    """
-    r = np.asarray(r, dtype=float)
+def _so3_log_quaternion(r: np.ndarray):
+    """so3_log_angle's route near pi: (rotation vector, angle) of (B, 3, 3)
+    rotations through the unit quaternion, whose axis stays accurate
+    arbitrarily close to pi.  At pi (where +/-axis give the same rotation)
+    the sign is canonicalized: first nonzero axis component positive."""
     q = rotation_to_quaternion(r)
     w = q[..., 0]
     vec = q[..., 1:]
@@ -156,7 +199,6 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     if np.any(at_pi):
         axis = vec / safe_n[..., None]
         first = np.zeros(axis.shape[:-1])
-        sign = np.ones(axis.shape[:-1])
         for k in (2, 1, 0):
             comp = axis[..., k]
             use = np.abs(comp) > 1e-12
@@ -164,7 +206,32 @@ def so3_log(r: np.ndarray) -> np.ndarray:
         sign = np.where(first < 0, -1.0, 1.0)
         phi_pi = (theta * sign)[..., None] * axis
         phi = np.where(at_pi[..., None], phi_pi, phi)
-    return phi
+    return phi, theta
+
+
+def so3_log_angle(r: np.ndarray):
+    """Rotation vector of R and its angle in [0, pi]: atan2 of the vee of
+    R - R^T against the trace, or the quaternion route where cos(angle) <
+    SO3_LOG_QUAT_COS (module docstring)."""
+    r = np.asarray(r, dtype=float)
+    batch = r.shape[:-2]
+    flat = r.reshape(-1, 9)
+    v = 0.5 * (flat[:, [7, 2, 3]] - flat[:, [5, 6, 1]])
+    s = np.sqrt(np.sum(v * v, axis=-1))
+    c = 0.5 * (np.sum(flat[:, ::4], axis=-1) - 1.0)
+    theta = np.arctan2(s, c)
+    # angle/sin(angle); s is exactly 0 only at angle 0 or pi
+    phi = (theta / np.where(s > 0.0, s, 1.0))[:, None] * v
+    near_pi = c < SO3_LOG_QUAT_COS
+    if np.any(near_pi):
+        phi[near_pi], theta[near_pi] = _so3_log_quaternion(
+            flat[near_pi].reshape(-1, 3, 3))
+    return phi.reshape(batch + (3,)), theta.reshape(batch)
+
+
+def so3_log(r: np.ndarray) -> np.ndarray:
+    """Rotation vector of R, angle in [0, pi] (see so3_log_angle)."""
+    return so3_log_angle(r)[0]
 
 
 def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
@@ -177,19 +244,12 @@ def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
 
 
 def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
+    """I - hat(phi)/2 + (c2 - u c4) hat(phi)^2, u = |phi|^2 <= pi^2."""
     phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi, axis=-1)
-    if np.any(theta >= JACOBIAN_INV_ANGLE_LIMIT):
-        raise ValueError("left-Jacobian inverse undefined: angular norm too close to 2*pi")
-    t2 = theta * theta
-    small = theta < ANGLE_EPS
-    safe = np.where(small, 1.0, theta)
-    # (1 + cos t) / (2t sin t) as cot(t/2) / (2t), which is not 0/0 at pi
-    e = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
-                 1.0 / (safe * safe) - 1.0 / (2.0 * safe * np.tan(0.5 * safe)))
+    u = np.sum(phi * phi, axis=-1)
+    c2, c4 = jinv_coeffs(u)[:2]
     ph = hat3(phi)
-    eye = np.broadcast_to(np.eye(3), ph.shape)
-    return eye - 0.5 * ph + e[..., None, None] * (ph @ ph)
+    return _I3 - 0.5 * ph + (c2 - u * c4)[..., None, None] * (ph @ ph)
 
 
 def se3_exp(xi: np.ndarray) -> np.ndarray:
@@ -210,13 +270,7 @@ def se3_log(t: np.ndarray) -> np.ndarray:
 
 def ad6(xi: np.ndarray) -> np.ndarray:
     """Little adjoint of a twist: ad6(a) @ b is the twist bracket [a, b]."""
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    wh = hat3(xi[..., 3:])
-    out[..., :3, :3] = wh
-    out[..., :3, 3:] = hat3(xi[..., :3])
-    out[..., 3:, 3:] = wh
-    return out
+    return _scatter(xi, _AD6)
 
 
 def adjoint(t: np.ndarray) -> np.ndarray:
@@ -230,74 +284,83 @@ def adjoint(t: np.ndarray) -> np.ndarray:
     return out
 
 
-def _barfoot_q(rho: np.ndarray, phi: np.ndarray) -> np.ndarray:
-    """Top-right 3x3 block of the SE(3) left Jacobian."""
-    theta = np.linalg.norm(phi, axis=-1)
+def _barfoot_q(rh: np.ndarray, ph: np.ndarray, pp: np.ndarray,
+               theta: np.ndarray, a: np.ndarray) -> np.ndarray:
+    """Top-right 3x3 block of the SE(3) left Jacobian, from hat(rho),
+    hat(phi), hat(phi)^2, the angle and (t - sin t)/t^3 as (..., 1, 1)."""
     t2 = theta * theta
     small = theta < ANGLE_EPS
     safe = np.where(small, 1.0, theta)
-    sin_t = np.sin(safe)
-    a = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-                 (safe - sin_t) / safe ** 3)
     # 1 - cos t as 2 sin^2(t/2): cos t - 1 loses digits just above ANGLE_EPS
     b = np.where(small, 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0,
                  (t2 / 2.0 - 2.0 * np.sin(0.5 * safe) ** 2) / safe ** 4)
     d = np.where(small, -1.0 / 120.0 + t2 / 5040.0 - t2 * t2 / 362880.0,
-                 (safe - sin_t - safe ** 3 / 6.0) / safe ** 5)
-    c = 0.5 * (b + 3.0 * d)
-    rh, ph = hat3(rho), hat3(phi)
+                 (safe - np.sin(safe) - safe ** 3 / 6.0) / safe ** 5)
+    b, c = b[..., None, None], 0.5 * (b + 3.0 * d)[..., None, None]
     php = ph @ rh @ ph
-    pp = ph @ ph
     term1 = ph @ rh + rh @ ph + php
     term2 = pp @ rh + rh @ pp - 3.0 * php
     term3 = php @ ph + ph @ php
-    return (0.5 * rh + a[..., None, None] * term1 + b[..., None, None] * term2
-            + c[..., None, None] * term3)
+    return 0.5 * rh + a * term1 + b * term2 + c * term3
 
 
-def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
+def se3_exp_with_jacobian(xi: np.ndarray):
+    """exp(xi) as (R, t) and the 6x6 left Jacobian J_l(xi), from one angle,
+    one set of sinc coefficients and one hat(phi); valid at any angle."""
     xi = np.asarray(xi, dtype=float)
-    jso = so3_left_jacobian(xi[..., 3:])
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = jso
-    out[..., 3:, 3:] = jso
-    out[..., :3, 3:] = _barfoot_q(xi[..., :3], xi[..., 3:])
-    return out
+    rho, phi = xi[..., :3], xi[..., 3:]
+    theta = np.sqrt(np.sum(phi * phi, axis=-1))
+    a, b, c = (x[..., None, None] for x in _sinc_coeffs(theta))
+    ph = hat3(phi)
+    pp = ph @ ph
+    jso = _I3 + b * ph + c * pp
+    jac = np.zeros(xi.shape[:-1] + (6, 6))
+    jac[..., :3, :3] = jso
+    jac[..., 3:, 3:] = jso
+    jac[..., :3, 3:] = _barfoot_q(hat3(rho), ph, pp, theta, c)
+    return (_I3 + a * ph + b * pp, np.squeeze(jso @ rho[..., None], -1),
+            jac)
+
+
+def jinv_poly(ad: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
+    """J_l^{-1} = I - ad/2 + c2 ad^2 + c4 ad^4 from ad = ad6(xi) and
+    coeffs = jinv_coeffs(|phi|^2)."""
+    ad2 = ad @ ad
+    return (_I6 - 0.5 * ad + coeffs[0][..., None, None] * ad2
+            + coeffs[1][..., None, None] * (ad2 @ ad2))
 
 
 def se3_left_jacobian_inv(xi: np.ndarray) -> np.ndarray:
+    """J_l^{-1}(xi) for |phi| <= pi, by jinv_poly."""
     xi = np.asarray(xi, dtype=float)
-    jso_inv = so3_left_jacobian_inv(xi[..., 3:])
-    q = _barfoot_q(xi[..., :3], xi[..., 3:])
-    out = np.zeros(xi.shape[:-1] + (6, 6))
-    out[..., :3, :3] = jso_inv
-    out[..., 3:, 3:] = jso_inv
-    out[..., :3, 3:] = -jso_inv @ q @ jso_inv
-    return out
+    phi = xi[..., 3:]
+    return jinv_poly(ad6(xi), jinv_coeffs(np.sum(phi * phi, axis=-1)))
 
 
-def dleft_jacobian_inv_vec(xi: np.ndarray, v: np.ndarray) -> np.ndarray:
-    """Directional-derivative matrix of J_l^{-1}(xi) @ v with respect to xi.
+def dleft_jacobian_inv_vec(ad: np.ndarray, phi: np.ndarray,
+                           coeffs: np.ndarray, v: np.ndarray):
+    """Directional-derivative matrix of J_l^{-1}(xi) @ v with respect to xi,
+    and D_1 = -ad(v).
 
-    Differentiates J_l^{-1} = I - ad/2 + c2(u) ad^2 + c4(u) ad^4: D_n =
-    d(ad^n v)/dxi = -ad(w_{n-1}) + ad D_{n-1} with w_n = ad^n v, plus
-    (c2' w_2 + c4' w_4) (2 phi)^T on the angular columns.  For |phi| <= pi
-    only (module docstring), which charts never leave, so there is no guard.
+    Takes ad = ad6(xi), its angular part phi and coeffs =
+    jinv_coeffs(|phi|^2), all broadcasting against v.  Differentiates
+    J_l^{-1} = I - ad/2 + c2(u) ad^2 + c4(u) ad^4: D_n = d(ad^n v)/dxi =
+    -ad(w_{n-1}) + ad D_{n-1} with w_n = ad^n v, plus (c2' w_2 + c4' w_4)
+    (2 phi)^T on the angular columns.  For |phi| <= pi only (module
+    docstring), which charts never leave, so there is no guard.
     """
-    p = ad6(xi)
-    phi = np.asarray(xi, dtype=float)[..., 3:]
-    # each item sums its own series, so its bits do not depend on its batch
-    u = np.sum(phi * phi, axis=-1)[..., None, None]
-    terms = u ** np.arange(_JINV_SERIES.shape[1]) * _JINV_SERIES
-    c2, c4, dc2, dc4 = np.moveaxis(np.sum(terms, axis=-1), -1, 0)
-    w, d = [np.asarray(v, dtype=float)], [0.0]
+    c2, c4, dc2, dc4 = coeffs
+    w = [np.asarray(v, dtype=float)]
     for n in range(4):
-        d.append(-ad6(w[n]) + (p @ d[n] if n else 0.0))
-        w.append(np.squeeze(p @ w[n][..., None], -1))
+        w.append(np.squeeze(ad @ w[n][..., None], -1))
+    m = -ad6(np.stack(w[:4]))
+    d = [None, m[0]]
+    for n in range(1, 4):
+        d.append(m[n] + ad @ d[n])
     out = -0.5 * d[1] + c2[..., None, None] * d[2] + c4[..., None, None] * d[4]
     out[..., 3:] += ((dc2[..., None] * w[2] + dc4[..., None] * w[4])[..., None]
                      * (2.0 * phi[..., None, :]))
-    return out
+    return out, d[1]
 
 
 class Pose:

@@ -25,13 +25,13 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from .liegroup import (Pose, ad6, dleft_jacobian_inv_vec, se3_exp,
-                       se3_left_jacobian, se3_left_jacobian_inv, so3_log,
-                       so3_left_jacobian_inv)
+from .liegroup import (Pose, ad6, dleft_jacobian_inv_vec, hat3, jinv_coeffs,
+                       jinv_poly, se3_exp_with_jacobian, so3_log_angle)
 
 CHART_ANGLE_LIMIT = 0.9 * np.pi
 
 STATE_DIM = 24
+_I3 = np.eye(3)
 _I6 = np.eye(6)
 _I24 = np.eye(24)
 
@@ -191,21 +191,6 @@ class StateArrays:
                                self.sv], axis=-1)
 
 
-def _relative_chart(R: np.ndarray, t: np.ndarray, Rb: np.ndarray,
-                    tb: np.ndarray) -> np.ndarray:
-    """xi = log(T base^-1), batched over leading dimension."""
-    R_rel = R @ np.swapaxes(Rb, -1, -2)
-    t_rel = t - np.squeeze(R_rel @ tb[..., None], -1)
-    phi = so3_log(R_rel)
-    ang = np.linalg.norm(phi, axis=-1)
-    bad = ang >= CHART_ANGLE_LIMIT
-    if np.any(bad):
-        idx = int(np.argmax(bad))
-        raise ChartRangeError(float(np.max(ang)), idx)
-    v = np.squeeze(so3_left_jacobian_inv(phi) @ t_rel[..., None], -1)
-    return np.concatenate([v, phi], axis=-1)
-
-
 def chart_encode(x: NodeState, base: Pose) -> np.ndarray:
     """24-vector chart of x about the base pose."""
     return encode_with_jacobians_batch(StateArrays.from_state(x), base.R[None],
@@ -214,63 +199,77 @@ def chart_encode(x: NodeState, base: Pose) -> np.ndarray:
 
 def chart_decode_batch(z: np.ndarray, Rb: np.ndarray,
                        tb: np.ndarray) -> StateArrays:
-    """Inverse of the chart for stacked (B, 24) charts about base poses."""
-    xi = z[..., 0:6]
-    T = se3_exp(xi)
-    Re = T[..., :3, :3]
-    d = se3_left_jacobian(xi)[..., None, :, :] \
-        @ z[..., 6:].reshape(z.shape[:-1] + (3, 6, 1))
-    return StateArrays(Re @ Rb, np.squeeze(Re @ tb[..., None], -1)
-                       + T[..., :3, 3], d[..., 0, :, 0], d[..., 1, :, 0],
-                       d[..., 2, :, 0])
+    """Inverse of the chart for stacked (B, 24) charts about base poses, at
+    any angle (a Gauss-Newton step can take a chart past pi)."""
+    Re, te, jac = se3_exp_with_jacobian(z[..., 0:6])
+    d = z[..., 6:].reshape(z.shape[:-1] + (3, 6)) @ np.swapaxes(jac, -1, -2)
+    return StateArrays(Re @ Rb, np.squeeze(Re @ tb[..., None], -1) + te,
+                       d[..., 0, :], d[..., 1, :], d[..., 2, :])
 
 
 def _deriv_triplet(sa: StateArrays):
     return (sa.eps, sa.vel, sa.sv)
 
 
+_BLOCKS = np.arange(4)
+
+
 def encode_with_jacobians_batch(sa: StateArrays, Rb: np.ndarray, tb: np.ndarray,
                                 want_jac: bool = True):
     """Charts of states about fixed base poses, plus the two Jacobians the
     factors need: d(chart)/d(own perturbation) and d(chart)/d(base pose
-    perturbation).  Returns (z, enc_jac | None, base_motion | None)."""
-    xi = _relative_chart(sa.R, sa.t, Rb, tb)
-    jli = se3_left_jacobian_inv(xi)
+    perturbation).  Returns (z, enc_jac | None, base_motion | None).
+
+    One kernel: the relative rotation's angle comes from one so3_log and is
+    checked against CHART_ANGLE_LIMIT; hat(phi), ad(xi) and one per-item sum
+    of the J_l^{-1} coefficients then give J_so3^{-1} = I - phi^/2 +
+    (c2 - u c4) phi^2 (which maps the relative translation to rho), J_l^{-1}
+    = I - ad/2 + c2 ad^2 + c4 ad^4, J_r^{-1} = J_l^{-1} + ad (= J_l^{-1}(-xi)
+    = J_l^{-1}(xi) Ad(exp xi): the series' one odd term flips) and the
+    derivative of J_l^{-1} v for the three derivative states, whose D_1 =
+    -ad(v) also gives the own-perturbation term.  Valid below 0.9 pi, the
+    chart range (liegroup module docstring)."""
+    R_rel = sa.R @ np.swapaxes(Rb, -1, -2)
+    t_rel = sa.t - np.squeeze(R_rel @ tb[..., None], -1)
+    phi, ang = so3_log_angle(R_rel)
+    bad = ang >= CHART_ANGLE_LIMIT
+    if np.any(bad):
+        raise ChartRangeError(float(np.max(ang)), int(np.argmax(bad)))
+    u = ang * ang
+    coeffs = jinv_coeffs(u)
+    ph = hat3(phi)
+    jso = _I3 - 0.5 * ph + (coeffs[0] - u * coeffs[1])[..., None, None] \
+        * (ph @ ph)
+    xi = np.concatenate([np.squeeze(jso @ t_rel[..., None], -1), phi], -1)
+    ad = ad6(xi)
+    jli = jinv_poly(ad, coeffs)
     vs = np.stack(_deriv_triplet(sa), axis=-2)
-    jli_s = jli[..., None, :, :]
-    z = np.empty(xi.shape[:-1] + (24,))
-    z[..., 0:6] = xi
-    z[..., 6:] = (jli_s @ vs[..., None])[..., 0].reshape(xi.shape[:-1] + (18,))
+    B = xi.shape[:-1]
+    z = np.concatenate([xi, (vs @ np.swapaxes(jli, -1, -2)).reshape(B + (18,))],
+                       axis=-1)
     if not want_jac:
         return z, None, None
 
-    B = xi.shape[:-1]
-    enc = np.zeros(B + (24, 24))
-    enc[..., 0:6, 0:6] = jli
-    # J_l^{-1}(xi) Ad(exp xi) = J_l^{-1}(-xi): the series' one odd term flips
-    jr_inv = jli + ad6(xi)
-    bm = np.zeros(B + (24, 6))
-    bm[..., 0:6, :] = -jr_inv
-    dvs = dleft_jacobian_inv_vec(xi[..., None, :], vs)
-    own = dvs @ jli_s - 0.5 * (jli_s @ ad6(vs))
-    base = -(dvs @ jr_inv[..., None, :, :])
-    for i in range(3):
-        r = slice(6 * (i + 1), 6 * (i + 2))
-        enc[..., r, 0:6] = own[..., i, :, :]
-        enc[..., r, r] = jli
-        bm[..., r, :] = base[..., i, :, :]
-    return z, enc, bm
+    jli_s = jli[..., None, :, :]
+    dvs, d1 = dleft_jacobian_inv_vec(ad[..., None, :, :], phi[..., None, :],
+                                     coeffs[..., None], vs)
+    enc = np.zeros(B + (4, 6, 4, 6))
+    enc[..., _BLOCKS, :, _BLOCKS, :] = jli
+    enc[..., 1:, :, 0, :] = dvs @ jli_s + 0.5 * (jli_s @ d1)
+    jr_inv = jli + ad
+    bm = np.concatenate([-jr_inv[..., None, :, :],
+                         -(dvs @ jr_inv[..., None, :, :])], axis=-3)
+    return z, enc.reshape(B + (24, 24)), bm.reshape(B + (24, 6))
 
 
 def encode_self_jacobian_batch(sa: StateArrays) -> np.ndarray:
     """d/d(own perturbation) of the chart of a state about its own pose."""
-    B = sa.eps.shape[:-1]
-    out = np.zeros(B + (24, 24))
-    for i, v in enumerate(_deriv_triplet(sa)):
-        r = slice(6 * (i + 1), 6 * (i + 2))
-        out[..., r, 0:6] = -0.5 * ad6(v)
-        out[..., r, r] = np.eye(6)
-    return out
+    vs = np.stack(_deriv_triplet(sa), axis=-2)
+    B = vs.shape[:-2]
+    out = np.zeros(B + (4, 6, 4, 6))
+    out[..., _BLOCKS[1:], :, _BLOCKS[1:], :] = _I6
+    out[..., 1:, :, 0, :] = -0.5 * ad6(vs)
+    return out.reshape(B + (24, 24))
 
 
 def phi_s_batch(ds: np.ndarray) -> np.ndarray:
@@ -288,6 +287,27 @@ def phi_t_batch(dt: np.ndarray) -> np.ndarray:
     idx = np.arange(12)
     out[..., idx, 12 + idx] = dt[..., None]
     return out
+
+
+def _shift_add(d: np.ndarray, x: np.ndarray, outer: int,
+               inner: int) -> np.ndarray:
+    """(I + d S) @ x for stacked (B, 24, ...) x, where S moves the second
+    of each pair of `inner`-row blocks (`outer` pairs) onto the first."""
+    y = x.reshape(x.shape[:1] + (outer, 2, inner) + x.shape[2:]).copy()
+    y[:, :, 0] += np.reshape(d, (-1,) + (1,) * (y.ndim - 2)) * y[:, :, 1]
+    return y.reshape(x.shape)
+
+
+def apply_phi_s(ds: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phi_s_batch(ds) @ x as a slice add: each level block gains ds times
+    the spatial-derivative block below it."""
+    return _shift_add(ds, x, 2, 6)
+
+
+def apply_phi_t(dt: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """phi_t_batch(dt) @ x as a slice add: the top 12 rows gain dt times the
+    time-derivative rows."""
+    return _shift_add(dt, x, 1, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -321,21 +341,18 @@ def quaternary_batch(sa00: StateArrays, sa10: StateArrays, sa01: StateArrays,
                      sa11: StateArrays, ds: np.ndarray, dt: np.ndarray,
                      want_jac: bool = True):
     """Four-node cell factor.  Corner subscripts are (spatial, temporal)
-    offsets within the cell; charts are taken about the (0,0) corner."""
-    ps = phi_s_batch(ds)
-    pt = phi_t_batch(dt)
-    pc = pt @ ps
+    offsets within the cell; charts are taken about the (0,0) corner.  The
+    transitions phi_s, phi_t and phi_t phi_s apply as slice adds."""
     z10, enc10, bm10 = encode_with_jacobians_batch(sa10, sa00.R, sa00.t, want_jac)
     z01, enc01, bm01 = encode_with_jacobians_batch(sa01, sa00.R, sa00.t, want_jac)
     z11, enc11, bm11 = encode_with_jacobians_batch(sa11, sa00.R, sa00.t, want_jac)
-    e = (z11 - np.squeeze(ps @ z01[..., None], -1)
-         - np.squeeze(pt @ z10[..., None], -1)
-         + np.squeeze(pc @ sa00.chart_origin()[..., None], -1))
+    e = (z11 - apply_phi_s(ds, z01) - apply_phi_t(dt, z10)
+         + apply_phi_t(dt, apply_phi_s(ds, sa00.chart_origin())))
     if not want_jac:
         return e, None, None, None, None
     j11 = enc11
-    j01 = -(ps @ enc01)
-    j10 = -(pt @ enc10)
-    j00 = pc @ encode_self_jacobian_batch(sa00)
-    j00[..., :, 0:6] += bm11 - ps @ bm01 - pt @ bm10
+    j01 = -apply_phi_s(ds, enc01)
+    j10 = -apply_phi_t(dt, enc10)
+    j00 = apply_phi_t(dt, apply_phi_s(ds, encode_self_jacobian_batch(sa00)))
+    j00[..., :, 0:6] += bm11 - apply_phi_s(ds, bm01) - apply_phi_t(dt, bm10)
     return e, j00, j10, j01, j11

@@ -6,10 +6,10 @@ import pytest
 
 from stgp.graph import Grid, build_grid, build_prior_factors
 from stgp.liegroup import Pose
-from stgp.oracle import dense_prior_precision, phi_cell
-from stgp.prior import (NodeState, PriorParams, StateArrays,
-                        chart_decode_batch, chart_encode, phi_s_batch,
-                        phi_t_batch)
+from stgp.oracle import dense_prior_precision
+from stgp.prior import (NodeState, PriorParams, StateArrays, apply_phi_s,
+                        apply_phi_t, chart_decode_batch, chart_encode,
+                        phi_s_batch, phi_t_batch)
 from stgp.sim import GroundTruth, ScenarioConfig
 from stgp.solver import linearize
 from conftest import dense
@@ -90,23 +90,30 @@ def node_by_node_grid(s_knots, t_knots, x0: NodeState):
         return chart_decode_batch(z[None], base.pose.R[None],
                                   base.pose.t[None])[0]
 
+    # the transitions as the sweep applies them, one item at a time
+    def ps(ds, z):
+        return apply_phi_s(np.array([ds]), z[None])[0]
+
+    def pt(dt, z):
+        return apply_phi_t(np.array([dt]), z[None])[0]
+
     N, K = len(s_knots), len(t_knots)
     xs = [x0] + [None] * (N * K - 1)
     for n in range(1, N):
         x = xs[n - 1]
-        xs[n] = step(phi_s_batch(s_knots[n] - s_knots[n - 1])
-                     @ x.derivative_vector(), x)
+        xs[n] = step(ps(s_knots[n] - s_knots[n - 1], x.derivative_vector()),
+                     x)
     for k in range(1, K):
         dt = t_knots[k] - t_knots[k - 1]
         x = xs[(k - 1) * N]
-        xs[k * N] = step(phi_t_batch(dt) @ x.derivative_vector(), x)
+        xs[k * N] = step(pt(dt, x.derivative_vector()), x)
         for n in range(1, N):
             ds = s_knots[n] - s_knots[n - 1]
             x00, x10 = xs[(k - 1) * N + n - 1], xs[(k - 1) * N + n]
             x01 = xs[k * N + n - 1]
-            z = (phi_s_batch(ds) @ chart_encode(x01, x00.pose)
-                 + phi_t_batch(dt) @ chart_encode(x10, x00.pose)
-                 - phi_cell(ds, dt) @ x00.derivative_vector())
+            z = (ps(ds, chart_encode(x01, x00.pose))
+                 + pt(dt, chart_encode(x10, x00.pose))
+                 - pt(dt, ps(ds, x00.derivative_vector())))
             xs[k * N + n] = step(z, x00)
     return xs
 

@@ -8,11 +8,13 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from stgp.liegroup import (Pose, ad6, adjoint, dleft_jacobian_inv_vec, hat3,
+from stgp.liegroup import (SO3_LOG_QUAT_COS, Pose, ad6, adjoint,
+                           dleft_jacobian_inv_vec, hat3, jinv_coeffs,
                            quaternion_to_rotation, rotation_to_quaternion,
-                           se3_exp, se3_left_jacobian, se3_left_jacobian_inv,
-                           se3_log, so3_exp, so3_left_jacobian,
-                           so3_left_jacobian_inv, so3_log)
+                           se3_exp, se3_exp_with_jacobian,
+                           se3_left_jacobian_inv, se3_log, so3_exp,
+                           so3_left_jacobian, so3_left_jacobian_inv, so3_log,
+                           so3_log_angle)
 
 
 def bernoulli_exact(nmax: int):
@@ -71,6 +73,76 @@ def djac_vec_series(xi: np.ndarray, v: np.ndarray,
 def dleft_jacobian_vec(xi: np.ndarray, v: np.ndarray) -> np.ndarray:
     """Directional-derivative matrix of J_l(xi) @ v with respect to xi."""
     return djac_vec_series(xi, v, INV_FACT_SHIFTED)
+
+
+def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
+    """The 6x6 left Jacobian of the chart decode kernel."""
+    return se3_exp_with_jacobian(xi)[2]
+
+
+def dleft_jacobian_inv(xi: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The production derivative of J_l^{-1}(xi) @ v for one v per xi."""
+    phi = xi[..., 3:]
+    return dleft_jacobian_inv_vec(ad6(xi), phi,
+                                  jinv_coeffs(np.sum(phi * phi, axis=-1)),
+                                  v)[0]
+
+
+# references: the closed forms the ad polynomial replaced
+
+
+def so3_left_jacobian_inv_closed(phi: np.ndarray) -> np.ndarray:
+    """I - phi^/2 + (1/t^2 - cot(t/2)/(2t)) phi^2, for |phi| < 2 pi."""
+    theta = np.linalg.norm(phi, axis=-1)
+    t2 = theta * theta
+    small = theta < 1e-2
+    safe = np.where(small, 1.0, theta)
+    e = np.where(small, 1.0 / 12.0 + t2 / 720.0 + t2 * t2 / 30240.0,
+                 1.0 / (safe * safe) - 1.0 / (2.0 * safe * np.tan(0.5 * safe)))
+    ph = hat3(phi)
+    return np.eye(3) - 0.5 * ph + e[..., None, None] * (ph @ ph)
+
+
+def se3_left_jacobian_inv_closed(xi: np.ndarray) -> np.ndarray:
+    """[[J^-1, -J^-1 Q J^-1], [0, J^-1]] with the closed-form SO(3) inverse
+    and Barfoot's Q."""
+    jso_inv = so3_left_jacobian_inv_closed(xi[..., 3:])
+    out = np.zeros(xi.shape[:-1] + (6, 6))
+    out[..., :3, :3] = jso_inv
+    out[..., 3:, 3:] = jso_inv
+    out[..., :3, 3:] = -jso_inv @ se3_left_jacobian(xi)[..., :3, 3:] @ jso_inv
+    return out
+
+
+def so3_log_quaternion(r: np.ndarray) -> np.ndarray:
+    """Rotation vector of R through the unit quaternion, angle in [0, pi];
+    at pi the first nonzero axis component is positive."""
+    q = rotation_to_quaternion(r)
+    w, vec = q[..., 0], q[..., 1:]
+    n = np.linalg.norm(vec, axis=-1)
+    theta = 2.0 * np.arctan2(n, w)
+    small = n < 1e-9
+    safe_n = np.where(small, 1.0, n)
+    scale = np.where(small, 2.0 / np.where(w == 0, 1.0, w), theta / safe_n)
+    phi = scale[..., None] * vec
+    axis = vec / safe_n[..., None]
+    first = np.zeros(axis.shape[:-1])
+    for k in (2, 1, 0):
+        first = np.where(np.abs(axis[..., k]) > 1e-12, axis[..., k], first)
+    phi_pi = (theta * np.where(first < 0, -1.0, 1.0))[..., None] * axis
+    return np.where((w < 1e-12)[..., None], phi_pi, phi)
+
+
+def skew_reference(v: np.ndarray) -> np.ndarray:
+    """hat3 one element at a time."""
+    out = np.zeros(v.shape[:-1] + (3, 3))
+    out[..., 0, 1] = -v[..., 2]
+    out[..., 0, 2] = v[..., 1]
+    out[..., 1, 0] = v[..., 2]
+    out[..., 1, 2] = -v[..., 0]
+    out[..., 2, 0] = -v[..., 1]
+    out[..., 2, 1] = v[..., 0]
+    return out
 
 
 def twists_at_angles(seed: int, angles: np.ndarray) -> np.ndarray:
@@ -327,7 +399,7 @@ def test_dleft_jacobian_inv_vec_matches_series(bucket):
     xi = twists_at_angles(31, ANGLE_BUCKETS[bucket](rng, 1000))
     v = rng.standard_normal((1000, 6))
     ref = djac_vec_series(xi, v, BERNOULLI_OVER_FACT)
-    assert np.max(max_rel(dleft_jacobian_inv_vec(xi, v), ref)) < 1e-13
+    assert np.max(max_rel(dleft_jacobian_inv(xi, v), ref)) < 1e-13
 
 
 def test_dleft_jacobian_vec_directional():
@@ -336,7 +408,7 @@ def test_dleft_jacobian_vec_directional():
     for xi in random_twists(23, 10, 0.9 * np.pi):
         v = rng.standard_normal(6)
         D = dleft_jacobian_vec(xi, v)
-        Di = dleft_jacobian_inv_vec(xi, v)
+        Di = dleft_jacobian_inv(xi, v)
         for _ in range(3):
             d = rng.standard_normal(6)
             h = 1e-6
@@ -347,6 +419,59 @@ def test_dleft_jacobian_vec_directional():
                    - se3_left_jacobian_inv(xi - h * d) @ v) / (2 * h)
             assert np.max(np.abs(Di @ d - fdi)) < 1e-6
 
+
+
+@pytest.mark.parametrize("bucket", list(ANGLE_BUCKETS))
+def test_left_jacobian_inv_matches_closed_form(bucket):
+    """The ad polynomial's J_l^{-1}, J_r^{-1} = J_l^{-1} + ad and SO(3)
+    J^{-1} against the closed forms it replaced, per item, up to pi."""
+    rng = np.random.default_rng(32)
+    xi = twists_at_angles(33, ANGLE_BUCKETS[bucket](rng, 1000))
+    jli = se3_left_jacobian_inv(xi)
+    assert np.max(max_rel(jli, se3_left_jacobian_inv_closed(xi))) < 1e-13
+    assert np.max(max_rel(jli + ad6(xi),
+                          se3_left_jacobian_inv_closed(-xi))) < 1e-13
+    assert np.max(max_rel(so3_left_jacobian_inv(xi[:, 3:]),
+                          so3_left_jacobian_inv_closed(xi[:, 3:]))) < 1e-13
+
+
+def test_so3_log_matches_quaternion_route():
+    """Within 1e-15 per radian of the quaternion log over the whole range
+    and on both sides of the switch; past the switch, at pi with its sign
+    rule included, it is that route bit for bit."""
+    rng = np.random.default_rng(34)
+    switch = np.arccos(SO3_LOG_QUAT_COS)
+    angles = np.concatenate(
+        [f(rng, 500) for f in ANGLE_BUCKETS.values()]
+        + [switch * (1.0 + rng.uniform(-1e-3, 1e-3, 2000)),
+           switch * (1.0 + np.array([-1e-12, 1e-12])), np.full(50, np.pi)])
+    r = so3_exp(twists_at_angles(35, angles)[:, 3:])
+    phi, theta = so3_log_angle(r)
+    ref = so3_log_quaternion(r)
+    assert np.all(np.max(np.abs(phi - ref), axis=1) <= 1e-15 * theta)
+    assert np.all(np.abs(theta - np.linalg.norm(ref, axis=1)) <= 1e-15 * theta)
+    past = 0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0) < SO3_LOG_QUAT_COS
+    assert past.sum() > 1000 and (~past).sum() > 3000
+    assert np.array_equal(phi[past], ref[past])
+    assert np.array_equal(so3_log(r[-1]), ref[-1])
+
+
+def test_skew_builders_match_elementwise_reference():
+    """hat3 and ad6, one scatter each, equal the element-by-element build
+    bit for bit, signed zeros included."""
+    rng = np.random.default_rng(36)
+    xi = rng.standard_normal((50, 6))
+    xi[::7] = 0.0
+    xi[3::7] = -0.0
+    bits = lambda a: np.ascontiguousarray(a).view(np.uint64)
+    assert np.array_equal(bits(hat3(xi[:, 3:])), bits(skew_reference(xi[:, 3:])))
+    assert np.array_equal(bits(hat3(xi[5, :3])), bits(skew_reference(xi[5, :3])))
+    ref = np.zeros((50, 6, 6))
+    ref[:, :3, :3] = skew_reference(xi[:, 3:])
+    ref[:, :3, 3:] = skew_reference(xi[:, :3])
+    ref[:, 3:, 3:] = skew_reference(xi[:, 3:])
+    assert np.array_equal(bits(ad6(xi)), bits(ref))
+    assert np.array_equal(bits(ad6(xi[1])), bits(ref[1]))
 
 # pose type and quaternions
 

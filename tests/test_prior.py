@@ -12,7 +12,8 @@ from scipy.integrate import quad
 
 import stgp.prior as P
 from stgp.graph import Grid, build_grid
-from stgp.liegroup import Pose, ad6, se3_left_jacobian_inv
+from stgp.liegroup import (Pose, ad6, se3_exp_with_jacobian,
+                           se3_left_jacobian_inv)
 from stgp.oracle import (k_matrix, phi_cell, q_binary_s, q_binary_t,
                          q_quaternary)
 from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
@@ -20,6 +21,9 @@ from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
                         phi_s_batch as phi_s, phi_t_batch as phi_t)
 from stgp.solver import apply_update
 from conftest import random_state, random_states, retract
+from test_liegroup import (ANGLE_BUCKETS, BERNOULLI_OVER_FACT, djac_vec_series,
+                           max_rel, se3_left_jacobian_inv_closed,
+                           twists_at_angles)
 
 
 def quad_k_matrix(d: float) -> np.ndarray:
@@ -218,6 +222,65 @@ def test_encode_batch_of_one_is_bitwise():
             assert np.array_equal(a[0], b[i])
 
 
+@pytest.mark.parametrize("bucket", [b for b in ANGLE_BUCKETS
+                                    if b != "0.9pi-to-pi"])
+def test_encode_jacobians_match_references(bucket):
+    """The encode kernel's chart, d(chart)/d(own) and d(chart)/d(base)
+    against the closed-form J_l^{-1} and the exact-coefficient series of
+    d(J_l^{-1} v)/dxi, per item over the chart range.  The references take
+    the kernel's own xi, so they see the twist it coordinatized."""
+    rng = np.random.default_rng(43)
+    n = 500
+    xi = twists_at_angles(44, ANGLE_BUCKETS[bucket](rng, n))
+    base = StateArrays.from_states(random_states(45, n, angle=0.5))
+    Re, te, _ = se3_exp_with_jacobian(xi)
+    vs = rng.standard_normal((3, n, 6))
+    sa = StateArrays(Re @ base.R, te + np.squeeze(Re @ base.t[..., None], -1),
+                     *vs)
+    z, enc, bm = P.encode_with_jacobians_batch(sa, base.R, base.t)
+    x = z[:, :6]
+    assert np.max(np.abs(x - xi)) < 1e-12
+    jli = se3_left_jacobian_inv_closed(x)
+    jri = se3_left_jacobian_inv_closed(-x)
+    ref_z, ref_enc, ref_bm = np.zeros((n, 24)), np.zeros((n, 24, 24)), \
+        np.zeros((n, 24, 6))
+    ref_z[:, :6], ref_enc[:, :6, :6], ref_bm[:, :6] = x, jli, -jri
+    for i, v in enumerate(vs):
+        r = slice(6 * i + 6, 6 * i + 12)
+        d = djac_vec_series(x, v, BERNOULLI_OVER_FACT)
+        ref_z[:, r] = np.squeeze(jli @ v[..., None], -1)
+        ref_enc[:, r, :6] = d @ jli - 0.5 * (jli @ ad6(v))
+        ref_enc[:, r, r] = jli
+        ref_bm[:, r] = -(d @ jri)
+    assert np.max(max_rel(z[:, None], ref_z[:, None])) < 1e-13
+    assert np.max(max_rel(enc, ref_enc)) < 1e-13
+    assert np.max(max_rel(bm, ref_bm)) < 1e-13
+
+
+def test_chart_range_boundary():
+    """A relative rotation just past CHART_ANGLE_LIMIT raises, one just
+    short of it does not; the error names the batch's largest angle and the
+    first item past the limit."""
+    limit = P.CHART_ANGLE_LIMIT
+    axis = np.array([0.48, -0.6, 0.64])
+    angles = np.array([0.1, limit * (1 - 1e-9), limit * (1 + 1e-9), 0.2,
+                       limit * (1 + 2e-9)])
+    base = Pose.exp(np.array([0.3, -0.2, 0.1, 0.2, 0.1, -0.3]))
+    states = [NodeState(Pose.exp(np.concatenate([[0.1, 0.2, 0.3], a * axis]))
+                        @ base, np.ones(6), np.zeros(6), np.zeros(6))
+              for a in angles]
+    sa = StateArrays.from_states(states)
+    Rb = np.broadcast_to(base.R, (5, 3, 3))
+    tb = np.broadcast_to(base.t, (5, 3))
+    z = P.encode_with_jacobians_batch(sa.take([0, 1, 3]), Rb[:3], tb[:3])[0]
+    assert abs(np.linalg.norm(z[1, 3:6]) - angles[1]) < 1e-12
+    for want_jac in (False, True):
+        with pytest.raises(ChartRangeError) as err:
+            P.encode_with_jacobians_batch(sa, Rb, tb, want_jac)
+        assert err.value.index == 2
+        assert abs(err.value.angle - angles[4]) < 1e-12
+
+
 def test_chart_range_error():
     x = NodeState(Pose.exp(np.array([0, 0, 0, 0, 0, 0.99 * np.pi])),
                   np.zeros(6), np.zeros(6), np.zeros(6))
@@ -240,6 +303,33 @@ def test_retract_is_chart_additive():
         assert np.array_equal(one.pose.R, y.pose.R)
         assert np.array_equal(one.strain_velocity, y.strain_velocity)
 
+
+
+def test_cell_kernel_matches_dense_transitions():
+    """quaternary_batch, which applies phi_s, phi_t and phi_t phi_s as slice
+    adds, against the same encodes combined through dense phi_cell
+    products: its error and Jacobians cover the transitions on vectors,
+    24x24 and 24x6 blocks."""
+    corners = [StateArrays.from_states(random_states(47 + i, 30, angle=0.4,
+                                                     trans=0.5, deriv=1.0))
+               for i in range(4)]
+    rng = np.random.default_rng(51)
+    ds, dt = rng.uniform(0.05, 2.0, (2, 30))
+    got = P.quaternary_batch(*corners, ds, dt)
+    sa00 = corners[0]
+    enc = [P.encode_with_jacobians_batch(c, sa00.R, sa00.t)
+           for c in corners[1:]]
+    (z10, e10, b10), (z01, e01, b01), (z11, e11, b11) = enc
+    ps = np.array([phi_cell(a, 0.0) for a in ds])
+    pt = np.array([phi_cell(0.0, b) for b in dt])
+    pc = np.array([phi_cell(a, b) for a, b in zip(ds, dt)])
+    mv = lambda m, v: np.squeeze(m @ v[..., None], -1)
+    j00 = pc @ P.encode_self_jacobian_batch(sa00)
+    j00[:, :, :6] += b11 - ps @ b01 - pt @ b10
+    ref = [z11 - mv(ps, z01) - mv(pt, z10) + mv(pc, sa00.chart_origin()),
+           j00, -(pt @ e10), -(ps @ e01), e11]
+    for g, r in zip(got, ref):
+        assert np.max(np.abs(g - r)) <= 1e-15 * np.max(np.abs(r))
 
 # prior errors, through the batched kernels
 
