@@ -24,11 +24,11 @@ from typing import Callable, List, Optional, Sequence, Union
 
 import numpy as np
 
-from .prior import (NodeState, PriorParams, StateArrays, apply_phi_s,
-                    apply_phi_t, binary_batch, chart_decode_batch,
-                    encode_with_jacobians_batch, phi_s_batch, phi_t_batch,
-                    q_binary_s_inv, q_binary_t_inv, q_quaternary_inv,
-                    quaternary_batch, unary_batch)
+from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
+                    binary_batch, chart_decode_batch,
+                    encode_with_jacobians_batch, integrator, q_binary_s_inv,
+                    q_binary_t_inv, q_quaternary_inv, quaternary_batch,
+                    unary_batch)
 
 
 @dataclass
@@ -100,7 +100,7 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
             [init(float(s), float(t)) for t in t_knots for s in s_knots]))
     # every node starts as `init`; each diagonal overwrites its own nodes
     sa = StateArrays.from_state(init).take(np.zeros(N * K, dtype=int))
-    ds, dt = np.diff(s_knots), np.diff(t_knots)
+    ms, mt = integrator(np.diff(s_knots)), integrator(np.diff(t_knots))
     for d in range(1, N + K - 1):
         n = np.arange(max(0, d - K + 1), min(d, N - 1) + 1)
         k = d - n
@@ -108,17 +108,17 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
         row, col, inner = k == 0, n == 0, (n > 0) & (k > 0)
         base = sa.take(i - N * (k > 0) - (n > 0))
         z = base.chart_origin()
-        z[row] = apply_phi_s(ds[n[row] - 1], z[row])
-        z[col] = apply_phi_t(dt[k[col] - 1], z[col])
+        z[row] = apply_pair(ms[n[row] - 1], z[row], 2)
+        z[col] = apply_pair(mt[k[col] - 1], z[col], 1)
         if inner.any():
-            dsi, dti = ds[n[inner] - 1], dt[k[inner] - 1]
+            msi, mti = ms[n[inner] - 1], mt[k[inner] - 1]
             Rb, tb = base.R[inner], base.t[inner]
             z10 = encode_with_jacobians_batch(sa.take(i[inner] - N), Rb, tb,
                                               want_jac=False)[0]
             z01 = encode_with_jacobians_batch(sa.take(i[inner] - 1), Rb, tb,
                                               want_jac=False)[0]
-            z[inner] = (apply_phi_s(dsi, z01) + apply_phi_t(dti, z10)
-                        - apply_phi_t(dti, apply_phi_s(dsi, z[inner])))
+            z[inner] = (apply_pair(msi, z01, 2) + apply_pair(mti, z10, 1)
+                        - apply_pair(mti, apply_pair(msi, z[inner], 2), 1))
         sa.put(i, chart_decode_batch(z, base.R, base.t))
     return Grid(s_knots, t_knots, sa)
 
@@ -135,7 +135,8 @@ class PriorFamily:
     rows has one fixed time-row offset.  `weights` is (B, 24, 24), the
     inverse noise covariances.  `kernel` is the batched error function of
     the kind, called with the m gathered node-state stacks followed by
-    `args`, its per-item arguments.
+    `args`: `PriorParams`, the steps' (B, 2, 2) integrators and the pair
+    layout of `prior.apply_pair`, or the cell kind's steps ds and dt.
     """
 
     kind: str
@@ -196,10 +197,10 @@ def build_prior_factors(grid: Grid, params: PriorParams) -> FactorSet:
                     np.linalg.inv(params.p0)[None], unary_batch, (params,)),
         PriorFamily("spatial", np.stack([row, row + 1]),
                     weights(q_binary_s_inv, ds), binary_batch,
-                    (phi_s_batch(ds),)),
+                    (integrator(ds), 2)),
         PriorFamily("temporal", np.stack([col, col + N]),
                     weights(q_binary_t_inv, dt), binary_batch,
-                    (phi_t_batch(dt),)),
+                    (integrator(dt), 1)),
         PriorFamily("cell", np.stack([c00, c00 + 1, c00 + N, c00 + N + 1]),
                     weights(q_quaternary_inv, cell_ds, cell_dt),
                     quaternary_batch, (cell_ds, cell_dt)))

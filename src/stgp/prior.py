@@ -22,6 +22,7 @@ familiar [[d^3/3, d^2/2], [d^2/2, d]] covariance blocks.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, fields
+from math import prod
 
 import numpy as np
 
@@ -32,6 +33,7 @@ CHART_ANGLE_LIMIT = 0.9 * np.pi
 
 STATE_DIM = 24
 _I3 = np.eye(3)
+_I2 = np.eye(2)
 _I6 = np.eye(6)
 _I24 = np.eye(24)
 
@@ -272,42 +274,36 @@ def encode_self_jacobian_batch(sa: StateArrays) -> np.ndarray:
     return out.reshape(B + (24, 24))
 
 
-def phi_s_batch(ds: np.ndarray) -> np.ndarray:
-    ds = np.asarray(ds, dtype=float)
-    out = np.broadcast_to(_I24, ds.shape + (24, 24)).copy()
-    for a in (0, 12):
-        idx = np.arange(6)
-        out[..., a + idx, a + 6 + idx] = ds[..., None]
-    return out
+def chart_jacobian_inv(enc: np.ndarray) -> np.ndarray:
+    """Inverse of `encode_with_jacobians_batch`'s stacked enc_jac, blockwise:
+    with J_l^{-1} on its four diagonal blocks and blocks E_i only in block
+    column 0, it inverts to diag(J_l) with column-0 blocks -J_l E_i J_l."""
+    e = enc.reshape(enc.shape[:-2] + (4, 6, 4, 6))
+    jl = np.linalg.inv(e[..., 0, :, 0, :])
+    out = np.zeros_like(e)
+    out[..., _BLOCKS, :, _BLOCKS, :] = jl
+    out[..., 1:, :, 0, :] = -(jl[..., None, :, :] @ e[..., 1:, :, 0, :]
+                              @ jl[..., None, :, :])
+    return out.reshape(enc.shape)
 
 
-def phi_t_batch(dt: np.ndarray) -> np.ndarray:
-    dt = np.asarray(dt, dtype=float)
-    out = np.broadcast_to(_I24, dt.shape + (24, 24)).copy()
-    idx = np.arange(12)
-    out[..., idx, 12 + idx] = dt[..., None]
-    return out
+def integrator(d: np.ndarray) -> np.ndarray:
+    """M(d) = [[1, d], [0, 1]] for each step in d: the transition of one
+    (level, derivative) pair over a step d."""
+    return _I2 + np.multiply.outer(d, [[0.0, 1.0], [0.0, 0.0]])
 
 
-def _shift_add(d: np.ndarray, x: np.ndarray, outer: int,
-               inner: int) -> np.ndarray:
-    """(I + d S) @ x for stacked (B, 24, ...) x, where S moves the second
-    of each pair of `inner`-row blocks (`outer` pairs) onto the first."""
-    y = x.reshape(x.shape[:1] + (outer, 2, inner) + x.shape[2:]).copy()
-    y[:, :, 0] += np.reshape(d, (-1,) + (1,) * (y.ndim - 2)) * y[:, :, 1]
+def apply_pair(g: np.ndarray, x: np.ndarray, outer: int) -> np.ndarray:
+    """(I_outer (x) g (x) I) @ x for stacked (B, 2, 2) factors g and
+    (B, 24, ...) x, the operator of every lattice map (phi_s, phi_t and the
+    interpolation gains).  The pair layout: the 24 chart rows form `outer`
+    (level, derivative) pairs of equal row blocks, and g mixes each pair.
+    Along time (outer = 1) the pair is (xi, eps~) over (pi~, psi~), 12 rows
+    each; along arclength (outer = 2) xi over eps~ and pi~ over psi~, 6 rows
+    each.  Trailing axes of x ride along as columns of each block."""
+    cols = prod(x.shape[1:]) // (2 * outer)
+    y = g[:, None] @ x.reshape(x.shape[0], outer, 2, cols)
     return y.reshape(x.shape)
-
-
-def apply_phi_s(ds: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """phi_s_batch(ds) @ x as a slice add: each level block gains ds times
-    the spatial-derivative block below it."""
-    return _shift_add(ds, x, 2, 6)
-
-
-def apply_phi_t(dt: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """phi_t_batch(dt) @ x as a slice add: the top 12 rows gain dt times the
-    time-derivative rows."""
-    return _shift_add(dt, x, 1, 12)
 
 
 # ---------------------------------------------------------------------------
@@ -324,15 +320,15 @@ def unary_batch(sa: StateArrays, params: PriorParams, want_jac: bool = True):
     return e, enc
 
 
-def binary_batch(sa_a: StateArrays, sa_b: StateArrays, phi: np.ndarray,
-                 want_jac: bool = True):
-    """Shared core of the spatial and temporal two-node factors; `phi` is the
-    (B, 24, 24) transition over the step."""
+def binary_batch(sa_a: StateArrays, sa_b: StateArrays, m: np.ndarray,
+                 outer: int, want_jac: bool = True):
+    """Shared core of the spatial and temporal two-node factors; `m` holds
+    the steps' integrators and `outer` the axis' pair layout (`apply_pair`)."""
     z_b, enc_b, bm_b = encode_with_jacobians_batch(sa_b, sa_a.R, sa_a.t, want_jac)
-    e = z_b - np.squeeze(phi @ sa_a.chart_origin()[..., None], -1)
+    e = z_b - apply_pair(m, sa_a.chart_origin(), outer)
     if not want_jac:
         return e, None, None
-    j_a = -(phi @ encode_self_jacobian_batch(sa_a))
+    j_a = -apply_pair(m, encode_self_jacobian_batch(sa_a), outer)
     j_a[..., :, 0:6] += bm_b
     return e, j_a, enc_b
 
@@ -341,18 +337,19 @@ def quaternary_batch(sa00: StateArrays, sa10: StateArrays, sa01: StateArrays,
                      sa11: StateArrays, ds: np.ndarray, dt: np.ndarray,
                      want_jac: bool = True):
     """Four-node cell factor.  Corner subscripts are (spatial, temporal)
-    offsets within the cell; charts are taken about the (0,0) corner.  The
-    transitions phi_s, phi_t and phi_t phi_s apply as slice adds."""
+    offsets within the cell; charts are taken about the (0,0) corner."""
+    ms, mt = integrator(ds), integrator(dt)
+    phi_s = lambda x: apply_pair(ms, x, 2)
+    phi_t = lambda x: apply_pair(mt, x, 1)
     z10, enc10, bm10 = encode_with_jacobians_batch(sa10, sa00.R, sa00.t, want_jac)
     z01, enc01, bm01 = encode_with_jacobians_batch(sa01, sa00.R, sa00.t, want_jac)
     z11, enc11, bm11 = encode_with_jacobians_batch(sa11, sa00.R, sa00.t, want_jac)
-    e = (z11 - apply_phi_s(ds, z01) - apply_phi_t(dt, z10)
-         + apply_phi_t(dt, apply_phi_s(ds, sa00.chart_origin())))
+    e = z11 - phi_s(z01) - phi_t(z10) + phi_t(phi_s(sa00.chart_origin()))
     if not want_jac:
         return e, None, None, None, None
     j11 = enc11
-    j01 = -apply_phi_s(ds, enc01)
-    j10 = -apply_phi_t(dt, enc10)
-    j00 = apply_phi_t(dt, apply_phi_s(ds, encode_self_jacobian_batch(sa00)))
-    j00[..., :, 0:6] += bm11 - apply_phi_s(ds, bm01) - apply_phi_t(dt, bm10)
+    j01 = -phi_s(enc01)
+    j10 = -phi_t(enc10)
+    j00 = phi_t(phi_s(encode_self_jacobian_batch(sa00)))
+    j00[..., :, 0:6] += bm11 - phi_s(bm01) - phi_t(bm10)
     return e, j00, j10, j01, j11

@@ -5,20 +5,24 @@ grid node, two on a knot line (along s or along t), four inside a cell.
 Interpolation runs in up to two stages: a 1D conditioning in time on each of
 the cell's columns, then a 1D conditioning in arclength between the two
 column results.  Each stage conditions the bridge value on its endpoints,
-with gain Lam(u) = Q(u) phi(D-u)^T Q(D)^-1 and residual
-R(u) = Q(u) - Lam(u) Q(D) Lam(u)^T; a coordinate on a knot drops its stage.
+with gain Lam(u) = Q(u) phi(D-u)^T Q(D)^-1, prior weight Psi(u) = phi(u) -
+Lam(u) phi(D) and residual R(u) = Q(u) - Lam(u) Q(D) Lam(u)^T; a coordinate
+on a knot drops its stage.  The three stay (B, 2, 2) factors on the chart's
+derivative pairs, applied by `prior.apply_pair`; the stage noise is
+R (x) I (x) Q with the PSD Q of the stage's axis.
 
 `bind` turns coordinates into corner nodes and stage gains for any number
 of points at once (hull check, knot snapping, cell location, closed-form
 gains), grouped by binding shape; queries and measurement factors both bind
 through it.  The gains depend only on the cell size and the offset, never on
-the state.  `interpolate` is the one nonlinear chain, batched over the
-points of one binding shape: the temporal stage of both columns of every
-point runs as one batch, decoded in each column's own chart, and the spatial
-stage then runs in a chart about the left column's result.  `query_states`
-runs it once per binding shape and pushes the corner joint covariance
-through its Jacobians; the measurement factors run it once per sensor kind
-and binding shape.  On cell edges the gains collapse onto the shared nodes
+the state or the prior.  `interpolate` is the one nonlinear chain, batched
+over the points of one binding shape: the temporal stage of both columns of
+every point runs as one batch, decoded in each column's own chart, and the
+spatial stage then runs in a chart about the left column's result.
+`query_states` runs it once per binding shape, pushes the corner joint
+covariance through its Jacobians and adds the conditioning residual, which
+only it forms; the measurement factors run it once per sensor kind and
+binding shape.  On cell edges the gains collapse onto the shared nodes
 exactly, so adjacent cells evaluate boundary queries through the same chain
 and queries are continuous across the whole hull.
 """
@@ -26,12 +30,15 @@ and queries are continuous across the whole hull.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import reduce
 from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .prior import (NodeState, PriorParams, StateArrays, chart_decode_batch,
-                    encode_self_jacobian_batch, encode_with_jacobians_batch)
+from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
+                    chart_decode_batch, chart_jacobian_inv,
+                    encode_self_jacobian_batch, encode_with_jacobians_batch,
+                    integrator)
 
 HULL_TOL = 1e-9
 # points per batch in query_states: bounds the stacked chain Jacobians and
@@ -60,7 +67,8 @@ def locate(knots: np.ndarray, u: np.ndarray, name: str,
     mapping into the last cell.  Within the tolerance of a knot a coordinate
     snaps to it: the stage is dropped (False) and the index is the knot's;
     otherwise it is the cell's.  `cell` forces that cell and keeps every
-    stage.  A single-knot axis has no stage."""
+    stage; a coordinate outside the forced cell by more than the tolerance
+    raises ValueError.  A single-knot axis has no stage."""
     knots = np.asarray(knots, dtype=float)
     u = np.asarray(u, dtype=float)
     tol = HULL_TOL * max(1.0, float(np.max(np.abs(knots))))
@@ -76,7 +84,12 @@ def locate(knots: np.ndarray, u: np.ndarray, name: str,
     if len(knots) == 1:
         return idx, np.zeros(u.shape), np.zeros(u.shape, dtype=bool)
     width = knots[idx + 1] - knots[idx]
-    off = np.clip(u - knots[idx], 0.0, width)
+    off = u - knots[idx]
+    stray = (cell is not None) & ((off < -tol) | (off > width + tol))
+    if stray.any():
+        raise ValueError(f"{name}={u[stray][0]} outside forced cell "
+                         f"{name}={cell} [{knots[cell]}, {knots[cell + 1]}]")
+    off = np.clip(off, 0.0, width)
     at_left = (off <= tol) & (cell is None)
     at_right = ~at_left & (width - off <= tol) & (cell is None)
     return idx + at_right, off, ~(at_left | at_right)
@@ -84,22 +97,6 @@ def locate(knots: np.ndarray, u: np.ndarray, name: str,
 
 # ---------------------------------------------------------------------------
 # stage gains
-
-_I2 = np.eye(2)
-_I6 = np.eye(6)
-_I12 = np.eye(12)
-
-
-def _kron(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """np.kron of the last two axes, broadcast over the leading ones."""
-    out = a[..., :, None, :, None] * b[..., None, :, None, :]
-    return out.reshape(out.shape[:-4] + (out.shape[-4] * out.shape[-3],
-                                         out.shape[-2] * out.shape[-1]))
-
-
-def _integrator(d: np.ndarray) -> np.ndarray:
-    """M(d) = [[1, d], [0, 1]] for each step in d."""
-    return _I2 + np.multiply.outer(d, [[0.0, 1.0], [0.0, 0.0]])
 
 
 def _sym2(a, b, c) -> np.ndarray:
@@ -117,25 +114,9 @@ def _bridge(delta, u):
     k = lambda d: _sym2(d ** 3 / 3.0, d ** 2 / 2.0, d)
     k_inv = _sym2(12.0 / delta ** 3, -6.0 / delta ** 2, 4.0 / delta)
     k_u = k(u)
-    lam = k_u @ _T(_integrator(delta - u)) @ k_inv
-    psi = _integrator(u) - lam @ _integrator(delta)
+    lam = k_u @ _T(integrator(delta - u)) @ k_inv
+    psi = integrator(u) - lam @ integrator(delta)
     return lam, psi, k_u - lam @ k(delta) @ _T(lam)
-
-
-def temporal_gain(dt, tau, params: PriorParams) -> Gain:
-    """(Lam, Psi, R) as 24x24 operators for the within-column time stage,
-    stacked over the shape of dt and tau."""
-    lam, psi, r2 = _bridge(dt, tau)
-    return (_kron(lam, _I12), _kron(psi, _I12),
-            _kron(r2, _kron(_I2, params.qt_psd)))
-
-
-def spatial_gain(ds, sigma, params: PriorParams) -> Gain:
-    """(Lam, Psi, R) as 24x24 operators for the arclength stage, stacked
-    over the shape of ds and sigma."""
-    lam, psi, r2 = _bridge(ds, sigma)
-    return (_kron(_I2, _kron(lam, _I6)), _kron(_I2, _kron(psi, _I6)),
-            _kron(_I2, _kron(r2, params.qs_psd)))
 
 
 @dataclass
@@ -145,7 +126,8 @@ class Binding:
     `index` (B,) holds their positions in the bound input.  `nodes` is
     (m, B): row i holds each point's i-th corner, in (00, 10, 01, 11) order
     with subscripts (spatial, temporal).  `temporal`/`spatial` are the
-    stacked (B, 24, 24) stage gains (Lam, Psi, R), None for a dropped stage.
+    stages' (Lam, Psi, R) as stacked (B, 2, 2) factors on the chart's
+    derivative pairs (module docstring), None for a dropped stage.
     """
 
     index: np.ndarray
@@ -160,7 +142,7 @@ class Binding:
         return tuple(self.nodes[:, 0].tolist())
 
 
-def bind(s_knots, t_knots, params: PriorParams, s, t,
+def bind(s_knots, t_knots, s, t,
          cell: Optional[Tuple[int, int]] = None) -> List[Binding]:
     """Corner nodes and stage gains of the points (s[i], t[i]), one
     `Binding` per binding shape that occurs.  A coordinate on a knot drops
@@ -185,42 +167,43 @@ def bind(s_knots, t_knots, params: PriorParams, s, t,
         ni, ki = n[idx], k[idx]
         out.append(Binding(
             idx, corner[idx] + np.array(steps)[:, None],
-            temporal_gain(t_knots[ki + 1] - t_knots[ki], tau[idx], params)
+            _bridge(t_knots[ki + 1] - t_knots[ki], tau[idx])
             if has_t else None,
-            spatial_gain(s_knots[ni + 1] - s_knots[ni], sigma[idx], params)
+            _bridge(s_knots[ni + 1] - s_knots[ni], sigma[idx])
             if has_s else None))
     return out
 
 
 def make_interpolant(s_knots, t_knots, params: PriorParams, s: float,
                      t: float) -> Binding:
-    """One point's binding.  Kept only because the frozen bench/pipeline.py
-    times and counts bindings through it."""
-    return bind(s_knots, t_knots, params, s, t)[0]
+    """One point's binding (`params` is unread).  Kept only because the
+    frozen bench/pipeline.py times and counts bindings through it."""
+    return bind(s_knots, t_knots, s, t)[0]
 
 
 # ---------------------------------------------------------------------------
 # nonlinear interpolation chain
 
 
-def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, want_jac: bool):
+def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, outer: int,
+                want_jac: bool):
     """Condition bridge states on endpoint pairs (a, b) in each a's chart and
-    decode.  `gain` holds the stacked (B, 24, 24) stage operators
-    (Lam, Psi, R).  Returns (states, J_a, J_b, S) where the Jacobians map
-    endpoint chart perturbations to each result's own chart and S maps
-    chart-level residual noise into it."""
+    decode; `gain` is the stage's (Lam, Psi, R), `outer` its pair layout.
+    Returns (states, J_a, J_b, S) where the Jacobians map endpoint chart
+    perturbations to each result's own chart and S maps chart-level
+    residual noise into it."""
     lam, psi, _ = gain
     z_b, enc_b, bm_b = encode_with_jacobians_batch(b, a.R, a.t, want_jac)
-    z_m = np.squeeze(psi @ a.chart_origin()[..., None]
-                     + lam @ z_b[..., None], -1)
+    z_m = (apply_pair(psi, a.chart_origin(), outer)
+           + apply_pair(lam, z_b, outer))
     x_m = chart_decode_batch(z_m, a.R, a.t)
     if not want_jac:
         return x_m, None, None, None
     _, enc_m, bm_m = encode_with_jacobians_batch(x_m, a.R, a.t)
-    j_a = psi @ encode_self_jacobian_batch(a)
-    j_a[..., 0:6] += lam @ bm_b - bm_m
-    s = np.linalg.inv(enc_m)
-    return x_m, s @ j_a, s @ (lam @ enc_b), s
+    j_a = apply_pair(psi, encode_self_jacobian_batch(a), outer)
+    j_a[..., 0:6] += apply_pair(lam, bm_b, outer) - bm_m
+    s = chart_jacobian_inv(enc_m)
+    return x_m, s @ j_a, s @ apply_pair(lam, enc_b, outer), s
 
 
 def interpolate(sa: StateArrays, nodes: np.ndarray, temporal: Optional[Gain],
@@ -230,40 +213,52 @@ def interpolate(sa: StateArrays, nodes: np.ndarray, temporal: Optional[Gain],
     `nodes` is (m, B): row i holds each point's i-th corner, indexing `sa`,
     in (00, 10, 01, 11) order with subscripts (spatial, temporal).
     `temporal`/`spatial` are the stacked stage gains, None for a dropped
-    stage.  Returns (states, jacobians, residual): with `want_jac`, a list of
+    stage.  Returns (states, jacobians, noise): with `want_jac`, a list of
     m (B, 24, 24) maps from each corner's chart to the point's own chart and
-    the (B, 24, 24) conditioning residual in that chart; otherwise Nones.
+    the stage noise terms from which `_residual` forms the conditioning
+    residual in that chart; otherwise Nones.
     """
     B = nodes.shape[1]
     if temporal is None and spatial is None:
         x = sa.take(nodes[0])
         if not want_jac:
             return x, None, None
-        return x, [np.broadcast_to(np.eye(24), (B, 24, 24))], \
-            np.zeros((B, 24, 24))
+        return x, [np.broadcast_to(np.eye(24), (B, 24, 24))], []
     if temporal is None or spatial is None:
-        gain = temporal if spatial is None else spatial
+        gain, outer = (temporal, 1) if spatial is None else (spatial, 2)
         x, j_a, j_b, s = _pair_state(sa.take(nodes[0]), sa.take(nodes[1]),
-                                     gain, want_jac)
+                                     gain, outer, want_jac)
         if not want_jac:
             return x, None, None
-        return x, [j_a, j_b], s @ gain[2] @ _T(s)
+        return x, [j_a, j_b], [((s,), gain[2], outer)]
 
     # both columns' temporal stages as one batch: left (00, 01), right (10, 11)
     cols, jc_a, jc_b, s_c = _pair_state(
         sa.take(np.concatenate([nodes[0], nodes[1]])),
         sa.take(np.concatenate([nodes[2], nodes[3]])),
-        tuple(np.concatenate([g, g]) for g in temporal), want_jac)
+        tuple(np.concatenate([g, g]) for g in temporal), 1, want_jac)
     left, right = cols.take(np.arange(B)), cols.take(np.arange(B, 2 * B))
-    x, jq_l, jq_r, s_q = _pair_state(left, right, spatial, want_jac)
+    x, jq_l, jq_r, s_q = _pair_state(left, right, spatial, 2, want_jac)
     if not want_jac:
         return x, None, None
     jacs = [jq_l @ jc_a[:B], jq_r @ jc_a[B:], jq_l @ jc_b[:B],
             jq_r @ jc_b[B:]]
-    tl, tr = jq_l @ s_c[:B], jq_r @ s_c[B:]
-    r_t = temporal[2]
-    resid = tl @ r_t @ _T(tl) + tr @ r_t @ _T(tr) + s_q @ spatial[2] @ _T(s_q)
-    return x, jacs, 0.5 * (resid + _T(resid))
+    noise = [((jq_l, s_c[:B]), temporal[2], 1),
+             ((jq_r, s_c[B:]), temporal[2], 1), ((s_q,), spatial[2], 2)]
+    return x, jacs, noise
+
+
+def _residual(noise, params: PriorParams, B: int) -> np.ndarray:
+    """Sum of T (R (x) I (x) Q) T^T over `interpolate`'s stage noise terms
+    (maps, R, outer), T the maps' product and Q the stage axis' PSD: Q acts
+    on each 6-row block of T^T, then R on its pairs."""
+    out = np.zeros((B, 24, 24))
+    for maps, r2, outer in noise:
+        t = reduce(np.matmul, maps)
+        q = params.qt_psd if outer == 1 else params.qs_psd
+        out += t @ apply_pair(r2, (q @ _T(t).reshape(B, 4, 6, 24)).reshape(
+            B, 24, 24), outer)
+    return out
 
 
 def query_states(posterior, s, t, cell: Optional[Tuple[int, int]] = None):
@@ -276,12 +271,13 @@ def query_states(posterior, s, t, cell: Optional[Tuple[int, int]] = None):
     means = grid.states.take(np.zeros(len(s), dtype=int))
     covs = np.empty((len(s), 24, 24))
     for lo in range(0, len(s), CHUNK):
-        for b in bind(grid.s_knots, grid.t_knots, posterior.params,
-                      s[lo:lo + CHUNK], t[lo:lo + CHUNK], cell):
-            x, jacs, resid = interpolate(grid.states, b.nodes, b.temporal,
+        for b in bind(grid.s_knots, grid.t_knots, s[lo:lo + CHUNK],
+                      t[lo:lo + CHUNK], cell):
+            x, jacs, noise = interpolate(grid.states, b.nodes, b.temporal,
                                          b.spatial, want_jac=True)
             U = np.concatenate(jacs, axis=-1)
-            cov = U @ posterior.cov.joint(b.nodes) @ _T(U) + resid
+            cov = U @ posterior.cov.joint(b.nodes) @ _T(U) \
+                + _residual(noise, posterior.params, len(b.index))
             means.put(lo + b.index, x)
             covs[lo + b.index] = 0.5 * (cov + _T(cov))
     return means, covs
@@ -298,6 +294,6 @@ def query_mean(posterior, s: float, t: float,
                cell: Optional[Tuple[int, int]] = None) -> NodeState:
     """Posterior mean state at (s, t); touches only the containing cell."""
     grid = posterior.grid
-    (b,) = bind(grid.s_knots, grid.t_knots, posterior.params, s, t, cell)
+    (b,) = bind(grid.s_knots, grid.t_knots, s, t, cell)
     return interpolate(grid.states, b.nodes, b.temporal, b.spatial,
                        want_jac=False)[0][0]

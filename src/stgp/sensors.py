@@ -150,8 +150,10 @@ class MeasurementGroup:
 
     `nodes` is (m, B): row i holds every factor's i-th bound node, so each
     pair of rows has one fixed time-row offset.  `temporal`/`spatial` are
-    the stacked (Lam, Psi, R) stage gains, None where the binding drops the
-    stage.  Weights are (B, d, d), zero outside a strain mask.
+    the stacked (B, 2, 2) stage gains (Lam, Psi, R), None where the binding
+    drops the stage; R goes unused, as only `query.query_states` forms the
+    conditioning residual.  Weights are (B, d, d), zero outside a strain
+    mask.
     """
 
     kind: str
@@ -217,7 +219,7 @@ def group_measurements(factors) -> List[MeasurementGroup]:
 class MeasurementFactor:
     """A measurement bound to grid nodes: its weight (the inverse noise
     covariance), its nodes in binding order and its point's (Lam, Psi, R)
-    stage gains, None for a dropped stage."""
+    stage gains as (2, 2) factors, None for a dropped stage."""
 
     meas: Measurement
     nodes: Tuple[int, ...]
@@ -243,11 +245,12 @@ def _item(gain: Optional[Gain], j: int) -> Optional[Gain]:
 
 def build_measurement_factors(measurements, grid: Grid,
                               params: PriorParams) -> list:
-    """Bind every measurement to the grid, in order, with one `bind` call."""
+    """Bind every measurement to the grid, in order, with one `bind` call
+    (`params` is unread; the frozen bench/pipeline.py passes it)."""
     measurements = list(measurements)
     factors = [None] * len(measurements)
-    for b in bind(grid.s_knots, grid.t_knots, params,
-                  [m.s for m in measurements], [m.t for m in measurements]):
+    for b in bind(grid.s_knots, grid.t_knots, [m.s for m in measurements],
+                  [m.t for m in measurements]):
         cls = NodeMeasurementFactor if len(b.nodes) == 1 \
             else InterpolatedMeasurementFactor
         for j, i in enumerate(b.index):

@@ -6,10 +6,9 @@ import pytest
 
 from stgp.graph import Grid, build_grid, build_prior_factors
 from stgp.liegroup import Pose
-from stgp.oracle import dense_prior_precision
-from stgp.prior import (NodeState, PriorParams, StateArrays, apply_phi_s,
-                        apply_phi_t, chart_decode_batch, chart_encode,
-                        phi_s_batch, phi_t_batch)
+from stgp.oracle import dense_prior_precision, phi_cell
+from stgp.prior import (NodeState, PriorParams, StateArrays, apply_pair,
+                        chart_decode_batch, chart_encode, integrator)
 from stgp.sim import GroundTruth, ScenarioConfig
 from stgp.solver import linearize
 from conftest import dense
@@ -92,10 +91,10 @@ def node_by_node_grid(s_knots, t_knots, x0: NodeState):
 
     # the transitions as the sweep applies them, one item at a time
     def ps(ds, z):
-        return apply_phi_s(np.array([ds]), z[None])[0]
+        return apply_pair(integrator(np.array([ds])), z[None], 2)[0]
 
     def pt(dt, z):
-        return apply_phi_t(np.array([dt]), z[None])[0]
+        return apply_pair(integrator(np.array([dt])), z[None], 1)[0]
 
     N, K = len(s_knots), len(t_knots)
     xs = [x0] + [None] * (N * K - 1)
@@ -282,8 +281,12 @@ def test_nonuniform_knots(params):
     t = np.array([0.0, 0.5, 0.6])
     g = build_grid(s, t, NodeState.identity())
     fs = build_prior_factors(g, params)
-    assert np.array_equal(fs.binary_spatial.args[0], phi_s_batch(np.diff(s)))
-    assert np.array_equal(fs.binary_temporal.args[0], phi_t_batch(np.diff(t)))
+    # each binary family's pair factors give the dense transition of its step
+    for fam, phi in ((fs.binary_spatial, [phi_cell(d, 0) for d in np.diff(s)]),
+                     (fs.binary_temporal, [phi_cell(0, d) for d in np.diff(t)])):
+        m, outer = fam.args
+        eye = np.broadcast_to(np.eye(24), (len(m), 24, 24))
+        assert np.array_equal(apply_pair(m, eye, outer), np.array(phi))
     ds, dt = fs.quaternary.args
     assert np.array_equal(ds, np.tile(np.diff(s), len(t) - 1))
     assert np.array_equal(dt, np.repeat(np.diff(t), len(s) - 1))

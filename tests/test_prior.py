@@ -17,8 +17,9 @@ from stgp.liegroup import (Pose, ad6, se3_exp_with_jacobian,
 from stgp.oracle import (k_matrix, phi_cell, q_binary_s, q_binary_t,
                          q_quaternary)
 from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
-                        chart_decode_batch, chart_encode,
-                        phi_s_batch as phi_s, phi_t_batch as phi_t)
+                        apply_pair, chart_decode_batch, chart_encode,
+                        integrator)
+from stgp.query import bind
 from stgp.solver import apply_update
 from conftest import random_state, random_states, retract
 from test_liegroup import (ANGLE_BUCKETS, BERNOULLI_OVER_FACT, djac_vec_series,
@@ -35,6 +36,16 @@ def quad_k_matrix(d: float) -> np.ndarray:
         for j in range(2):
             out[i, j] = quad(fns[i][j], 0.0, d)[0]
     return out
+
+
+def phi_s(ds: float) -> np.ndarray:
+    """The dense spatial transition over a step ds."""
+    return phi_cell(ds, 0.0)
+
+
+def phi_t(dt: float) -> np.ndarray:
+    """The dense temporal transition over a step dt."""
+    return phi_cell(0.0, dt)
 
 
 # k_matrix and transitions
@@ -77,10 +88,41 @@ def test_phi_commutation_and_cell():
     a, b = 0.2, 0.5
     assert np.allclose(phi_t(b) @ phi_s(a), phi_s(a) @ phi_t(b), atol=1e-12)
     assert np.allclose(phi_cell(a, b), phi_t(b) @ phi_s(a), atol=1e-12)
-    # one batched call stacks the per-step maps
+    # one batched pair operator call stacks the per-step maps
     steps = np.array([0.0, a, b])
-    assert np.array_equal(phi_s(steps), np.stack([phi_s(d) for d in steps]))
-    assert np.array_equal(phi_t(steps), np.stack([phi_t(d) for d in steps]))
+    eye = np.broadcast_to(np.eye(24), (3, 24, 24))
+    assert np.array_equal(apply_pair(integrator(steps), eye, 2),
+                          np.stack([phi_s(d) for d in steps]))
+    assert np.array_equal(apply_pair(integrator(steps), eye, 1),
+                          np.stack([phi_t(d) for d in steps]))
+
+
+@pytest.mark.parametrize("cols", [(), (6,), (24,)])
+def test_apply_pair_matches_kron(cols):
+    """The pair operator against the np.kron dense forms of phi_s, phi_t and
+    of both stages' Lam and Psi from `bind`, on stacked vectors, 24x6 and
+    24x24 blocks, on the doubled temporal batch of the four-corner chain,
+    and on an empty batch."""
+    rng = np.random.default_rng(61)
+    B = 9
+    ds, dt = rng.uniform(0.05, 2.0, (2, B))
+    (b,) = bind([0.0, 1.0], [0.0, 2.0], rng.uniform(0.01, 0.99, B),
+                rng.uniform(0.01, 1.99, B))
+    lift_t = lambda g: [np.kron(m, np.eye(12)) for m in g]
+    lift_s = lambda g: [np.kron(np.eye(2), np.kron(m, np.eye(6))) for m in g]
+    doubled = np.concatenate([b.temporal[0], b.temporal[0]])
+    cases = [(integrator(ds), 2, [phi_s(d) for d in ds]),
+             (integrator(dt), 1, [phi_t(d) for d in dt]),
+             (doubled, 1, lift_t(doubled))]
+    cases += [(g, 1, lift_t(g)) for g in b.temporal[:2]]
+    cases += [(g, 2, lift_s(g)) for g in b.spatial[:2]]
+    for g, outer, dense in cases:
+        x = rng.standard_normal((len(g), 24) + cols)
+        ref = (np.array(dense) @ x.reshape(len(g), 24, -1)).reshape(x.shape)
+        got = apply_pair(g, x, outer)
+        assert got.shape == x.shape
+        assert np.max(np.abs(got - ref)) <= 1e-15 * np.max(np.abs(ref))
+        assert apply_pair(g[:0], x[:0], outer).shape == (0, 24) + cols
 
 
 def test_phi_cell_bilinear_taylor_step():
@@ -255,6 +297,9 @@ def test_encode_jacobians_match_references(bucket):
     assert np.max(max_rel(z[:, None], ref_z[:, None])) < 1e-13
     assert np.max(max_rel(enc, ref_enc)) < 1e-13
     assert np.max(max_rel(bm, ref_bm)) < 1e-13
+    # the blockwise inverse the query chain takes of enc
+    assert np.max(max_rel(P.chart_jacobian_inv(enc), np.linalg.inv(enc))) \
+        < 1e-13
 
 
 def test_chart_range_boundary():
@@ -306,8 +351,8 @@ def test_retract_is_chart_additive():
 
 
 def test_cell_kernel_matches_dense_transitions():
-    """quaternary_batch, which applies phi_s, phi_t and phi_t phi_s as slice
-    adds, against the same encodes combined through dense phi_cell
+    """quaternary_batch, which applies phi_s, phi_t and phi_t phi_s through
+    the pair operator, against the same encodes combined through dense phi_cell
     products: its error and Jacobians cover the transitions on vectors,
     24x24 and 24x6 blocks."""
     corners = [StateArrays.from_states(random_states(47 + i, 30, angle=0.4,
@@ -348,12 +393,12 @@ def unary(xs, params, want_jac=False):
 
 def spatial(xa, xb, ds, want_jac=False):
     return kernel_terms(P.binary_batch, [xa, xb],
-                        P.phi_s_batch(np.full(len(xa), ds)), want_jac=want_jac)
+                        integrator(np.full(len(xa), ds)), 2, want_jac=want_jac)
 
 
 def temporal(xa, xb, dt, want_jac=False):
     return kernel_terms(P.binary_batch, [xa, xb],
-                        P.phi_t_batch(np.full(len(xa), dt)), want_jac=want_jac)
+                        integrator(np.full(len(xa), dt)), 1, want_jac=want_jac)
 
 
 def cell(corners, ds, dt, want_jac=False):

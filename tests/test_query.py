@@ -12,11 +12,32 @@ from stgp.prior import NodeState, chart_encode
 from stgp.sensors import (InterpolatedMeasurementFactor, Measurement,
                           build_measurement_factors)
 from stgp.query import (HULL_TOL, OutOfHullError, bind, locate, query_mean,
-                        query_state, query_states, spatial_gain,
-                        temporal_gain)
+                        query_state, query_states)
 from stgp.solver import gauss_newton
 
-I24 = np.eye(24)
+I2, I6, I12, I24 = np.eye(2), np.eye(6), np.eye(12), np.eye(24)
+
+
+def lift_temporal(gain, params):
+    """A time stage's 2x2 (Lam, Psi, R) as 24x24 chart operators."""
+    lam, psi, r2 = gain
+    return (np.kron(lam, I12), np.kron(psi, I12),
+            np.kron(r2, np.kron(I2, params.qt_psd)))
+
+
+def lift_spatial(gain, params):
+    """An arclength stage's 2x2 (Lam, Psi, R) as 24x24 chart operators."""
+    lam, psi, r2 = gain
+    return (np.kron(I2, np.kron(lam, I6)), np.kron(I2, np.kron(psi, I6)),
+            np.kron(I2, np.kron(r2, params.qs_psd)))
+
+
+def stage_gains(ds: float, dt: float, sigma: float, tau: float, params):
+    """The lifted temporal and spatial stage gains `bind` gives a point at
+    offsets (sigma, tau) inside a cell of size (ds, dt)."""
+    (b,) = bind([0.0, ds], [0.0, dt], sigma, tau, cell=(0, 0))
+    return (lift_temporal([g[0] for g in b.temporal], params),
+            lift_spatial([g[0] for g in b.spatial], params))
 
 
 def interp_weights(ds: float, dt: float, sigma: float, tau: float,
@@ -27,8 +48,8 @@ def interp_weights(ds: float, dt: float, sigma: float, tau: float,
     temporal).  This is the exact linearization of the query chain about any
     common chart; the nonlinear chain composes the same gains through
     per-column local charts."""
-    lam_t, psi_t, r_t = temporal_gain(dt, tau, params)
-    lam_s, psi_s, r_s = spatial_gain(ds, sigma, params)
+    (lam_t, psi_t, r_t), (lam_s, psi_s, r_s) = stage_gains(ds, dt, sigma, tau,
+                                                           params)
     W = np.hstack([psi_s @ psi_t, lam_s @ psi_t, psi_s @ lam_t, lam_s @ lam_t])
     resid = psi_s @ r_t @ psi_s.T + lam_s @ r_t @ lam_s.T + r_s
     return W, 0.5 * (resid + resid.T)
@@ -53,19 +74,16 @@ def reference_binding(s_knots, t_knots, params, s: float, t: float):
         return (lam, m2(u) - lam @ m2(delta),
                 k_matrix(u) - lam @ k_matrix(delta) @ lam.T)
 
-    I2, I6, I12 = np.eye(2), np.eye(6), np.eye(12)
     n, k = snap(s_knots, s), snap(t_knots, t)
     temporal = spatial = None
     if k is None:
         k, tau = cell(t_knots, t)
-        lam, psi, r2 = pair(t_knots[k + 1] - t_knots[k], tau)
-        temporal = (np.kron(lam, I12), np.kron(psi, I12),
-                    np.kron(r2, np.kron(I2, params.qt_psd)))
+        temporal = lift_temporal(pair(t_knots[k + 1] - t_knots[k], tau),
+                                 params)
     if n is None:
         n, sigma = cell(s_knots, s)
-        lam, psi, r2 = pair(s_knots[n + 1] - s_knots[n], sigma)
-        spatial = (np.kron(I2, np.kron(lam, I6)), np.kron(I2, np.kron(psi, I6)),
-                   np.kron(I2, np.kron(r2, params.qs_psd)))
+        spatial = lift_spatial(pair(s_knots[n + 1] - s_knots[n], sigma),
+                               params)
     steps = [0] if spatial is None else [0, 1]
     if temporal is not None:
         steps += [d + len(s_knots) for d in steps]
@@ -93,9 +111,9 @@ def test_locate_interior_and_knots():
     assert off == pytest.approx([0.15, 0.0, 0.0, 0.7, 1e-12])
     assert stage.tolist() == [True, False, False, False, False]
     # a forced cell keeps every stage
-    idx, off, stage = locate(knots, [0.3, 0.5], "s", cell=0)
+    idx, off, stage = locate(knots, [0.3, 0.1], "s", cell=0)
     assert idx.tolist() == [0, 0] and stage.all()
-    assert off == pytest.approx([0.3, 0.3])
+    assert off == pytest.approx([0.3, 0.1])
 
 
 def test_locate_out_of_hull():
@@ -108,6 +126,9 @@ def test_locate_out_of_hull():
     assert (idx[0], off[0], stage[0]) == (1, 1.0, False)
     with pytest.raises(ValueError):
         locate(knots, [0.5], "s", cell=1)
+    # a forced cell rejects a coordinate outside it instead of clamping it
+    with pytest.raises(ValueError, match="s=0.9 outside forced cell s=0"):
+        locate(np.array([0.0, 0.5, 1.0]), [0.9], "s", cell=0)
 
 
 def test_interpolant_node_counts(params):
@@ -121,10 +142,10 @@ def test_interpolant_node_counts(params):
         ((s[2], t[2]), 1),          # far corner of the hull
     ]
     for (si, ti), n in cases:
-        (b,) = bind(s, t, params, si, ti)
+        (b,) = bind(s, t, si, ti)
         assert b.nodes.shape == (n, 1), (si, ti)
     # the same points in one call, grouped by shape in input order
-    bindings = bind(s, t, params, [p[0][0] for p in cases],
+    bindings = bind(s, t, [p[0][0] for p in cases],
                     [p[0][1] for p in cases])
     assert sorted(i for b in bindings for i in b.index) == list(range(5))
     for b in bindings:
@@ -144,18 +165,20 @@ def test_bind_matches_point_by_point_reference(params):
     pts += [(0.33, t) for t in t_knots]
     pts += [(0.45 + 0.3 * HULL_TOL, 0.1), (0.45 - 0.3 * HULL_TOL, 0.7),
             (1.0 + 0.5 * HULL_TOL, 0.2), (0.6, -0.5 * HULL_TOL)]
-    bindings = bind(s_knots, t_knots, params, *zip(*pts))
+    bindings = bind(s_knots, t_knots, *zip(*pts))
     seen = 0
     for b in bindings:
         for j, i in enumerate(b.index):
             nodes, temporal, spatial = reference_binding(
                 s_knots, t_knots, params, *pts[i])
             assert tuple(b.nodes[:, j]) == nodes, pts[i]
-            for got, ref in ((b.temporal, temporal), (b.spatial, spatial)):
+            for got, ref, lift in ((b.temporal, temporal, lift_temporal),
+                                   (b.spatial, spatial, lift_spatial)):
                 assert (got is None) == (ref is None), pts[i]
+                got = lift([g[j] for g in got], params) if got else ()
                 # R is a difference of terms that cancel: allow 1e-12
-                for op, op_ref in zip(got or (), ref or ()):
-                    assert np.max(np.abs(op[j] - op_ref)) \
+                for op, op_ref in zip(got, ref or ()):
+                    assert np.max(np.abs(op - op_ref)) \
                         <= 1e-12 * np.max(np.abs(op_ref))
             seen += 1
     assert seen == len(pts)
@@ -210,12 +233,12 @@ def test_knot_line_weights_match_dense(params):
     s = np.array([0.0, 0.25, 0.5])
     t = np.array([0.0, 0.3, 0.6])
     # on the s knot line the dense oracle collapses to the temporal pair
-    lam_t, psi_t, _ = temporal_gain(0.3, 0.11, params)
+    (lam_t, psi_t, _), (lam_s, psi_s, _) = stage_gains(0.25, 0.3, 0.1, 0.11,
+                                                       params)
     Wd, _, corners = dense_condition_query(s, t, params, 0.25, 0.41)
     assert corners == [(1, 1), (1, 2)]
     assert np.max(np.abs(np.hstack([psi_t, lam_t]) - Wd)) < 1e-10
     # on the t knot line, to the spatial pair
-    lam_s, psi_s, _ = spatial_gain(0.25, 0.1, params)
     Wd, _, corners = dense_condition_query(s, t, params, 0.35, 0.3)
     assert corners == [(1, 1), (2, 1)]
     assert np.max(np.abs(np.hstack([psi_s, lam_s]) - Wd)) < 1e-10
@@ -332,7 +355,7 @@ def test_off_knot_hull_edge_binds_edge_pair(linear_posterior):
         (0.5, T + off, (0, 1), (k_last + 2, k_last + 3)),
     ]
     for s, t, (us, ut), pair in cases:
-        (b,) = bind(grid.s_knots, grid.t_knots, post.params, s, t)
+        (b,) = bind(grid.s_knots, grid.t_knots, s, t)
         assert tuple(b.nodes[:, 0]) == pair, (s, t)
         (f,) = build_measurement_factors(
             [Measurement("position3", s, t, np.zeros(3), np.eye(3))], grid,
