@@ -36,10 +36,12 @@ positive definite; 2 invalid input, which is one of
                  (tol bounds the Gauss-Newton decrement at convergence, in
                  chi-square units of the cost)
   measurements   a record malformed, or its value or noise_cov not finite
-  query          a point out of the hull or not finite
+  query          a point out of the hull or not finite; --grid given with
+                 --s or --t
   posterior.bin  an array missing or of a shape that does not fit the knot
-                 counts, knots not finite and increasing, or the prior mean
-                 state mis-shaped or not finite
+                 counts, knots not finite and increasing, the prior mean
+                 state mis-shaped or not finite, or a prior PSD or p0 not
+                 finite
 Failures write no standard output.
 """
 
@@ -59,8 +61,7 @@ from .graph import Grid, build_grid, build_prior_factors
 from .liegroup import Pose, quaternion_to_rotation, rotation_to_quaternion
 from .prior import NodeState, PriorParams, StateArrays
 # query_state is kept only because the frozen bench/pipeline.py patches it
-from .query import (CHUNK, OutOfHullError, query_state,  # noqa: F401
-                    query_states)
+from .query import OutOfHullError, query_state, query_states  # noqa: F401
 from .sensors import Measurement, build_measurement_factors
 from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
                   generate_measurements)
@@ -78,6 +79,11 @@ EXIT_INVALID = 2
 EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_NOT_PD = 5
+
+# points per query_states call in cmd_query: bounds the stacked chain
+# Jacobians and corner joints to a few MB (about 14 MB at 64 points), which a
+# process that also holds posteriors would otherwise add to its peak memory
+CHUNK = 16
 
 
 class SchemaError(ValueError):
@@ -269,7 +275,8 @@ def load_posterior(path: str) -> Posterior:
     an archive, SchemaError when it lacks an array or a report field, when
     its knots are not finite and increasing, when an array's shape does
     not fit the knot counts or when the prior mean state is mis-shaped or
-    not finite.  A report of stgp.report/1.0 loads with no decrements."""
+    not finite; ValueError when a prior PSD or p0 is not finite.  A report
+    of stgp.report/1.0 loads with no decrements."""
     if not zipfile.is_zipfile(path):  # also false for a missing file
         raise OSError(f"cannot read {path}: missing or not a zip archive")
     try:
@@ -394,6 +401,9 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
               stream: Optional[TextIO] = None) -> int:
     stream = stream or sys.stdout
     if grid_arg is not None:
+        if s is not None or t is not None:
+            raise ConfigError("query takes --s and --t, or --grid SxT, "
+                              "not both")
         ns, nt = _parse_grid_arg(grid_arg)
     elif s is None or t is None:
         raise ConfigError("query needs --s and --t, or --grid SxT")

@@ -10,11 +10,12 @@ or column and 0 for one node.
 
 The prior is four factor kinds (unary, spatial binary, temporal binary and
 cell), each the same kernel applied at many lattice sites.
-`build_prior_factors` emits each kind as one stacked `PriorFamily`: its
-node indices, weights and per-item kernel arguments as arrays, evaluated by
-one batched kernel call.  Families share the (nodes, weights, evaluate)
-protocol of `sensors.MeasurementGroup`, so the solver treats prior and
-measurement factors alike.
+`build_prior_factors` emits each kind as one stacked `Family`: its node
+indices, weights, batched kernel and per-family kernel arguments.  A
+measurement group (`sensors.group_measurements`) is a `Family` too, so the
+solver evaluates prior and measurement factors through one contract: the
+kernel, called with the family's arguments and then its gathered node
+states, returns the errors and one Jacobian per node slot.
 """
 
 from __future__ import annotations
@@ -128,15 +129,18 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
 
 
 @dataclass
-class PriorFamily:
-    """Every prior factor of one kind, stacked.
+class Family:
+    """Every factor of one kind, stacked: a prior kind or a measurement
+    group.
 
     `nodes` is (m, B): row i holds each factor's i-th node, so each pair of
-    rows has one fixed time-row offset.  `weights` is (B, 24, 24), the
+    rows has one fixed time-row offset.  `weights` is (B, d, d), the
     inverse noise covariances.  `kernel` is the batched error function of
-    the kind, called with the m gathered node-state stacks followed by
-    `args`: `PriorParams`, the steps' (B, 2, 2) integrators and the pair
-    layout of `prior.apply_pair`, or the cell kind's steps ds and dt.
+    the kind, called as `kernel(*args, *node_states)` with the m gathered
+    node-state stacks last, in the manner of `functools.partial`: for a
+    prior kind `args` is `PriorParams`, the steps' (B, 2, 2) integrators and
+    the pair layout of `prior.apply_pair`, or the cell kind's steps ds and
+    dt.
     """
 
     kind: str
@@ -148,12 +152,10 @@ class PriorFamily:
     def __len__(self) -> int:
         return self.nodes.shape[1]
 
-    def evaluate(self, sa: StateArrays, want_jac: bool = True):
-        """(errors, J_0, ..., J_m-1) at node states `sa`; each J_i is the
-        (B, 24, 24) Jacobian onto slot i's node chart, None without
-        `want_jac`."""
-        return self.kernel(*[sa.take(n) for n in self.nodes], *self.args,
-                           want_jac=want_jac)
+    def evaluate(self, sa: StateArrays):
+        """(errors, J_0, ..., J_m-1) at node states `sa`: the (B, d) errors
+        and each J_i the (B, d, 24) Jacobian onto slot i's node chart."""
+        return self.kernel(*self.args, *[sa.take(n) for n in self.nodes])
 
 
 @dataclass
@@ -161,13 +163,13 @@ class FactorSet:
     """The prior families (None for a kind the set leaves out) and the
     measurement factors."""
 
-    unary: Optional[PriorFamily] = None
-    binary_spatial: Optional[PriorFamily] = None
-    binary_temporal: Optional[PriorFamily] = None
-    quaternary: Optional[PriorFamily] = None
+    unary: Optional[Family] = None
+    binary_spatial: Optional[Family] = None
+    binary_temporal: Optional[Family] = None
+    quaternary: Optional[Family] = None
     measurement: list = field(default_factory=list)
 
-    def prior_families(self) -> List[PriorFamily]:
+    def prior_families(self) -> List[Family]:
         """The non-empty prior families, in assembly order."""
         return [f for f in (self.unary, self.binary_spatial,
                             self.binary_temporal, self.quaternary) if f]
@@ -193,14 +195,12 @@ def build_prior_factors(grid: Grid, params: PriorParams) -> FactorSet:
         return np.array(w).reshape(-1, 24, 24)
 
     return FactorSet(
-        PriorFamily("unary", np.zeros((1, 1), dtype=int),
-                    np.linalg.inv(params.p0)[None], unary_batch, (params,)),
-        PriorFamily("spatial", np.stack([row, row + 1]),
-                    weights(q_binary_s_inv, ds), binary_batch,
-                    (integrator(ds), 2)),
-        PriorFamily("temporal", np.stack([col, col + N]),
-                    weights(q_binary_t_inv, dt), binary_batch,
-                    (integrator(dt), 1)),
-        PriorFamily("cell", np.stack([c00, c00 + 1, c00 + N, c00 + N + 1]),
-                    weights(q_quaternary_inv, cell_ds, cell_dt),
-                    quaternary_batch, (cell_ds, cell_dt)))
+        Family("unary", np.zeros((1, 1), dtype=int),
+               np.linalg.inv(params.p0)[None], unary_batch, (params,)),
+        Family("spatial", np.stack([row, row + 1]),
+               weights(q_binary_s_inv, ds), binary_batch, (integrator(ds), 2)),
+        Family("temporal", np.stack([col, col + N]),
+               weights(q_binary_t_inv, dt), binary_batch, (integrator(dt), 1)),
+        Family("cell", np.stack([c00, c00 + 1, c00 + N, c00 + N + 1]),
+               weights(q_quaternary_inv, cell_ds, cell_dt), quaternary_batch,
+               (cell_ds, cell_dt)))

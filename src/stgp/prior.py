@@ -88,6 +88,8 @@ def _as_psd6(m, name: str) -> np.ndarray:
         m = np.diag(m)
     if m.shape != (6, 6):
         raise ValueError(f"{name} must be a scalar, 6-vector, or 6x6 matrix")
+    if not np.all(np.isfinite(m)):
+        raise ValueError(f"{name} must be finite")
     if np.max(np.abs(m - m.T)) > 1e-12 * (1 + np.max(np.abs(m))):
         raise ValueError(f"{name} must be symmetric")
     if np.min(np.linalg.eigvalsh(m)) < -1e-10 * (1 + np.max(np.abs(m))):
@@ -117,6 +119,8 @@ class PriorParams:
             p0 = np.diag(p0)
         if p0.shape != (24, 24):
             raise ValueError("p0 must be a scalar, 24-vector, or 24x24 matrix")
+        if not np.all(np.isfinite(p0)):
+            raise ValueError("p0 must be finite")
         if np.max(np.abs(p0 - p0.T)) > 1e-12 * (1 + np.max(np.abs(p0))):
             raise ValueError("p0 must be symmetric")
         self.p0 = 0.5 * (p0 + p0.T)
@@ -181,6 +185,13 @@ class StateArrays:
         idx = np.asarray(idx, dtype=int)
         return StateArrays(self.R[idx], self.t[idx], self.eps[idx],
                            self.vel[idx], self.sv[idx])
+
+    @staticmethod
+    def concat(parts) -> "StateArrays":
+        """The states of `parts`, one stack after another."""
+        return StateArrays(*(
+            np.concatenate([getattr(p, f.name) for p in parts])
+            for f in fields(StateArrays)))
 
     def put(self, idx, other: "StateArrays") -> None:
         """Overwrite the states at `idx` with `other`'s, in order."""
@@ -307,46 +318,42 @@ def apply_pair(g: np.ndarray, x: np.ndarray, outer: int) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# prior factor errors and Jacobians, batched over factors
+# prior factor errors and Jacobians, batched over factors: each kernel takes
+# its `graph.Family` arguments, then the node-state stacks of its slots
 
 
-def unary_batch(sa: StateArrays, params: PriorParams, want_jac: bool = True):
+def unary_batch(params: PriorParams, sa: StateArrays):
     base = params.prior_mean.pose
     B = sa.eps.shape[0]
     Rb = np.broadcast_to(base.R, (B, 3, 3))
     tb = np.broadcast_to(base.t, (B, 3))
-    z, enc, _ = encode_with_jacobians_batch(sa, Rb, tb, want_jac)
+    z, enc, _ = encode_with_jacobians_batch(sa, Rb, tb)
     e = z - params.prior_mean.derivative_vector()
     return e, enc
 
 
-def binary_batch(sa_a: StateArrays, sa_b: StateArrays, m: np.ndarray,
-                 outer: int, want_jac: bool = True):
+def binary_batch(m: np.ndarray, outer: int, sa_a: StateArrays,
+                 sa_b: StateArrays):
     """Shared core of the spatial and temporal two-node factors; `m` holds
     the steps' integrators and `outer` the axis' pair layout (`apply_pair`)."""
-    z_b, enc_b, bm_b = encode_with_jacobians_batch(sa_b, sa_a.R, sa_a.t, want_jac)
+    z_b, enc_b, bm_b = encode_with_jacobians_batch(sa_b, sa_a.R, sa_a.t)
     e = z_b - apply_pair(m, sa_a.chart_origin(), outer)
-    if not want_jac:
-        return e, None, None
     j_a = -apply_pair(m, encode_self_jacobian_batch(sa_a), outer)
     j_a[..., :, 0:6] += bm_b
     return e, j_a, enc_b
 
 
-def quaternary_batch(sa00: StateArrays, sa10: StateArrays, sa01: StateArrays,
-                     sa11: StateArrays, ds: np.ndarray, dt: np.ndarray,
-                     want_jac: bool = True):
+def quaternary_batch(ds: np.ndarray, dt: np.ndarray, sa00: StateArrays,
+                     sa10: StateArrays, sa01: StateArrays, sa11: StateArrays):
     """Four-node cell factor.  Corner subscripts are (spatial, temporal)
     offsets within the cell; charts are taken about the (0,0) corner."""
     ms, mt = integrator(ds), integrator(dt)
     phi_s = lambda x: apply_pair(ms, x, 2)
     phi_t = lambda x: apply_pair(mt, x, 1)
-    z10, enc10, bm10 = encode_with_jacobians_batch(sa10, sa00.R, sa00.t, want_jac)
-    z01, enc01, bm01 = encode_with_jacobians_batch(sa01, sa00.R, sa00.t, want_jac)
-    z11, enc11, bm11 = encode_with_jacobians_batch(sa11, sa00.R, sa00.t, want_jac)
+    z10, enc10, bm10 = encode_with_jacobians_batch(sa10, sa00.R, sa00.t)
+    z01, enc01, bm01 = encode_with_jacobians_batch(sa01, sa00.R, sa00.t)
+    z11, enc11, bm11 = encode_with_jacobians_batch(sa11, sa00.R, sa00.t)
     e = z11 - phi_s(z01) - phi_t(z10) + phi_t(phi_s(sa00.chart_origin()))
-    if not want_jac:
-        return e, None, None, None, None
     j11 = enc11
     j01 = -phi_s(enc01)
     j10 = -phi_t(enc10)

@@ -16,22 +16,24 @@ of points at once (hull check, knot snapping, cell location, closed-form
 gains), grouped by binding shape; queries and measurement factors both bind
 through it.  The gains depend only on the cell size and the offset, never on
 the state or the prior.  `interpolate` is the one nonlinear chain, batched
-over the points of one binding shape: the temporal stage of both columns of
-every point runs as one batch, decoded in each column's own chart, and the
-spatial stage then runs in a chart about the left column's result.
-`query_states` runs it once per binding shape, pushes the corner joint
-covariance through its Jacobians and adds the conditioning residual, which
-only it forms; the measurement factors run it once per sensor kind and
-binding shape.  On cell edges the gains collapse onto the shared nodes
-exactly, so adjacent cells evaluate boundary queries through the same chain
-and queries are continuous across the whole hull.
+over the points of one binding shape and called with their gathered corner
+states: the temporal stage of both columns of every point runs as one batch,
+decoded in each column's own chart, and the spatial stage then runs in a
+chart about the left column's result.  It always returns the chain's
+Jacobians with the states.  `query_states` runs it once per binding shape,
+pushes the corner joint covariance through those Jacobians and adds the
+conditioning residual, which only it forms; each measurement family
+(`sensors.measurement_batch`) runs it once per linearization.  On cell edges
+the gains collapse onto the shared nodes exactly, so adjacent cells evaluate
+boundary queries through the same chain and queries are continuous across
+the whole hull.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import reduce
-from typing import List, Optional, Tuple
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -41,10 +43,6 @@ from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
                     integrator)
 
 HULL_TOL = 1e-9
-# points per batch in query_states: bounds the stacked chain Jacobians and
-# corner joints to a few MB (about 14 MB at 64 points), which a process that
-# also holds posteriors would otherwise add to its peak memory
-CHUNK = 16
 
 Gain = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
@@ -185,20 +183,17 @@ def make_interpolant(s_knots, t_knots, params: PriorParams, s: float,
 # nonlinear interpolation chain
 
 
-def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, outer: int,
-                want_jac: bool):
+def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, outer: int):
     """Condition bridge states on endpoint pairs (a, b) in each a's chart and
     decode; `gain` is the stage's (Lam, Psi, R), `outer` its pair layout.
     Returns (states, J_a, J_b, S) where the Jacobians map endpoint chart
     perturbations to each result's own chart and S maps chart-level
     residual noise into it."""
     lam, psi, _ = gain
-    z_b, enc_b, bm_b = encode_with_jacobians_batch(b, a.R, a.t, want_jac)
+    z_b, enc_b, bm_b = encode_with_jacobians_batch(b, a.R, a.t)
     z_m = (apply_pair(psi, a.chart_origin(), outer)
            + apply_pair(lam, z_b, outer))
     x_m = chart_decode_batch(z_m, a.R, a.t)
-    if not want_jac:
-        return x_m, None, None, None
     _, enc_m, bm_m = encode_with_jacobians_batch(x_m, a.R, a.t)
     j_a = apply_pair(psi, encode_self_jacobian_batch(a), outer)
     j_a[..., 0:6] += apply_pair(lam, bm_b, outer) - bm_m
@@ -206,41 +201,33 @@ def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, outer: int,
     return x_m, s @ j_a, s @ apply_pair(lam, enc_b, outer), s
 
 
-def interpolate(sa: StateArrays, nodes: np.ndarray, temporal: Optional[Gain],
-                spatial: Optional[Gain], want_jac: bool):
+def interpolate(corners: Sequence[StateArrays], temporal: Optional[Gain],
+                spatial: Optional[Gain]):
     """Interpolated states of B points that share one binding shape.
 
-    `nodes` is (m, B): row i holds each point's i-th corner, indexing `sa`,
-    in (00, 10, 01, 11) order with subscripts (spatial, temporal).
+    `corners` holds the m gathered (B-item) corner-state stacks in
+    (00, 10, 01, 11) order with subscripts (spatial, temporal).
     `temporal`/`spatial` are the stacked stage gains, None for a dropped
-    stage.  Returns (states, jacobians, noise): with `want_jac`, a list of
-    m (B, 24, 24) maps from each corner's chart to the point's own chart and
-    the stage noise terms from which `_residual` forms the conditioning
-    residual in that chart; otherwise Nones.
+    stage.  Returns (states, jacobians, noise): a list of m (B, 24, 24) maps
+    from each corner's chart to the point's own chart and the stage noise
+    terms from which `_residual` forms the conditioning residual in that
+    chart.
     """
-    B = nodes.shape[1]
+    B = len(corners[0])
     if temporal is None and spatial is None:
-        x = sa.take(nodes[0])
-        if not want_jac:
-            return x, None, None
-        return x, [np.broadcast_to(np.eye(24), (B, 24, 24))], []
+        return corners[0], [np.broadcast_to(np.eye(24), (B, 24, 24))], []
     if temporal is None or spatial is None:
         gain, outer = (temporal, 1) if spatial is None else (spatial, 2)
-        x, j_a, j_b, s = _pair_state(sa.take(nodes[0]), sa.take(nodes[1]),
-                                     gain, outer, want_jac)
-        if not want_jac:
-            return x, None, None
+        x, j_a, j_b, s = _pair_state(*corners, gain, outer)
         return x, [j_a, j_b], [((s,), gain[2], outer)]
 
     # both columns' temporal stages as one batch: left (00, 01), right (10, 11)
+    c00, c10, c01, c11 = corners
     cols, jc_a, jc_b, s_c = _pair_state(
-        sa.take(np.concatenate([nodes[0], nodes[1]])),
-        sa.take(np.concatenate([nodes[2], nodes[3]])),
-        tuple(np.concatenate([g, g]) for g in temporal), 1, want_jac)
+        StateArrays.concat([c00, c10]), StateArrays.concat([c01, c11]),
+        tuple(np.concatenate([g, g]) for g in temporal), 1)
     left, right = cols.take(np.arange(B)), cols.take(np.arange(B, 2 * B))
-    x, jq_l, jq_r, s_q = _pair_state(left, right, spatial, 2, want_jac)
-    if not want_jac:
-        return x, None, None
+    x, jq_l, jq_r, s_q = _pair_state(left, right, spatial, 2)
     jacs = [jq_l @ jc_a[:B], jq_r @ jc_a[B:], jq_l @ jc_b[:B],
             jq_r @ jc_b[B:]]
     noise = [((jq_l, s_c[:B]), temporal[2], 1),
@@ -263,23 +250,21 @@ def _residual(noise, params: PriorParams, B: int) -> np.ndarray:
 
 def query_states(posterior, s, t, cell: Optional[Tuple[int, int]] = None):
     """Posterior mean states (a `StateArrays`) and (P, 24, 24) covariances at
-    the points (s[i], t[i]).  Each covariance is the corner joint pushed
-    through the chain's Jacobians plus the conditioning residual.  Points
-    run in chunks of CHUNK."""
+    the points (s[i], t[i]), answered as one batch per binding shape.  Each
+    covariance is the corner joint pushed through the chain's Jacobians
+    plus the conditioning residual."""
     grid = posterior.grid
     s, t = np.atleast_1d(s), np.atleast_1d(t)
     means = grid.states.take(np.zeros(len(s), dtype=int))
     covs = np.empty((len(s), 24, 24))
-    for lo in range(0, len(s), CHUNK):
-        for b in bind(grid.s_knots, grid.t_knots, s[lo:lo + CHUNK],
-                      t[lo:lo + CHUNK], cell):
-            x, jacs, noise = interpolate(grid.states, b.nodes, b.temporal,
-                                         b.spatial, want_jac=True)
-            U = np.concatenate(jacs, axis=-1)
-            cov = U @ posterior.cov.joint(b.nodes) @ _T(U) \
-                + _residual(noise, posterior.params, len(b.index))
-            means.put(lo + b.index, x)
-            covs[lo + b.index] = 0.5 * (cov + _T(cov))
+    for b in bind(grid.s_knots, grid.t_knots, s, t, cell):
+        x, jacs, noise = interpolate([grid.states.take(n) for n in b.nodes],
+                                     b.temporal, b.spatial)
+        U = np.concatenate(jacs, axis=-1)
+        cov = U @ posterior.cov.joint(b.nodes) @ _T(U) \
+            + _residual(noise, posterior.params, len(b.index))
+        means.put(b.index, x)
+        covs[b.index] = 0.5 * (cov + _T(cov))
     return means, covs
 
 
@@ -292,8 +277,9 @@ def query_state(posterior, s: float, t: float,
 
 def query_mean(posterior, s: float, t: float,
                cell: Optional[Tuple[int, int]] = None) -> NodeState:
-    """Posterior mean state at (s, t); touches only the containing cell."""
+    """Posterior mean state at (s, t); touches only the containing cell's
+    states, never the covariance."""
     grid = posterior.grid
     (b,) = bind(grid.s_knots, grid.t_knots, s, t, cell)
-    return interpolate(grid.states, b.nodes, b.temporal, b.spatial,
-                       want_jac=False)[0][0]
+    return interpolate([grid.states.take(n) for n in b.nodes], b.temporal,
+                       b.spatial)[0][0]

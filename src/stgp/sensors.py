@@ -15,13 +15,13 @@ record of the measurement, its weight, its nodes and its slice of the stage
 gains.
 
 Every measurement goes through one batched path.  `group_measurements`
-stacks the factors once by sensor kind and binding shape, gains included.
-`MeasurementGroup.evaluate` runs the batched chain (`query.interpolate`),
-then `sensor_model`, which evaluates all four kinds with one branch per
-kind, and composes the Jacobians.  A masked strain factor keeps all six
-error rows and a weight that is zero outside its mask.  A factor whose
-sample coincides with a node reduces to the on-node factor exactly, because
-the gains collapse onto that corner.
+stacks the factors once by sensor kind and binding shape, gains included,
+into `graph.Family` items whose kernel is `measurement_batch`: the batched
+chain (`query.interpolate`), then `sensor_model`, which evaluates all four
+kinds with one branch per kind, and the composed Jacobians.  A masked strain
+factor keeps all six error rows and a weight that is zero outside its mask.
+A factor whose sample coincides with a node reduces to the on-node factor
+exactly, because the gains collapse onto that corner.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from .graph import Grid
+from .graph import Family, Grid
 from .liegroup import Pose, ad6, hat3, se3_left_jacobian_inv, se3_log
 from .prior import PriorParams, StateArrays
 # make_interpolant is kept only because the frozen bench/pipeline.py
@@ -143,36 +143,16 @@ def sensor_model(kind: str, x: StateArrays, values: np.ndarray):
     return e, J
 
 
-@dataclass
-class MeasurementGroup:
-    """Measurement factors of one sensor kind and one binding shape, no two
-    of them on the same nodes, stacked.
-
-    `nodes` is (m, B): row i holds every factor's i-th bound node, so each
-    pair of rows has one fixed time-row offset.  `temporal`/`spatial` are
-    the stacked (B, 2, 2) stage gains (Lam, Psi, R), None where the binding
-    drops the stage; R goes unused, as only `query.query_states` forms the
-    conditioning residual.  Weights are (B, d, d), zero outside a strain
-    mask.
-    """
-
-    kind: str
-    nodes: np.ndarray
-    values: np.ndarray
-    weights: np.ndarray
-    temporal: Optional[Gain]
-    spatial: Optional[Gain]
-
-    def evaluate(self, sa: StateArrays, want_jac: bool = True):
-        """(errors, J_0, ..., J_m-1) at node states `sa`; each J_i is the
-        (B, d, 24) Jacobian onto slot i's node chart, None without
-        `want_jac`."""
-        x, chain, _ = interpolate(sa, self.nodes, self.temporal, self.spatial,
-                                  want_jac)
-        e, Jm = sensor_model(self.kind, x, self.values)
-        if not want_jac:
-            return (e,) + (None,) * len(self.nodes)
-        return (e, *(Jm @ J for J in chain))
+def measurement_batch(kind: str, values: np.ndarray, temporal: Optional[Gain],
+                      spatial: Optional[Gain], *corners: StateArrays):
+    """(errors, J_0, ..., J_m-1) of B measurements of one sensor kind and
+    one binding shape, `corners` their m gathered corner-state stacks and
+    `temporal`/`spatial` their stacked stage gains (R goes unused, as only
+    `query.query_states` forms the conditioning residual).  Each J_i is the
+    (B, d, 24) Jacobian onto corner i's chart."""
+    x, chain, _ = interpolate(corners, temporal, spatial)
+    e, Jm = sensor_model(kind, x, values)
+    return (e, *(Jm @ J for J in chain))
 
 
 def _full_weight(f) -> np.ndarray:
@@ -189,26 +169,25 @@ def _stack_gains(gains) -> Optional[Gain]:
     return tuple(np.stack(ops) for ops in zip(*gains))
 
 
-def group_measurements(factors) -> List[MeasurementGroup]:
+def group_measurements(factors) -> List[Family]:
     """Stack measurement factors by (sensor kind, binding shape), in order of
-    first appearance.  A factor whose kind and nodes repeat an earlier one's
-    opens a further group of the same key, so no two factors of a group
-    share a node and each group scatters into distinct blocks."""
+    first appearance, each group a `Family` of `measurement_batch` with
+    (B, d, d) weights that are zero outside a strain mask.  A factor whose
+    kind and nodes repeat an earlier one's opens a further group of the same
+    key, so no two factors of a group share a node and each group scatters
+    into distinct blocks."""
     buckets, repeats = {}, {}
     for f in factors:
         bound = (f.meas.kind, f.nodes)
         rep = repeats[bound] = repeats.get(bound, -1) + 1
         key = (f.meas.kind, f.temporal is None, f.spatial is None, rep)
         buckets.setdefault(key, []).append(f)
-    groups = []
-    for (kind, *_), fs in buckets.items():
-        groups.append(MeasurementGroup(
-            kind, np.array([f.nodes for f in fs]).T,
-            np.stack([_value_array(f.meas) for f in fs]),
-            np.stack([_full_weight(f) for f in fs]),
-            _stack_gains([f.temporal for f in fs]),
-            _stack_gains([f.spatial for f in fs])))
-    return groups
+    return [Family(kind, np.array([f.nodes for f in fs]).T,
+                   np.stack([_full_weight(f) for f in fs]), measurement_batch,
+                   (kind, np.stack([_value_array(f.meas) for f in fs]),
+                    _stack_gains([f.temporal for f in fs]),
+                    _stack_gains([f.spatial for f in fs])))
+            for (kind, *_), fs in buckets.items()]
 
 
 # ---------------------------------------------------------------------------

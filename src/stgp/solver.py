@@ -3,13 +3,15 @@
 Gauss-Newton with step halving on top of a banded normal-equations solver.
 
 Linearization has one batched path for every factor.  A factor family is
-either a prior family, which `graph.build_prior_factors` emits already
-stacked (unary, spatial, temporal and cell), or a measurement group, which
-`sensors.group_measurements` stacks once per Gauss-Newton run by (sensor
-kind, binding shape).  Both expose (m, B) `nodes`, stacked `weights` and a
-batched `evaluate`.  Every pair of slots in a family has one fixed node
-offset, so each family costs one batched kernel call and one scatter of
-whole 24x24 blocks into the normal equations.
+a `graph.Family`: either a prior kind, which `graph.build_prior_factors`
+emits already stacked (unary, spatial, temporal and cell), or a measurement
+group, which `sensors.group_measurements` stacks once per Gauss-Newton run
+by (sensor kind, binding shape).  Each has (m, B) `nodes`, stacked
+`weights` and a batched `evaluate` that always returns the errors with
+their Jacobians; the cost is read off the same linearization.  Every pair
+of slots in a family has one fixed node offset, so each family costs one
+batched kernel call and one scatter of whole 24x24 blocks into the normal
+equations.
 
 Stencil layout.  The GP prior couples a node only to its 8 lattice
 neighbours, so the normal equations and the covariance blocks share one
@@ -141,61 +143,47 @@ def _scatter_family(system: BlockBandedSystem, nodes: np.ndarray,
 
 
 def _family_geom(factors: FactorSet):
-    """Every factor family: the non-empty prior families and the measurement
-    groups.  Each has (m, B) `nodes`, (B, d, d) `weights` and
-    `evaluate(state_arrays, want_jac)`, which returns the errors and the m
-    per-slot Jacobian stacks.
+    """Every factor family (`graph.Family`): the non-empty prior families
+    and the measurement groups.  Each has (m, B) `nodes`, (B, d, d)
+    `weights` and `evaluate(state_arrays)`, which returns the errors and
+    the m per-slot Jacobian stacks.
 
     Everything here is state independent, so the Gauss-Newton loop builds it
-    once and reuses it for every linearization and cost evaluation.
+    once and reuses it for every linearization.
     """
     return factors.prior_families() + group_measurements(factors.measurement)
 
 
-def _quad_cost(weights: np.ndarray, errors: np.ndarray) -> float:
-    return float(np.sum(errors[..., None, :] @ weights @ errors[..., None]))
-
-
-def _family_terms(geom, grid: Grid, want_jac: bool):
-    """(nodes, jacobians, weights, errors) of each family at the grid's
-    states.  A chart-range failure is re-raised with the offending factor's
-    nodes identified."""
-    sa = grid.state_arrays()
-    for fam in geom:
-        try:
-            e, *jacs = fam.evaluate(sa, want_jac)
-        except ChartRangeError as ex:
-            item = fam.nodes[:, ex.index % fam.nodes.shape[1]].tolist()
-            raise ChartRangeError(
-                ex.angle, ex.index,
-                f"while linearizing {fam.kind} factor at nodes {item}") from ex
-        yield fam.nodes, jacs, fam.weights, e
-
-
 def evaluate_cost(factors: FactorSet, grid: Grid) -> float:
     """Sum of squared Mahalanobis errors over all factors at the given states."""
-    return _evaluate_cost(_family_geom(factors), grid)
-
-
-def _evaluate_cost(geom, grid: Grid) -> float:
-    return sum(_quad_cost(w, e)
-               for _, _, w, e in _family_terms(geom, grid, False))
+    return linearize(factors, grid).cost
 
 
 def linearize(factors: FactorSet, grid: Grid) -> BlockBandedSystem:
-    """Assemble sum(J^T W J) and rhs = -sum(J^T W e) at the grid's states.
+    """Assemble sum(J^T W J), rhs = -sum(J^T W e) and the cost sum(e^T W e)
+    at the grid's states.
 
     One batched kernel call and one scatter per factor family.  A
-    chart-range failure is re-raised with the offending factor identified.
+    chart-range failure is re-raised with the offending factor's nodes
+    identified.
     """
     return _linearize(_family_geom(factors), grid)
 
 
 def _linearize(geom, grid: Grid) -> BlockBandedSystem:
     system = BlockBandedSystem.zeros(grid.N, grid.K)
-    for nodes, jacs, w, e in _family_terms(geom, grid, True):
-        _scatter_family(system, nodes, jacs, w, e)
-        system.cost += _quad_cost(w, e)
+    sa = grid.state_arrays()
+    for fam in geom:
+        try:
+            e, *jacs = fam.evaluate(sa)
+        except ChartRangeError as ex:
+            item = fam.nodes[:, ex.index % fam.nodes.shape[1]].tolist()
+            raise ChartRangeError(
+                ex.angle, ex.index,
+                f"while linearizing {fam.kind} factor at nodes {item}") from ex
+        _scatter_family(system, fam.nodes, jacs, fam.weights, e)
+        system.cost += float(np.sum(e[..., None, :] @ fam.weights
+                                    @ e[..., None]))
     return system
 
 

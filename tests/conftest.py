@@ -33,12 +33,11 @@ def retract(x: NodeState, delta: np.ndarray) -> NodeState:
     return chart_decode_batch(z[None], x.pose.R[None], x.pose.t[None])[0]
 
 
-def factor_terms(f, grid, want_jac: bool = True):
+def factor_terms(f, grid):
     """[error, J_0, ...] of one measurement factor at the grid's states,
     evaluated as a group of one and cut to the rows it observes."""
     (group,) = group_measurements([f])
-    out = group.evaluate(grid.state_arrays(), want_jac)
-    return [a[0][f.meas.rows] for a in out if a is not None]
+    return [a[0][f.meas.rows] for a in group.evaluate(grid.state_arrays())]
 
 
 def stencil_pairs(N: int, K: int):

@@ -185,10 +185,13 @@ def test_exit_invalid_posterior_major_1(run_dir, tmp_path, capsys):
 @pytest.mark.parametrize("args", [["--s", "2.0", "--t", "0.5"],
                                   ["--s", "0.3", "--t", "-1.0"],
                                   ["--grid", "0x3"],
-                                  ["--s", "nan", "--t", "0.5"]])
+                                  ["--s", "nan", "--t", "0.5"],
+                                  ["--grid", "2x2", "--s", "0.1",
+                                   "--t", "0.1"]])
 def test_exit_invalid_query(run_dir, args, capsys):
     """A failing query writes nothing to standard output, not even the
-    header, and a coordinate that is not finite is out of the hull."""
+    header; a coordinate that is not finite is out of the hull, and --grid
+    refuses a point given with it rather than drop it."""
     _, out = run_dir
     assert cli.main(["query", "--out", out] + args) == cli.EXIT_INVALID
     captured = capsys.readouterr()
@@ -281,12 +284,13 @@ def test_exit_invalid_posterior_missing_array(run_dir, tmp_path, capsys):
                                   "sig_diag", "sig_off", "s_knots",
                                   "t_knots", "mean_R", "mean_t",
                                   "mean_strain", "mean_velocity", "mean_sv",
-                                  "mean_R-nan", "mean_sv-nan"])
+                                  "mean_R-nan", "mean_sv-nan", "p0-nan",
+                                  "qs_psd-nan"])
 def test_exit_invalid_posterior_shapes(run_dir, tmp_path, capsys, name):
     """An array cut short, so that its shape no longer fits the knot counts
     or, for the prior mean state, its (3, 3), (3,) or (6,) shape, knots
-    that are not increasing, or knots or a prior mean array that are not
-    finite are refused as a schema violation: exit 2, naming the array."""
+    that are not increasing, or knots, a prior mean array, a prior PSD or
+    p0 that are not finite are refused: exit 2, naming the array."""
     _, out = run_dir
     name, _, edit = name.partition("-")
     with np.load(os.path.join(out, "posterior.bin")) as z:

@@ -75,7 +75,7 @@ def test_build_grid_prior_mean_propagation():
     factors = build_prior_factors(g, params)
     sa = g.state_arrays()
     for fam in factors.prior_families():
-        e = fam.evaluate(sa, want_jac=False)[0]
+        e = fam.evaluate(sa)[0]
         assert e.shape == (len(fam), 24)
         assert np.max(np.abs(e)) < 1e-9
 
@@ -272,6 +272,14 @@ def test_grid_states_index_and_iterate():
     assert np.array_equal(g.states[-1].pose.t, g.states.t[g.n_nodes - 1])
     with pytest.raises(IndexError):
         g.states[g.n_nodes]
+    # concatenated takes are the take of the concatenated indices, bit for
+    # bit, also with an empty part
+    i, j = np.array([4, 0, 5]), np.array([2, 2])
+    for a, b in ((i, j), (i, j[:0]), (i[:0], j)):
+        got = StateArrays.concat([g.states.take(a), g.states.take(b)])
+        ref = g.states.take(np.concatenate([a, b]))
+        for f in ("R", "t", "eps", "vel", "sv"):
+            assert np.array_equal(getattr(got, f), getattr(ref, f))
     with pytest.raises(ValueError):
         Grid(g.s_knots, g.t_knots[:1], g.states)
 

@@ -360,7 +360,7 @@ def test_cell_kernel_matches_dense_transitions():
                for i in range(4)]
     rng = np.random.default_rng(51)
     ds, dt = rng.uniform(0.05, 2.0, (2, 30))
-    got = P.quaternary_batch(*corners, ds, dt)
+    got = P.quaternary_batch(ds, dt, *corners)
     sa00 = corners[0]
     enc = [P.encode_with_jacobians_batch(c, sa00.R, sa00.t)
            for c in corners[1:]]
@@ -379,32 +379,31 @@ def test_cell_kernel_matches_dense_transitions():
 # prior errors, through the batched kernels
 
 
-def kernel_terms(kernel, slots, *args, want_jac=False):
-    """A batched prior kernel over per-slot lists of states (one list per
-    node slot, one entry per factor): [errors] or [errors, J_0, ...]."""
-    out = kernel(*[StateArrays.from_states(xs) for xs in slots], *args,
-                 want_jac=want_jac)
-    return [a for a in out if a is not None]
+def kernel_terms(kernel, slots, *args):
+    """A batched prior kernel, its arguments first, over per-slot lists of
+    states (one list per node slot, one entry per factor): [errors, J_0,
+    ...]."""
+    return kernel(*args, *[StateArrays.from_states(xs) for xs in slots])
 
 
-def unary(xs, params, want_jac=False):
-    return kernel_terms(P.unary_batch, [xs], params, want_jac=want_jac)
+def unary(xs, params):
+    return kernel_terms(P.unary_batch, [xs], params)
 
 
-def spatial(xa, xb, ds, want_jac=False):
+def spatial(xa, xb, ds):
     return kernel_terms(P.binary_batch, [xa, xb],
-                        integrator(np.full(len(xa), ds)), 2, want_jac=want_jac)
+                        integrator(np.full(len(xa), ds)), 2)
 
 
-def temporal(xa, xb, dt, want_jac=False):
+def temporal(xa, xb, dt):
     return kernel_terms(P.binary_batch, [xa, xb],
-                        integrator(np.full(len(xa), dt)), 1, want_jac=want_jac)
+                        integrator(np.full(len(xa), dt)), 1)
 
 
-def cell(corners, ds, dt, want_jac=False):
+def cell(corners, ds, dt):
     B = len(corners[0])
     return kernel_terms(P.quaternary_batch, corners, np.full(B, ds),
-                        np.full(B, dt), want_jac=want_jac)
+                        np.full(B, dt))
 
 
 def test_unary_zero_at_prior_mean(params):
@@ -525,23 +524,23 @@ def check_fd(J, J_fd, rel=1e-5):
 
 def check_kernel_fd(terms, slots):
     """Jacobians of one batched call against per-item central differences
-    of batches of one; `terms(slots, want_jac)` evaluates the kernel."""
-    jacs = terms(slots, True)[1:]
+    of batches of one; `terms(slots)` evaluates the kernel."""
+    jacs = terms(slots)[1:]
     for b in range(len(slots[0])):
         items = [xs[b] for xs in slots]
-        err = lambda *a: terms([[x] for x in a], False)[0][0]
+        err = lambda *a: terms([[x] for x in a])[0][0]
         for slot, J in enumerate(jacs):
             check_fd(J[b], fd_jacobian(err, items, slot))
 
 
 def test_unary_jacobian_identity_at_mean(params):
-    J = unary([params.prior_mean.copy()], params, want_jac=True)[1][0]
+    J = unary([params.prior_mean.copy()], params)[1][0]
     assert np.allclose(J, np.eye(24), atol=1e-12)
 
 
 def test_binary_jacobians_linear_regime():
     x = NodeState.identity()
-    _, ja, jb = spatial([x], [x.copy()], 0.25, want_jac=True)
+    _, ja, jb = spatial([x], [x.copy()], 0.25)
     assert np.allclose(ja[0], -phi_s(0.25), atol=1e-12)
     assert np.allclose(jb[0], np.eye(24), atol=1e-12)
 
@@ -549,27 +548,27 @@ def test_binary_jacobians_linear_regime():
 def test_unary_jacobian_fd(params):
     rng = np.random.default_rng(9)
     xs = [random_state(rng) for _ in range(10)]
-    check_kernel_fd(lambda sl, jac: unary(sl[0], params, jac), [xs])
+    check_kernel_fd(lambda sl: unary(sl[0], params), [xs])
 
 
 def test_binary_spatial_jacobians_fd():
     rng = np.random.default_rng(10)
     pairs = [(random_state(rng), random_state(rng)) for _ in range(10)]
-    check_kernel_fd(lambda sl, jac: spatial(*sl, 0.3, jac),
+    check_kernel_fd(lambda sl: spatial(*sl, 0.3),
                     [list(p) for p in zip(*pairs)])
 
 
 def test_binary_temporal_jacobians_fd():
     rng = np.random.default_rng(11)
     pairs = [(random_state(rng), random_state(rng)) for _ in range(10)]
-    check_kernel_fd(lambda sl, jac: temporal(*sl, 0.6, jac),
+    check_kernel_fd(lambda sl: temporal(*sl, 0.6),
                     [list(p) for p in zip(*pairs)])
 
 
 def test_quaternary_jacobians_fd():
     rng = np.random.default_rng(12)
     cells = [[random_state(rng) for _ in range(4)] for _ in range(5)]
-    check_kernel_fd(lambda sl, jac: cell(sl, 0.3, 0.5, jac),
+    check_kernel_fd(lambda sl: cell(sl, 0.3, 0.5),
                     [list(c) for c in zip(*cells)])
 
 

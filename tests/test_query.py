@@ -186,8 +186,8 @@ def test_bind_matches_point_by_point_reference(params):
 
 
 def test_query_states_matches_single_points(linear_posterior):
-    """One batched call over points of every binding shape, more than one
-    chunk of them, answers each point as a batch of one does."""
+    """One batched call over points of every binding shape, many of each,
+    answers each point as a batch of one does."""
     cfg, post = linear_posterior
     grid = post.grid
     rng = np.random.default_rng(37)

@@ -189,7 +189,7 @@ def test_bind_on_node_collapses(params):
     assert isinstance(f, NodeMeasurementFactor)
     assert f.nodes == (grid.flat(1, 1),)
     ref = measurement_model(meas, x)[0]
-    assert np.max(np.abs(factor_terms(f, grid, False)[0] - ref)) < 1e-14
+    assert np.max(np.abs(factor_terms(f, grid)[0] - ref)) < 1e-14
 
 
 def test_bind_on_knot_line_two_nodes(params):
@@ -265,8 +265,8 @@ def test_offgrid_jacobians_fd(params):
                 for d in range(24):
                     dv = np.zeros(24 * grid.n_nodes)
                     dv[24 * node + d] = h
-                    ep = factor_terms(f, apply_update(grid, dv), False)[0]
-                    em = factor_terms(f, apply_update(grid, -dv), False)[0]
+                    ep = factor_terms(f, apply_update(grid, dv))[0]
+                    em = factor_terms(f, apply_update(grid, -dv))[0]
                     cols.append((ep - em) / (2 * h))
                 J_fd = np.stack(cols, axis=1)
                 assert np.max(np.abs(jacs[slot] - J_fd)) \
@@ -305,7 +305,7 @@ def test_constant_field_interpolates_to_itself(params):
     for (s, t) in ((0.25, 0.33), (0.7, 1.51), (0.5, 1.0)):
         meas = Measurement("pose6", s, t, x_ref.pose, np.eye(6))
         (f,) = build_measurement_factors([meas], grid, params)
-        assert np.max(np.abs(factor_terms(f, grid, False)[0])) < 1e-10
+        assert np.max(np.abs(factor_terms(f, grid)[0])) < 1e-10
 
 
 def test_zero_noise_measurements_zero_error(params):
