@@ -80,10 +80,12 @@ EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_NOT_PD = 5
 
-# points per query_states call in cmd_query: bounds the stacked chain
-# Jacobians and corner joints to a few MB (about 14 MB at 64 points), which a
-# process that also holds posteriors would otherwise add to its peak memory
-CHUNK = 16
+# points per query_states call in cmd_query, and rows per text slice of a
+# state table.  A call's traced peak is about 185 KB per point, 11.9 MB at 64
+# on fig3; fig3's whole `query --grid 20x20` took 228, 170, 149 and 160 ms
+# at 16, 32, 64 and 128 (medians of 20 rounds interleaved in one process,
+# 2-core Xeon VM)
+CHUNK = 64
 
 
 class SchemaError(ValueError):
@@ -158,19 +160,19 @@ def _dump_json(obj, path: str) -> None:
 # measurement files
 
 
-def _canonical_quat(R: np.ndarray) -> np.ndarray:
+def _quaternions(R: np.ndarray) -> np.ndarray:
+    """(B, 4) unit quaternions (w, x, y, z) of (B, 3, 3) rotations, each
+    signed so that its first non-zero component is positive."""
     q = rotation_to_quaternion(R)
-    for c in q:
-        if c != 0.0:
-            return -q if c < 0 else q
-    return q
+    first = np.argmax(q != 0.0, axis=-1)[..., None]
+    return np.where(np.take_along_axis(q, first, -1) < 0, -q, q)
 
 
 def measurement_to_dict(m: Measurement) -> dict:
     rec = {"kind": m.kind, "s": m.s, "t": m.t,
            "noise_cov": [list(row) for row in np.asarray(m.noise_cov)]}
     if m.kind == "pose6":
-        rec["value"] = {"quat_wxyz": list(_canonical_quat(m.value.R)),
+        rec["value"] = {"quat_wxyz": list(_quaternions(m.value.R[None])[0]),
                         "translation": list(m.value.t)}
     else:
         rec["value"] = list(np.asarray(m.value, dtype=float))
@@ -217,26 +219,29 @@ STATE_COLUMNS = (["s", "t", "x", "y", "z", "qw", "qx", "qy", "qz"]
 STD_COLUMNS = [f"std{i}" for i in range(1, 25)]
 
 
-def _fmt(x: float) -> str:
-    return "%.17g" % x
-
-
-def state_row(s: float, t: float, x: NodeState,
-              stds: Optional[np.ndarray] = None) -> str:
-    vals = [s, t, *x.pose.t, *_canonical_quat(x.pose.R), *x.strain,
-            *x.velocity, *x.strain_velocity]
+def state_rows(s, t, states: StateArrays, stds: Optional[np.ndarray] = None):
+    """CSV lines of the states at the points (s[i], t[i]), each followed by
+    its 24 standard deviations when `stds` is given: every value formatted
+    %.17g, yielded as text slices of CHUNK lines at most."""
+    cols = [np.asarray(s, dtype=float)[:, None],
+            np.asarray(t, dtype=float)[:, None], states.t,
+            _quaternions(states.R), states.eps, states.vel, states.sv]
     if stds is not None:
-        vals.extend(stds)
-    return ",".join(_fmt(v) for v in vals)
+        cols.append(stds)
+    line = ",".join(["%.17g"] * sum(c.shape[1] for c in cols)) + "\n"
+    for lo in range(0, len(states), CHUNK):
+        table = np.concatenate([c[lo:lo + CHUNK] for c in cols], axis=1)
+        yield (line * len(table)) % tuple(table.ravel().tolist())
 
 
-def write_state_csv(path: str, kind: str, rows: Sequence[str],
-                    with_stds: bool) -> None:
-    header = ",".join(STATE_COLUMNS + (STD_COLUMNS if with_stds else []))
+def write_state_csv(path: str, kind: str, s, t, states: StateArrays,
+                    stds: Optional[np.ndarray] = None) -> None:
+    header = ",".join(STATE_COLUMNS + (STD_COLUMNS if stds is not None
+                                       else []))
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(f"# {schema_tag(kind)}\n{header}\n")
-        for row in rows:
-            fh.write(row + "\n")
+        for text in state_rows(s, t, states, stds):
+            fh.write(text)
 
 
 def read_state_csv(path: str, kind: str) -> np.ndarray:
@@ -337,10 +342,10 @@ def cmd_simulate(cfg: ScenarioConfig, out_dir: str) -> int:
     truth = GroundTruth(cfg)
     measurements = generate_measurements(cfg, truth)
     save_measurements(os.path.join(out_dir, "measurements.json"), measurements)
-    rows = [state_row(float(s), float(t), truth.state(float(s), float(t)))
-            for t in cfg.t_knots for s in cfg.s_knots]
     write_state_csv(os.path.join(out_dir, "ground_truth.csv"),
-                    "ground_truth", rows, with_stds=False)
+                    "ground_truth", np.tile(cfg.s_knots, cfg.n_time),
+                    np.repeat(cfg.t_knots, cfg.n_space),
+                    StateArrays.from_states(truth.grid_states()))
     return EXIT_OK
 
 
@@ -372,11 +377,9 @@ def cmd_estimate(cfg: ScenarioConfig, out_dir: str,
     _dump_json(report, os.path.join(out_dir, "report.json"))
     stds = np.sqrt(np.maximum(np.einsum("...ii->...i", marg), 0.0))
     grid = post.grid
-    rows = [state_row(float(grid.s_knots[n]), float(grid.t_knots[k]),
-                      grid.state(n, k), stds[grid.flat(n, k)])
-            for k in range(grid.K) for n in range(grid.N)]
-    write_state_csv(os.path.join(out_dir, "estimate.csv"), "estimate", rows,
-                    with_stds=True)
+    write_state_csv(os.path.join(out_dir, "estimate.csv"), "estimate",
+                    np.tile(grid.s_knots, grid.K),
+                    np.repeat(grid.t_knots, grid.N), grid.states, stds)
     save_posterior(os.path.join(out_dir, "posterior.bin"), post, report)
     if not post.report.converged:
         print(f"estimate did not converge: {post.report.message}",
@@ -423,9 +426,10 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
         mean, covs = query_states(post, s_vals[sl], t_vals[sl])
         means.put(sl, mean)
         stds[sl] = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
+        del mean, covs  # freed before the next slice's are made
     stream.write(",".join(STATE_COLUMNS + STD_COLUMNS) + "\n")
-    for i, (sv, tv) in enumerate(zip(s_vals, t_vals)):
-        stream.write(state_row(float(sv), float(tv), means[i], stds[i]) + "\n")
+    for text in state_rows(s_vals, t_vals, means, stds):
+        stream.write(text)
     return EXIT_OK
 
 

@@ -26,7 +26,7 @@ from typing import Callable, List, Optional, Sequence, Union
 import numpy as np
 
 from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
-                    binary_batch, chart_decode_batch,
+                    binary_batch, decode_with_jacobians_batch,
                     encode_with_jacobians_batch, integrator, q_binary_s_inv,
                     q_binary_t_inv, q_quaternary_inv, quaternary_batch,
                     unary_batch)
@@ -120,7 +120,8 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
                                               want_jac=False)[0]
             z[inner] = (apply_pair(msi, z01, 2) + apply_pair(mti, z10, 1)
                         - apply_pair(mti, apply_pair(msi, z[inner], 2), 1))
-        sa.put(i, chart_decode_batch(z, base.R, base.t))
+        sa.put(i, decode_with_jacobians_batch(z, base.R, base.t,
+                                              want_jac=False)[0])
     return Grid(s_knots, t_knots, sa)
 
 

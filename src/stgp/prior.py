@@ -26,8 +26,9 @@ from math import prod
 
 import numpy as np
 
-from .liegroup import (Pose, ad6, dleft_jacobian_inv_vec, hat3, jinv_coeffs,
-                       jinv_poly, se3_exp_with_jacobian, so3_log_angle)
+from .liegroup import (Pose, ad6, adjoint, dleft_jacobian_inv_vec, hat3,
+                       jinv_coeffs, jinv_poly, se3_exp_with_jacobian,
+                       so3_log_angle)
 
 CHART_ANGLE_LIMIT = 0.9 * np.pi
 
@@ -210,14 +211,54 @@ def chart_encode(x: NodeState, base: Pose) -> np.ndarray:
                                        base.t[None], want_jac=False)[0][0]
 
 
-def chart_decode_batch(z: np.ndarray, Rb: np.ndarray,
-                       tb: np.ndarray) -> StateArrays:
-    """Inverse of the chart for stacked (B, 24) charts about base poses, at
-    any angle (a Gauss-Newton step can take a chart past pi)."""
-    Re, te, jac = se3_exp_with_jacobian(z[..., 0:6])
-    d = z[..., 6:].reshape(z.shape[:-1] + (3, 6)) @ np.swapaxes(jac, -1, -2)
-    return StateArrays(Re @ Rb, np.squeeze(Re @ tb[..., None], -1) + te,
-                       d[..., 0, :], d[..., 1, :], d[..., 2, :])
+def decode_with_jacobians_batch(z: np.ndarray, Rb: np.ndarray,
+                                tb: np.ndarray, want_jac: bool = True):
+    """Inverse of the chart for stacked (B, 24) charts about base poses,
+    plus the two terms the query chain needs: S, the inverse of the encode's
+    enc_jac at the decoded state, and S @ base_motion.  Returns (states,
+    S | None, S @ base_motion | None).
+
+    The states come out at any angle (a Gauss-Newton step can take a chart
+    past pi).  S and S @ base_motion follow from xi = z[0:6] in closed form
+    and need |phi| below CHART_ANGLE_LIMIT: with v_i the decoded derivative
+    states and (dvs_i, D_1i) their `dleft_jacobian_inv_vec`, enc_jac is
+    diag(J_l^{-1}) with column-0 blocks dvs_i J_l^{-1} + J_l^{-1} D_1i / 2,
+    so S is diag(J_l) with column-0 blocks -J_l dvs_i - D_1i J_l / 2; and
+    base_motion is [-J_r^{-1}; -dvs_i J_r^{-1}] with J_r^{-1} = J_l^{-1}
+    Ad(exp xi), so S @ base_motion is [-Ad(exp xi); D_1i Ad(exp xi) / 2].
+    J_l is the one the decode's exponential already returns."""
+    xi = z[..., 0:6]
+    Re, te, jl = se3_exp_with_jacobian(xi)
+    d = z[..., 6:].reshape(z.shape[:-1] + (3, 6)) @ np.swapaxes(jl, -1, -2)
+    x = StateArrays(Re @ Rb, np.squeeze(Re @ tb[..., None], -1) + te,
+                    d[..., 0, :], d[..., 1, :], d[..., 2, :])
+    if not want_jac:
+        return x, None, None
+
+    phi = xi[..., 3:]
+    u = np.sum(phi * phi, axis=-1)
+    _check_chart_range(np.sqrt(u))
+    dvs, d1 = dleft_jacobian_inv_vec(ad6(xi)[..., None, :, :],
+                                     phi[..., None, :],
+                                     jinv_coeffs(u)[..., None], d)
+    jl_s = jl[..., None, :, :]
+    B = xi.shape[:-1]
+    s = np.zeros(B + (4, 6, 4, 6))
+    s[..., _BLOCKS, :, _BLOCKS, :] = jl
+    s[..., 1:, :, 0, :] = -(jl_s @ dvs) - 0.5 * (d1 @ jl_s)
+    T = np.zeros(B + (4, 4))
+    T[..., :3, :3], T[..., :3, 3] = Re, te
+    adj = adjoint(T)[..., None, :, :]
+    s_bm = np.concatenate([-adj, 0.5 * (d1 @ adj)], axis=-3)
+    return x, s.reshape(B + (24, 24)), s_bm.reshape(B + (24, 6))
+
+
+def _check_chart_range(ang: np.ndarray) -> None:
+    """ChartRangeError naming the largest angle and the first item at or
+    past CHART_ANGLE_LIMIT, if any."""
+    bad = ang >= CHART_ANGLE_LIMIT
+    if np.any(bad):
+        raise ChartRangeError(float(np.max(ang)), int(np.argmax(bad)))
 
 
 def _deriv_triplet(sa: StateArrays):
@@ -245,9 +286,7 @@ def encode_with_jacobians_batch(sa: StateArrays, Rb: np.ndarray, tb: np.ndarray,
     R_rel = sa.R @ np.swapaxes(Rb, -1, -2)
     t_rel = sa.t - np.squeeze(R_rel @ tb[..., None], -1)
     phi, ang = so3_log_angle(R_rel)
-    bad = ang >= CHART_ANGLE_LIMIT
-    if np.any(bad):
-        raise ChartRangeError(float(np.max(ang)), int(np.argmax(bad)))
+    _check_chart_range(ang)
     u = ang * ang
     coeffs = jinv_coeffs(u)
     ph = hat3(phi)
@@ -283,19 +322,6 @@ def encode_self_jacobian_batch(sa: StateArrays) -> np.ndarray:
     out[..., _BLOCKS[1:], :, _BLOCKS[1:], :] = _I6
     out[..., 1:, :, 0, :] = -0.5 * ad6(vs)
     return out.reshape(B + (24, 24))
-
-
-def chart_jacobian_inv(enc: np.ndarray) -> np.ndarray:
-    """Inverse of `encode_with_jacobians_batch`'s stacked enc_jac, blockwise:
-    with J_l^{-1} on its four diagonal blocks and blocks E_i only in block
-    column 0, it inverts to diag(J_l) with column-0 blocks -J_l E_i J_l."""
-    e = enc.reshape(enc.shape[:-2] + (4, 6, 4, 6))
-    jl = np.linalg.inv(e[..., 0, :, 0, :])
-    out = np.zeros_like(e)
-    out[..., _BLOCKS, :, _BLOCKS, :] = jl
-    out[..., 1:, :, 0, :] = -(jl[..., None, :, :] @ e[..., 1:, :, 0, :]
-                              @ jl[..., None, :, :])
-    return out.reshape(enc.shape)
 
 
 def integrator(d: np.ndarray) -> np.ndarray:

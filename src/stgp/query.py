@@ -19,14 +19,16 @@ the state or the prior.  `interpolate` is the one nonlinear chain, batched
 over the points of one binding shape and called with their gathered corner
 states: the temporal stage of both columns of every point runs as one batch,
 decoded in each column's own chart, and the spatial stage then runs in a
-chart about the left column's result.  It always returns the chain's
-Jacobians with the states.  `query_states` runs it once per binding shape,
-pushes the corner joint covariance through those Jacobians and adds the
-conditioning residual, which only it forms; each measurement family
-(`sensors.measurement_batch`) runs it once per linearization.  On cell edges
-the gains collapse onto the shared nodes exactly, so adjacent cells evaluate
-boundary queries through the same chain and queries are continuous across
-the whole hull.
+chart about the left column's result.  `interpolate` always returns the
+chain's Jacobians with the states; each stage's decode
+(`prior.decode_with_jacobians_batch`) gives its part in closed form from the
+stage's chart, so no decoded state is encoded again.  `query_states` runs
+`interpolate` once per binding shape, pushes the corner joint covariance
+through those Jacobians and adds the conditioning residual, which only it
+forms; each measurement family (`sensors.measurement_batch`) runs it once
+per linearization.  On cell edges the gains collapse onto the shared nodes
+exactly, so adjacent cells evaluate boundary queries through the same chain
+and queries are continuous across the whole hull.
 """
 
 from __future__ import annotations
@@ -38,9 +40,8 @@ from typing import List, Optional, Sequence, Tuple
 import numpy as np
 
 from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
-                    chart_decode_batch, chart_jacobian_inv,
-                    encode_self_jacobian_batch, encode_with_jacobians_batch,
-                    integrator)
+                    decode_with_jacobians_batch, encode_self_jacobian_batch,
+                    encode_with_jacobians_batch, integrator)
 
 HULL_TOL = 1e-9
 
@@ -187,18 +188,20 @@ def _pair_state(a: StateArrays, b: StateArrays, gain: Gain, outer: int):
     """Condition bridge states on endpoint pairs (a, b) in each a's chart and
     decode; `gain` is the stage's (Lam, Psi, R), `outer` its pair layout.
     Returns (states, J_a, J_b, S) where the Jacobians map endpoint chart
-    perturbations to each result's own chart and S maps chart-level
-    residual noise into it."""
+    perturbations to each result's own chart and S, the decode's inverse
+    chart Jacobian, maps chart-level residual noise into it.  J_a's pose
+    columns take the decode's closed-form S @ base_motion for the base
+    moving with a."""
     lam, psi, _ = gain
     z_b, enc_b, bm_b = encode_with_jacobians_batch(b, a.R, a.t)
     z_m = (apply_pair(psi, a.chart_origin(), outer)
            + apply_pair(lam, z_b, outer))
-    x_m = chart_decode_batch(z_m, a.R, a.t)
-    _, enc_m, bm_m = encode_with_jacobians_batch(x_m, a.R, a.t)
+    x_m, s, s_bm = decode_with_jacobians_batch(z_m, a.R, a.t)
     j_a = apply_pair(psi, encode_self_jacobian_batch(a), outer)
-    j_a[..., 0:6] += apply_pair(lam, bm_b, outer) - bm_m
-    s = chart_jacobian_inv(enc_m)
-    return x_m, s @ j_a, s @ apply_pair(lam, enc_b, outer), s
+    j_a[..., 0:6] += apply_pair(lam, bm_b, outer)
+    j_a = s @ j_a
+    j_a[..., 0:6] -= s_bm
+    return x_m, j_a, s @ apply_pair(lam, enc_b, outer), s
 
 
 def interpolate(corners: Sequence[StateArrays], temporal: Optional[Gain],

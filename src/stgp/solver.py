@@ -53,7 +53,8 @@ from scipy.linalg.lapack import dpbtrf, dpbtrs
 
 from .graph import FactorSet, Grid
 from .sensors import group_measurements
-from .prior import ChartRangeError, PriorParams, chart_decode_batch
+from .prior import (ChartRangeError, PriorParams,
+                    decode_with_jacobians_batch)
 
 BLOCK = 24
 # (dn, dk) of the forward stencil neighbours, in slot order 1..4
@@ -485,7 +486,7 @@ def apply_update(grid: Grid, delta: np.ndarray) -> Grid:
     z = sa.chart_origin() + np.asarray(delta, dtype=float).reshape(
         grid.n_nodes, BLOCK)
     return Grid(grid.s_knots.copy(), grid.t_knots.copy(),
-                chart_decode_batch(z, sa.R, sa.t))
+                decode_with_jacobians_batch(z, sa.R, sa.t, want_jac=False)[0])
 
 
 def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from stgp.liegroup import Pose, se3_exp
-from stgp.prior import NodeState, PriorParams, chart_decode_batch
+from stgp.prior import NodeState, PriorParams, decode_with_jacobians_batch
 from stgp.sensors import group_measurements
 from stgp.solver import BLOCK, FORWARD, stencil_slot
 
@@ -30,7 +30,8 @@ def random_states(seed: int, n: int, **kw):
 def retract(x: NodeState, delta: np.ndarray) -> NodeState:
     """x moved by a 24-dim perturbation in its own chart."""
     z = x.derivative_vector() + np.asarray(delta, dtype=float)
-    return chart_decode_batch(z[None], x.pose.R[None], x.pose.t[None])[0]
+    return decode_with_jacobians_batch(z[None], x.pose.R[None],
+                                       x.pose.t[None], want_jac=False)[0][0]
 
 
 def factor_terms(f, grid):

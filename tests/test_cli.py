@@ -11,7 +11,10 @@ import numpy as np
 import pytest
 
 from stgp import cli
+from stgp.liegroup import Pose, rotation_to_quaternion, so3_exp
+from stgp.prior import StateArrays
 from stgp.query import query_state, query_states
+from stgp.sensors import Measurement
 from stgp.sim import GroundTruth
 from stgp.solver import ConvergenceReport, NotPositiveDefiniteError
 
@@ -310,23 +313,85 @@ def test_exit_invalid_posterior_shapes(run_dir, tmp_path, capsys, name):
     assert captured.out == ""
 
 
+def _canonical_quat(R: np.ndarray) -> np.ndarray:
+    """Per-row reference: R's quaternion with its first non-zero component
+    positive."""
+    q = rotation_to_quaternion(R)
+    for c in q:
+        if c != 0.0:
+            return -q if c < 0 else q
+    return q
+
+
+def state_row(s: float, t: float, x, stds=None) -> str:
+    """Per-row reference of one line of `cli.state_rows`."""
+    vals = [s, t, *x.pose.t, *_canonical_quat(x.pose.R), *x.strain,
+            *x.velocity, *x.strain_velocity]
+    if stds is not None:
+        vals.extend(stds)
+    return ",".join("%.17g" % v for v in vals)
+
+
 def test_query_grid_rows_match_one_batch(run_dir):
     """cmd_query answers a grid slice by slice, yet prints byte for byte
-    the rows of one query_states call over all of its points."""
+    the rows of one query_states call over all of its points: on a grid of
+    one slice and on one of three slices, the last partial."""
     _, out = run_dir
-    buf = io.StringIO()
-    assert cli.cmd_query(out, grid_arg="7x5", stream=buf) == cli.EXIT_OK
     post = cli.load_posterior(os.path.join(out, "posterior.bin"))
-    s = np.tile(np.linspace(post.grid.s_knots[0], post.grid.s_knots[-1], 7),
-                5)
-    t = np.repeat(np.linspace(post.grid.t_knots[0], post.grid.t_knots[-1],
-                              5), 7)
-    means, covs = query_states(post, s, t)
-    stds = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
-    rows = [cli.state_row(float(a), float(b), means[i], stds[i])
-            for i, (a, b) in enumerate(zip(s, t))]
-    header = ",".join(cli.STATE_COLUMNS + cli.STD_COLUMNS)
-    assert buf.getvalue().splitlines() == [header] + rows
+    for ns, nt in ((7, 5), (13, 11)):
+        buf = io.StringIO()
+        assert cli.cmd_query(out, grid_arg=f"{ns}x{nt}", stream=buf) \
+            == cli.EXIT_OK
+        s = np.tile(np.linspace(post.grid.s_knots[0], post.grid.s_knots[-1],
+                                ns), nt)
+        t = np.repeat(np.linspace(post.grid.t_knots[0],
+                                  post.grid.t_knots[-1], nt), ns)
+        means, covs = query_states(post, s, t)
+        stds = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
+        rows = [state_row(float(a), float(b), means[i], stds[i])
+                for i, (a, b) in enumerate(zip(s, t))]
+        header = ",".join(cli.STATE_COLUMNS + cli.STD_COLUMNS)
+        assert buf.getvalue().splitlines() == [header] + rows
+    assert 2 * cli.CHUNK < 13 * 11 < 3 * cli.CHUNK
+
+
+def test_state_rows_match_per_row_reference():
+    """The batched writer prints the per-row reference's bytes: for the
+    identity, half turns (w = 0, the first non-zero component negative
+    before the sign is fixed), a quaternion whose pivot gives w < 0 before
+    Shepperd's flip, entries of -0.0, random states over several slices and
+    an empty batch.  Pose measurements take the same quaternions."""
+    rng = np.random.default_rng(60)
+    axes = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -2, 0],
+                     [0, 1, -3], [-3, 0, 1]], dtype=float)
+    axes /= np.linalg.norm(axes, axis=1, keepdims=True)
+    half = 2 * axes[:, :, None] * axes[:, None, :] - np.eye(3)
+    R = np.concatenate([np.eye(3)[None], half,
+                        so3_exp(np.array([[-0.9 * np.pi, 0, 0]])),
+                        so3_exp(rng.standard_normal((150, 3)))])
+    P = len(R)
+    raw = rotation_to_quaternion(R[1:8])
+    first = raw[np.arange(7), np.argmax(raw != 0, axis=1)]
+    assert np.all(raw[:6, 0] == 0) and np.any(first < 0)
+    t, eps, vel, sv = (rng.standard_normal((P, k)) for k in (3, 6, 6, 6))
+    stds = np.abs(rng.standard_normal((P, 24)))
+    for a in (t, eps, vel, sv, stds):
+        a[:3] = -0.0
+    states = StateArrays(R, t, eps, vel, sv)
+    s_vals, t_vals = rng.uniform(0, 1, P), rng.uniform(0, 1, P)
+    s_vals[0] = t_vals[0] = -0.0
+    for sd in (None, stds):
+        got = "".join(cli.state_rows(s_vals, t_vals, states, sd))
+        ref = "".join(state_row(float(a), float(b), states[i],
+                                None if sd is None else sd[i]) + "\n"
+                      for i, (a, b) in enumerate(zip(s_vals, t_vals)))
+        assert got == ref
+    empty = states.take(np.arange(0))
+    assert "".join(cli.state_rows(s_vals[:0], t_vals[:0], empty)) == ""
+    for r in R:
+        m = Measurement("pose6", 0.0, 0.0, Pose(r, np.zeros(3)), np.eye(6))
+        assert json.dumps(cli.measurement_to_dict(m)["value"]["quat_wxyz"]) \
+            == json.dumps(list(_canonical_quat(r)))
 
 
 def test_query_grid_memory_per_point(run_dir, monkeypatch):

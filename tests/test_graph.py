@@ -8,7 +8,8 @@ from stgp.graph import Grid, build_grid, build_prior_factors
 from stgp.liegroup import Pose
 from stgp.oracle import dense_prior_precision, phi_cell
 from stgp.prior import (NodeState, PriorParams, StateArrays, apply_pair,
-                        chart_decode_batch, chart_encode, integrator)
+                        chart_encode, decode_with_jacobians_batch,
+                        integrator)
 from stgp.sim import GroundTruth, ScenarioConfig
 from stgp.solver import linearize
 from conftest import dense
@@ -86,8 +87,9 @@ def node_by_node_grid(s_knots, t_knots, x0: NodeState):
     temporal steps, and every other node as the corner that zeroes its cell
     factor in the chart of the cell's (0, 0) corner."""
     def step(z, base):
-        return chart_decode_batch(z[None], base.pose.R[None],
-                                  base.pose.t[None])[0]
+        return decode_with_jacobians_batch(z[None], base.pose.R[None],
+                                           base.pose.t[None],
+                                           want_jac=False)[0][0]
 
     # the transitions as the sweep applies them, one item at a time
     def ps(ds, z):

@@ -17,8 +17,8 @@ from stgp.liegroup import (Pose, ad6, se3_exp_with_jacobian,
 from stgp.oracle import (k_matrix, phi_cell, q_binary_s, q_binary_t,
                          q_quaternary)
 from stgp.prior import (ChartRangeError, NodeState, PriorParams, StateArrays,
-                        apply_pair, chart_decode_batch, chart_encode,
-                        integrator)
+                        apply_pair, chart_encode,
+                        decode_with_jacobians_batch, integrator)
 from stgp.query import bind
 from stgp.solver import apply_update
 from conftest import random_state, random_states, retract
@@ -213,8 +213,9 @@ def test_chart_roundtrip_100_states():
     for _ in range(100):
         x = random_state(rng, angle=0.8)
         base = Pose.exp(rng.standard_normal(6) * 0.3)
-        y = chart_decode_batch(chart_encode(x, base)[None], base.R[None],
-                               base.t[None])[0]
+        y = decode_with_jacobians_batch(chart_encode(x, base)[None],
+                                        base.R[None], base.t[None],
+                                        want_jac=False)[0][0]
         assert np.max(np.abs(y.pose.matrix() - x.pose.matrix())) < 1e-9
         assert np.max(np.abs(y.strain - x.strain)) < 1e-9
         assert np.max(np.abs(y.velocity - x.velocity)) < 1e-9
@@ -228,12 +229,13 @@ def test_chart_decode_batch_roundtrip():
     z = np.stack([chart_encode(x, b) for x, b in zip(states, bases)])
     Rb = np.stack([b.R for b in bases])
     tb = np.stack([b.t for b in bases])
-    got = chart_decode_batch(z, Rb, tb)
+    got = decode_with_jacobians_batch(z, Rb, tb, want_jac=False)[0]
     ref = StateArrays.from_states(states)
     for f in ("R", "t", "eps", "vel", "sv"):
         assert np.max(np.abs(getattr(got, f) - getattr(ref, f))) < 1e-9
     # a batch of one decodes bit for bit like the same row of a larger batch
-    one = chart_decode_batch(z[3:4], Rb[3:4], tb[3:4])[0]
+    one = decode_with_jacobians_batch(z[3:4], Rb[3:4], tb[3:4],
+                                      want_jac=False)[0][0]
     assert np.array_equal(one.pose.R, got.R[3])
     assert np.array_equal(one.strain_velocity, got.sv[3])
 
@@ -270,7 +272,9 @@ def test_encode_jacobians_match_references(bucket):
     """The encode kernel's chart, d(chart)/d(own) and d(chart)/d(base)
     against the closed-form J_l^{-1} and the exact-coefficient series of
     d(J_l^{-1} v)/dxi, per item over the chart range.  The references take
-    the kernel's own xi, so they see the twist it coordinatized."""
+    the kernel's own xi, so they see the twist it coordinatized.  The
+    decode of the same charts returns the inverse of d(chart)/d(own) and
+    its product with d(chart)/d(base)."""
     rng = np.random.default_rng(43)
     n = 500
     xi = twists_at_angles(44, ANGLE_BUCKETS[bucket](rng, n))
@@ -297,15 +301,19 @@ def test_encode_jacobians_match_references(bucket):
     assert np.max(max_rel(z[:, None], ref_z[:, None])) < 1e-13
     assert np.max(max_rel(enc, ref_enc)) < 1e-13
     assert np.max(max_rel(bm, ref_bm)) < 1e-13
-    # the blockwise inverse the query chain takes of enc
-    assert np.max(max_rel(P.chart_jacobian_inv(enc), np.linalg.inv(enc))) \
-        < 1e-13
+    # the decode of the chart returns the inverse of enc and its product
+    # with bm in closed form
+    _, s, s_bm = P.decode_with_jacobians_batch(z, base.R, base.t)
+    enc_inv = np.linalg.inv(enc)
+    assert np.max(max_rel(s, enc_inv)) < 1e-13
+    assert np.max(max_rel(s_bm, enc_inv @ bm)) < 1e-13
 
 
 def test_chart_range_boundary():
     """A relative rotation just past CHART_ANGLE_LIMIT raises, one just
-    short of it does not; the error names the batch's largest angle and the
-    first item past the limit."""
+    short of it does not, in the encode and in the Jacobian decode; the
+    error names the batch's largest angle and the first item past the
+    limit."""
     limit = P.CHART_ANGLE_LIMIT
     axis = np.array([0.48, -0.6, 0.64])
     angles = np.array([0.1, limit * (1 - 1e-9), limit * (1 + 1e-9), 0.2,
@@ -324,6 +332,16 @@ def test_chart_range_boundary():
             P.encode_with_jacobians_batch(sa, Rb, tb, want_jac)
         assert err.value.index == 2
         assert abs(err.value.angle - angles[4]) < 1e-12
+    # the decode checks the angle of its chart; without Jacobians it
+    # decodes at any angle
+    zs = np.zeros((5, 24))
+    zs[:, 3:6] = angles[:, None] * axis
+    P.decode_with_jacobians_batch(zs[[0, 1, 3]], Rb[:3], tb[:3])
+    P.decode_with_jacobians_batch(zs, Rb, tb, want_jac=False)
+    with pytest.raises(ChartRangeError) as err:
+        P.decode_with_jacobians_batch(zs, Rb, tb)
+    assert err.value.index == 2 and "batch item 2" in str(err.value)
+    assert abs(err.value.angle - angles[4]) < 1e-12
 
 
 def test_chart_range_error():
