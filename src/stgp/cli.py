@@ -29,10 +29,11 @@ posterior.bin is a NumPy .npz archive:
 Exit codes: 0 ok; 3 I/O failure (posterior.bin truncated included); 4
 estimator did not converge (artifacts still written); 5 normal equations not
 positive definite; 2 invalid input, which is one of
-  config         a field missing or out of range; an integer field (n_space,
-                 n_time, seed, refinement, max_iters) not an integer; a
-                 number (a prior diagonal and a sensor's std, rate, samples
-                 and locations included) not finite; max_iters < 1; tol <= 0
+  config         a field missing or out of range (simulate's --seed counts
+                 as the seed field); an integer field (n_space, n_time,
+                 seed, refinement, max_iters) not an integer; a number (a
+                 prior diagonal and a sensor's std, rate, samples and
+                 locations included) not finite; max_iters < 1; tol <= 0
                  (tol bounds the Gauss-Newton decrement at convergence, in
                  chi-square units of the cost)
   measurements   a record malformed, or its value or noise_cov not finite
@@ -41,7 +42,7 @@ positive definite; 2 invalid input, which is one of
   posterior.bin  an array missing or of a shape that does not fit the knot
                  counts, knots not finite and increasing, the prior mean
                  state mis-shaped or not finite, or a prior PSD or p0 not
-                 finite
+                 finite, not symmetric or not positive semidefinite
 Failures write no standard output.
 """
 
@@ -259,7 +260,7 @@ def read_state_csv(path: str, kind: str) -> np.ndarray:
 def save_posterior(path: str, post: Posterior, report_dict: dict) -> None:
     grid, params = post.grid, post.params
     mean = params.prior_mean
-    sa = grid.state_arrays()
+    sa = grid.states
     payload = dict(
         schema=schema_tag("posterior"),
         s_knots=grid.s_knots, t_knots=grid.t_knots,
@@ -280,7 +281,7 @@ def load_posterior(path: str) -> Posterior:
     an archive, SchemaError when it lacks an array or a report field, when
     its knots are not finite and increasing, when an array's shape does
     not fit the knot counts or when the prior mean state is mis-shaped or
-    not finite; ValueError when a prior PSD or p0 is not finite.  A report
+    not finite; ValueError when `PriorParams` refuses a PSD or p0.  A report
     of stgp.report/1.0 loads with no decrements."""
     if not zipfile.is_zipfile(path):  # also false for a missing file
         raise OSError(f"cannot read {path}: missing or not a zip archive")
@@ -467,7 +468,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         cfg = load_config(args.config)
         if args.command == "simulate":
             if args.seed is not None:
-                cfg.seed = args.seed
+                cfg = dataclasses.replace(cfg, seed=args.seed)
             return cmd_simulate(cfg, args.out)
         return cmd_estimate(cfg, args.out,
                             measurements_path=args.measurements)

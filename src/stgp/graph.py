@@ -27,9 +27,8 @@ import numpy as np
 
 from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
                     binary_batch, decode_with_jacobians_batch,
-                    encode_with_jacobians_batch, integrator, q_binary_s_inv,
-                    q_binary_t_inv, q_quaternary_inv, quaternary_batch,
-                    unary_batch)
+                    encode_with_jacobians_batch, integrator, k_matrix_inv,
+                    kron_lift, quaternary_batch, unary_batch)
 
 
 @dataclass
@@ -67,6 +66,7 @@ class Grid:
                     self.states.take(np.arange(self.n_nodes)))
 
     def state_arrays(self) -> StateArrays:
+        # an alias of `states`, kept only for the frozen bench/pipeline.py
         return self.states
 
 
@@ -190,18 +190,17 @@ def build_prior_factors(grid: Grid, params: PriorParams) -> FactorSet:
     c00 = (col[:, None] + row[None, :]).ravel()
     cell_ds = np.tile(ds, K - 1)
     cell_dt = np.repeat(dt, N - 1)
-
-    def weights(fn, *steps):
-        w = [fn(*d, params) for d in zip(*steps)]
-        return np.array(w).reshape(-1, 24, 24)
-
+    inv = np.linalg.inv
     return FactorSet(
-        Family("unary", np.zeros((1, 1), dtype=int),
-               np.linalg.inv(params.p0)[None], unary_batch, (params,)),
+        Family("unary", np.zeros((1, 1), dtype=int), inv(params.p0)[None],
+               unary_batch, (params,)),
         Family("spatial", np.stack([row, row + 1]),
-               weights(q_binary_s_inv, ds), binary_batch, (integrator(ds), 2)),
+               kron_lift(None, k_matrix_inv(ds), inv(params.qs_psd)),
+               binary_batch, (integrator(ds), 2)),
         Family("temporal", np.stack([col, col + N]),
-               weights(q_binary_t_inv, dt), binary_batch, (integrator(dt), 1)),
+               kron_lift(k_matrix_inv(dt), None, inv(params.qt_psd)),
+               binary_batch, (integrator(dt), 1)),
         Family("cell", np.stack([c00, c00 + 1, c00 + N, c00 + N + 1]),
-               weights(q_quaternary_inv, cell_ds, cell_dt), quaternary_batch,
-               (cell_ds, cell_dt)))
+               kron_lift(k_matrix_inv(cell_dt), k_matrix_inv(cell_ds),
+                         inv(params.qst_psd)),
+               quaternary_batch, (cell_ds, cell_dt)))

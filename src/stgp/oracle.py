@@ -4,9 +4,10 @@ Everything here is assembled from the lifted form of the prior: stack every
 node chart into one long vector (time-major, k*N + n), write the joint as
 x = A(v + w) with a block lower-triangular A, and form the covariance A Q A^T
 directly.
-None of the factor, solver, or query code paths are reused, so agreement
-between the two routes is a meaningful cross-check.  Costs are cubic in N*K;
-keep grids small.  Production code must never import this module.
+None of the prior, factor, solver, or query code paths are reused (only
+`PriorParams` comes from production), so agreement between the two routes
+is a meaningful cross-check.  Costs are cubic in N*K; keep grids small.
+Production code must never import this module.
 """
 
 from __future__ import annotations
@@ -16,8 +17,7 @@ from typing import List, Tuple
 import numpy as np
 from scipy.linalg import solve_triangular
 
-from .prior import (PriorParams, q_binary_s_inv, q_binary_t_inv,
-                    q_quaternary_inv)
+from .prior import PriorParams
 
 MAX_NODES = 64
 
@@ -97,21 +97,21 @@ def lifted_transition(s_knots, t_knots) -> np.ndarray:
 
 def _noise_blocks(s_knots, t_knots, params: PriorParams,
                   inverse: bool) -> List[np.ndarray]:
+    """The dense 24x24 noise covariance of every node's factor, time-major,
+    or with `inverse` its inverse by LAPACK."""
     s, t, N, K = _prep(s_knots, t_knots)
-    qs = q_binary_s_inv if inverse else q_binary_s
-    qt = q_binary_t_inv if inverse else q_binary_t
-    qst = q_quaternary_inv if inverse else q_quaternary
     blocks = []
     for k in range(K):
         for n in range(N):
             if n == 0 and k == 0:
-                blocks.append(np.linalg.inv(params.p0) if inverse else params.p0)
+                q = params.p0
             elif k == 0:
-                blocks.append(qs(s[n] - s[n - 1], params))
+                q = q_binary_s(s[n] - s[n - 1], params)
             elif n == 0:
-                blocks.append(qt(t[k] - t[k - 1], params))
+                q = q_binary_t(t[k] - t[k - 1], params)
             else:
-                blocks.append(qst(s[n] - s[n - 1], t[k] - t[k - 1], params))
+                q = q_quaternary(s[n] - s[n - 1], t[k] - t[k - 1], params)
+            blocks.append(np.linalg.inv(q) if inverse else q)
     return blocks
 
 
@@ -128,8 +128,8 @@ def dense_prior_covariance(s_knots, t_knots, params: PriorParams) -> np.ndarray:
 
 
 def dense_prior_precision(s_knots, t_knots, params: PriorParams) -> np.ndarray:
-    """A^-T Q^-1 A^-1 with A inverted numerically (triangular solves), noise
-    blocks inverted via their closed forms."""
+    """A^-T Q^-1 A^-1 with A inverted by triangular solves and the dense
+    noise blocks by LAPACK, not by the closed-form K(d)^-1."""
     import scipy.linalg
     A = lifted_transition(s_knots, t_knots)
     Qinv = scipy.linalg.block_diag(*_noise_blocks(s_knots, t_knots, params, True))

@@ -36,7 +36,6 @@ STATE_DIM = 24
 _I3 = np.eye(3)
 _I2 = np.eye(2)
 _I6 = np.eye(6)
-_I24 = np.eye(24)
 
 
 class ChartRangeError(ValueError):
@@ -81,14 +80,16 @@ class NodeState:
                                self.strain_velocity])
 
 
-def _as_psd6(m, name: str) -> np.ndarray:
+def _as_psd(m, n: int, name: str) -> np.ndarray:
+    """m, a scalar, n-vector or n x n matrix, as a symmetric PSD matrix."""
     m = np.asarray(m, dtype=float)
     if m.shape == ():
-        m = float(m) * _I6
-    elif m.shape == (6,):
+        m = float(m) * np.eye(n)
+    elif m.shape == (n,):
         m = np.diag(m)
-    if m.shape != (6, 6):
-        raise ValueError(f"{name} must be a scalar, 6-vector, or 6x6 matrix")
+    if m.shape != (n, n):
+        raise ValueError(f"{name} must be a scalar, {n}-vector, or {n}x{n} "
+                         "matrix")
     if not np.all(np.isfinite(m)):
         raise ValueError(f"{name} must be finite")
     if np.max(np.abs(m - m.T)) > 1e-12 * (1 + np.max(np.abs(m))):
@@ -110,40 +111,10 @@ class PriorParams:
     prior_mean: NodeState = field(default_factory=NodeState.identity)
 
     def __post_init__(self):
-        self.qs_psd = _as_psd6(self.qs_psd, "qs_psd")
-        self.qt_psd = _as_psd6(self.qt_psd, "qt_psd")
-        self.qst_psd = _as_psd6(self.qst_psd, "qst_psd")
-        p0 = np.asarray(self.p0, dtype=float)
-        if p0.shape == ():
-            p0 = float(p0) * _I24
-        elif p0.shape == (24,):
-            p0 = np.diag(p0)
-        if p0.shape != (24, 24):
-            raise ValueError("p0 must be a scalar, 24-vector, or 24x24 matrix")
-        if not np.all(np.isfinite(p0)):
-            raise ValueError("p0 must be finite")
-        if np.max(np.abs(p0 - p0.T)) > 1e-12 * (1 + np.max(np.abs(p0))):
-            raise ValueError("p0 must be symmetric")
-        self.p0 = 0.5 * (p0 + p0.T)
-
-
-def k_matrix_inv(d: float) -> np.ndarray:
-    d = float(d)
-    if d <= 0:
-        raise ValueError("step must be > 0")
-    return np.array([[12.0 / d ** 3, -6.0 / d ** 2], [-6.0 / d ** 2, 4.0 / d]])
-
-
-def q_binary_s_inv(ds: float, params: PriorParams) -> np.ndarray:
-    return np.kron(np.eye(2), np.kron(k_matrix_inv(ds), np.linalg.inv(params.qs_psd)))
-
-
-def q_binary_t_inv(dt: float, params: PriorParams) -> np.ndarray:
-    return np.kron(k_matrix_inv(dt), np.kron(np.eye(2), np.linalg.inv(params.qt_psd)))
-
-
-def q_quaternary_inv(ds: float, dt: float, params: PriorParams) -> np.ndarray:
-    return np.kron(k_matrix_inv(dt), np.kron(k_matrix_inv(ds), np.linalg.inv(params.qst_psd)))
+        self.qs_psd = _as_psd(self.qs_psd, 6, "qs_psd")
+        self.qt_psd = _as_psd(self.qt_psd, 6, "qt_psd")
+        self.qst_psd = _as_psd(self.qst_psd, 6, "qst_psd")
+        self.p0 = _as_psd(self.p0, STATE_DIM, "p0")
 
 
 # ---------------------------------------------------------------------------
@@ -328,6 +299,42 @@ def integrator(d: np.ndarray) -> np.ndarray:
     """M(d) = [[1, d], [0, 1]] for each step in d: the transition of one
     (level, derivative) pair over a step d."""
     return _I2 + np.multiply.outer(d, [[0.0, 1.0], [0.0, 0.0]])
+
+
+def _sym2(a, b, c) -> np.ndarray:
+    """[[a, b], [b, c]] for each element of a, b and c."""
+    out = np.empty(np.shape(a) + (2, 2))
+    out[..., 0, 0], out[..., 0, 1], out[..., 1, 0], out[..., 1, 1] = a, b, b, c
+    return out
+
+
+def k_matrix(d) -> np.ndarray:
+    """K(d) = [[d^3/3, d^2/2], [d^2/2, d]] for each step in d, the
+    covariance a step d of unit white noise on the derivative leaves on a
+    (level, derivative) pair: (2, 2) for a scalar d, else (B, 2, 2)."""
+    d = np.asarray(d, dtype=float)
+    return _sym2(d ** 3 / 3.0, d ** 2 / 2.0, d)
+
+
+def k_matrix_inv(d) -> np.ndarray:
+    """K(d)^-1 = [[12/d^3, -6/d^2], [-6/d^2, 4/d]] for each step in d,
+    shaped as `k_matrix`; ValueError unless every step is > 0."""
+    d = np.asarray(d, dtype=float)
+    if np.any(d <= 0):
+        raise ValueError("step must be > 0")
+    return _sym2(12.0 / d ** 3, -6.0 / d ** 2, 4.0 / d)
+
+
+def kron_lift(g_t, g_s, q: np.ndarray) -> np.ndarray:
+    """g_t (x) (g_s (x) q), bit for bit as np.kron, for stacked (B, 2, 2)
+    factors on the temporal and spatial pairs and a 6x6 q, I_2 standing in
+    for a None factor: with K(d)^-1 factors and an inverse PSD, the
+    (B, 24, 24) noise weights of a prior factor kind."""
+    for g in (g_s, g_t):
+        g = _I2 if g is None else g
+        q = g[..., :, None, :, None] * q[..., None, :, None, :]
+        q = q.reshape(q.shape[:-4] + (2 * q.shape[-1],) * 2)
+    return q
 
 
 def apply_pair(g: np.ndarray, x: np.ndarray, outer: int) -> np.ndarray:

@@ -41,7 +41,8 @@ import numpy as np
 
 from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
                     decode_with_jacobians_batch, encode_self_jacobian_batch,
-                    encode_with_jacobians_batch, integrator)
+                    encode_with_jacobians_batch, integrator, k_matrix,
+                    k_matrix_inv)
 
 HULL_TOL = 1e-9
 
@@ -98,24 +99,14 @@ def locate(knots: np.ndarray, u: np.ndarray, name: str,
 # stage gains
 
 
-def _sym2(a, b, c) -> np.ndarray:
-    """[[a, b], [b, c]] for each element of a, b and c."""
-    return np.stack([np.stack([a, b], -1), np.stack([b, c], -1)], -2)
-
-
 def _bridge(delta, u):
     """2x2 integrator-chain conditioning at offsets u into segments of length
     delta, elementwise: the gain on the far endpoint, the prior-rollout
-    weight on the near endpoint, and their residual kernel.  `k` and `k_inv`
-    are `oracle.k_matrix` and `prior.k_matrix_inv` elementwise; the prior
-    weights keep the scalar form, whose power can round differently from
-    NumPy's array power in the last bit."""
-    k = lambda d: _sym2(d ** 3 / 3.0, d ** 2 / 2.0, d)
-    k_inv = _sym2(12.0 / delta ** 3, -6.0 / delta ** 2, 4.0 / delta)
-    k_u = k(u)
-    lam = k_u @ _T(integrator(delta - u)) @ k_inv
+    weight on the near endpoint, and their residual kernel."""
+    k_u = k_matrix(u)
+    lam = k_u @ _T(integrator(delta - u)) @ k_matrix_inv(delta)
     psi = integrator(u) - lam @ integrator(delta)
-    return lam, psi, k_u - lam @ k(delta) @ _T(lam)
+    return lam, psi, k_u - lam @ k_matrix(delta) @ _T(lam)
 
 
 @dataclass

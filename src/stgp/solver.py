@@ -173,7 +173,7 @@ def linearize(factors: FactorSet, grid: Grid) -> BlockBandedSystem:
 
 def _linearize(geom, grid: Grid) -> BlockBandedSystem:
     system = BlockBandedSystem.zeros(grid.N, grid.K)
-    sa = grid.state_arrays()
+    sa = grid.states
     for fam in geom:
         try:
             e, *jacs = fam.evaluate(sa)

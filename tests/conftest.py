@@ -38,7 +38,7 @@ def factor_terms(f, grid):
     """[error, J_0, ...] of one measurement factor at the grid's states,
     evaluated as a group of one and cut to the rows it observes."""
     (group,) = group_measurements([f])
-    return [a[0][f.meas.rows] for a in group.evaluate(grid.state_arrays())]
+    return [a[0][f.meas.rows] for a in group.evaluate(grid.states)]
 
 
 def stencil_pairs(N: int, K: int):

@@ -112,7 +112,7 @@ def test_posterior_round_trips_bit_for_bit(linear_posterior, tmp_path):
     path = str(tmp_path / "posterior.bin")
     cli.save_posterior(path, post, dataclasses.asdict(post.report))
     loaded = cli.load_posterior(path)
-    a, b = post.grid.state_arrays(), loaded.grid.state_arrays()
+    a, b = post.grid.states, loaded.grid.states
     for f in ("R", "t", "eps", "vel", "sv"):
         assert np.array_equal(getattr(a, f), getattr(b, f)), f
     assert np.array_equal(post.cov.sig_diag, loaded.cov.sig_diag)
@@ -169,6 +169,23 @@ def test_exit_invalid_config_fields(tmp_path, capsys, changes):
     assert captured.err.startswith("error: invalid config:")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+def test_exit_invalid_simulate_seed(tmp_path, capsys):
+    """A --seed override is validated as the config's seed field: a
+    negative one exits 2 with an error naming `seed`, writing nothing; a
+    valid one is taken."""
+    cfg = write_config(tmp_path)
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--seed", "-1"]) == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error:") and "seed" in captured.err
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out),
+                     "--seed", "7"]) == cli.EXIT_OK
+    assert (out / "measurements.json").exists()
 
 
 def test_exit_invalid_posterior_major_1(run_dir, tmp_path, capsys):
@@ -288,18 +305,21 @@ def test_exit_invalid_posterior_missing_array(run_dir, tmp_path, capsys):
                                   "t_knots", "mean_R", "mean_t",
                                   "mean_strain", "mean_velocity", "mean_sv",
                                   "mean_R-nan", "mean_sv-nan", "p0-nan",
-                                  "qs_psd-nan"])
+                                  "qs_psd-nan", "p0-indefinite"])
 def test_exit_invalid_posterior_shapes(run_dir, tmp_path, capsys, name):
     """An array cut short, so that its shape no longer fits the knot counts
     or, for the prior mean state, its (3, 3), (3,) or (6,) shape, knots
-    that are not increasing, or knots, a prior mean array, a prior PSD or
-    p0 that are not finite are refused: exit 2, naming the array."""
+    that are not increasing, knots, a prior mean array, a prior PSD or p0
+    that are not finite, or a p0 that is not positive semidefinite are
+    refused: exit 2, naming the array."""
     _, out = run_dir
     name, _, edit = name.partition("-")
     with np.load(os.path.join(out, "posterior.bin")) as z:
         payload = {k: z[k] for k in z.files}
     if name == "s_knots":
         payload[name] = payload[name][::-1]
+    elif edit == "indefinite":
+        payload[name][0, 0] = -payload[name][0, 0]
     elif name == "t_knots" or edit == "nan":
         payload[name].flat[1] = np.nan
     else:

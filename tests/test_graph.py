@@ -74,7 +74,7 @@ def test_build_grid_prior_mean_propagation():
     params = PriorParams(qs_psd=np.eye(6), qt_psd=np.eye(6), qst_psd=np.eye(6),
                          p0=np.eye(24), prior_mean=init)
     factors = build_prior_factors(g, params)
-    sa = g.state_arrays()
+    sa = g.states
     for fam in factors.prior_families():
         e = fam.evaluate(sa)[0]
         assert e.shape == (len(fam), 24)
@@ -221,10 +221,14 @@ def test_precision_pattern_bandwidth(params):
 
 def test_precision_matches_oracle_and_pattern(params):
     """Assembled prior precision at the chart origin equals the lifted dense
-    construction, and vanishes outside the depth-two neighbor pattern."""
-    for (N, K) in ((2, 3), (4, 2)):
-        s_knots = np.linspace(0.0, 1.0, N)
-        t_knots = np.linspace(0.0, 2.0, K)
+    construction, and vanishes outside the depth-two neighbor pattern: on
+    uniform knots, and on knots whose every step differs, so each cell's
+    weight must take its own (ds, dt)."""
+    cases = [(np.linspace(0.0, 1.0, N), np.linspace(0.0, 2.0, K))
+             for N, K in ((2, 3), (4, 2))]
+    cases.append((np.array([0.0, 0.1, 0.45, 1.0]),
+                  np.array([0.0, 0.3, 1.1])))
+    for s_knots, t_knots in cases:
         g = build_grid(s_knots, t_knots, NodeState.identity())
         fs = build_prior_factors(g, params)
         H = dense(linearize(fs, g))
@@ -251,6 +255,7 @@ def test_diagonal_blocks_positive_definite(params):
 
 
 def test_grid_state_arrays_roundtrip():
+    """`state_arrays`, which the benchmark scripts read, is `states`."""
     g = build_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 2),
                    NodeState.identity())
     sa = g.state_arrays()

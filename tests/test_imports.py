@@ -1,6 +1,7 @@
 """Module hygiene: the dense oracle is a test reference that no production
-module may import, every public top-level function or class is used
-somewhere, and outside the oracle it is used by the program itself."""
+module may import and that imports only `PriorParams` from them, every
+public top-level function or class is used somewhere, and outside the
+oracle it is used by the program itself."""
 
 import ast
 import glob
@@ -43,6 +44,16 @@ def test_production_never_imports_oracle():
             if f != "oracle.py" and imports_oracle(fh.read()):
                 offenders.append(f)
     assert offenders == []
+
+
+def test_oracle_imports_only_prior_params():
+    """The oracle takes nothing from production but the parameter container,
+    so its dense references never share a closed form with the code they
+    check."""
+    with open(os.path.join(SRC, "oracle.py"), encoding="utf-8") as fh:
+        ours = {m for m in imported_modules(fh.read())
+                if m == "stgp" or m.startswith("stgp.")}
+    assert ours == {"stgp.prior", "stgp.prior.PriorParams"}
 
 
 @pytest.mark.parametrize("line,hit", [

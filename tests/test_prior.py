@@ -67,10 +67,43 @@ def test_k_matrix_two_step():
 
 
 def test_k_matrix_quadrature_sweep():
-    for d in (0.1, 0.37, 1.9, 4.0):
+    """The oracle's scalar K(d) against quadrature; production's elementwise
+    K(d) and K(d)^-1 on a scalar give (2, 2) and on an array of steps the
+    stacked (B, 2, 2) oracle matrices and their inverses, and K(d)^-1
+    refuses any step <= 0."""
+    steps = np.array([0.1, 0.37, 1.9, 4.0])
+    for d in steps:
         assert np.allclose(k_matrix(d), quad_k_matrix(d), atol=1e-10)
+        assert P.k_matrix(d).shape == P.k_matrix_inv(d).shape == (2, 2)
         assert np.allclose(k_matrix(d) @ P.k_matrix_inv(d), np.eye(2),
                            atol=1e-10)
+    k, k_inv = P.k_matrix(steps), P.k_matrix_inv(steps)
+    assert k.shape == k_inv.shape == (4, 2, 2)
+    ref = np.stack([k_matrix(d) for d in steps])
+    assert np.max(np.abs(k - ref)) <= 1e-15 * np.max(np.abs(ref))
+    assert np.max(np.abs(k @ k_inv - np.eye(2))) < 1e-12
+    for bad in (0.0, -0.5, np.array([0.3, 0.0, 1.0]),
+                np.array([0.2, -1e-3])):
+        with pytest.raises(ValueError):
+            P.k_matrix_inv(bad)
+
+
+def test_kron_lift_is_np_kron():
+    """The batched lift of the prior weights is np.kron(g_t, np.kron(g_s,
+    q)) bit for bit, I_2 standing in for an axis left None, and keeps an
+    empty batch."""
+    rng = np.random.default_rng(62)
+    g_t, g_s = rng.standard_normal((2, 5, 2, 2))
+    q = rng.standard_normal((6, 6))
+    eye = np.eye(2)
+    for a, b in ((g_t, g_s), (None, g_s), (g_t, None)):
+        got = P.kron_lift(a, b, q)
+        ref = [np.kron(eye if a is None else a[i],
+                       np.kron(eye if b is None else b[i], q))
+               for i in range(5)]
+        assert got.shape == (5, 24, 24)
+        assert np.array_equal(got, np.array(ref))
+    assert P.kron_lift(None, g_s[:0], q).shape == (0, 24, 24)
 
 
 def test_phi_zero_is_identity():

@@ -152,7 +152,7 @@ def brute_force_normal_equations(factors, grid):
     a group of one with its own (masked-size) weight."""
     terms = []
     for fam in factors.prior_families():
-        e, *jacs = fam.evaluate(grid.state_arrays())
+        e, *jacs = fam.evaluate(grid.states)
         terms += [(fam.nodes[:, b], e[b], [J[b] for J in jacs],
                    fam.weights[b]) for b in range(len(fam))]
     for f in factors.measurement:
