@@ -62,7 +62,8 @@ from .graph import Grid, build_grid, build_prior_factors
 from .liegroup import Pose, quaternion_to_rotation, rotation_to_quaternion
 from .prior import NodeState, PriorParams, StateArrays
 # query_state is kept only because the frozen bench/pipeline.py patches it
-from .query import OutOfHullError, query_state, query_states  # noqa: F401
+from .query import (OutOfHullError, bind, query_state,  # noqa: F401
+                    query_states)
 from .sensors import Measurement, build_measurement_factors
 from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
                   generate_measurements)
@@ -419,11 +420,14 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
     else:
         s_vals, t_vals = np.array([s], dtype=float), np.array([t], dtype=float)
     # every point is answered before the first line is written; of each
-    # slice's covariances only the standard deviations are kept
+    # slice's covariances only the standard deviations are kept.  Each
+    # binding shape's points are sliced apart, so no slice mixes shapes
+    groups = [b.index for b in bind(post.grid.s_knots, post.grid.t_knots,
+                                    s_vals, t_vals)]
     means = post.grid.states.take(np.zeros(len(s_vals), dtype=int))
     stds = np.empty((len(s_vals), 24))
-    for lo in range(0, len(s_vals), CHUNK):
-        sl = slice(lo, lo + CHUNK)
+    for sl in (g[lo:lo + CHUNK] for g in groups
+               for lo in range(0, len(g), CHUNK)):
         mean, covs = query_states(post, s_vals[sl], t_vals[sl])
         means.put(sl, mean)
         stds[sl] = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))

@@ -13,20 +13,22 @@ R (x) I (x) Q with the PSD Q of the stage's axis.
 
 `bind` turns coordinates into corner nodes and stage gains for any number
 of points at once (hull check, knot snapping, cell location, closed-form
-gains), grouped by binding shape; queries and measurement factors both bind
-through it.  The gains depend only on the cell size and the offset, never on
-the state or the prior.  `interpolate` is the one nonlinear chain, batched
-over the points of one binding shape and called with their gathered corner
-states: the temporal stage of both columns of every point runs as one batch,
-decoded in each column's own chart, and the spatial stage then runs in a
-chart about the left column's result.  `interpolate` always returns the
-chain's Jacobians with the states; each stage's decode
-(`prior.decode_with_jacobians_batch`) gives its part in closed form from the
-stage's chart, so no decoded state is encoded again.  `query_states` runs
-`interpolate` once per binding shape, pushes the corner joint covariance
-through those Jacobians and adds the conditioning residual, which only it
-forms; each measurement family (`sensors.measurement_batch`) runs it once
-per linearization.  On cell edges the gains collapse onto the shared nodes
+gains from one `_bridge` call for both stages), grouped by binding shape;
+queries and measurement factors both bind through it.  The gains depend
+only on the cell size and the offset, never on the state or the prior.
+`interpolate` is the one nonlinear chain, batched over the points of one
+binding shape and called with their gathered corner states: the temporal
+stage of both columns of every point runs as one batch, decoded in each
+column's own chart, and the spatial stage then runs in a chart about the
+left column's result.  `interpolate` always returns the chain's Jacobians
+with the states; each stage's decode (`prior.decode_with_jacobians_batch`)
+gives its part in closed form from the stage's chart, so no decoded state
+is encoded again.  `query_states` runs `interpolate` once per binding
+shape, pushes the corner covariance blocks through those Jacobians pair by
+pair (`CornerCovariances.push`, which never forms the dense corner joint)
+and adds the conditioning residual, which only it forms; each measurement
+family (`sensors.measurement_batch`) runs `interpolate` once per
+linearization.  On cell edges the gains collapse onto the shared nodes
 exactly, so adjacent cells evaluate boundary queries through the same chain
 and queries are continuous across the whole hull.
 """
@@ -147,6 +149,13 @@ def bind(s_knots, t_knots, s, t,
     N = len(s_knots)
     corner = k * N + n
     shape = keep_t + 2 * keep_s
+    # both stages' gains in one call: the temporal stages, then the spatial
+    gains = _bridge(
+        np.concatenate([np.diff(t_knots)[k[keep_t]],
+                        np.diff(s_knots)[n[keep_s]]]),
+        np.concatenate([tau[keep_t], sigma[keep_s]]))
+    row_t = np.cumsum(keep_t) - 1
+    row_s = np.cumsum(keep_s) - 1 + np.count_nonzero(keep_t)
     out = []
     for code in np.unique(shape):
         idx = np.flatnonzero(shape == code)
@@ -154,13 +163,10 @@ def bind(s_knots, t_knots, s, t,
         steps = [0, 1] if has_s else [0]
         if has_t:
             steps += [d + N for d in steps]
-        ni, ki = n[idx], k[idx]
         out.append(Binding(
             idx, corner[idx] + np.array(steps)[:, None],
-            _bridge(t_knots[ki + 1] - t_knots[ki], tau[idx])
-            if has_t else None,
-            _bridge(s_knots[ni + 1] - s_knots[ni], sigma[idx])
-            if has_s else None))
+            tuple(g[row_t[idx]] for g in gains) if has_t else None,
+            tuple(g[row_s[idx]] for g in gains) if has_s else None))
     return out
 
 
@@ -245,8 +251,8 @@ def _residual(noise, params: PriorParams, B: int) -> np.ndarray:
 def query_states(posterior, s, t, cell: Optional[Tuple[int, int]] = None):
     """Posterior mean states (a `StateArrays`) and (P, 24, 24) covariances at
     the points (s[i], t[i]), answered as one batch per binding shape.  Each
-    covariance is the corner joint pushed through the chain's Jacobians
-    plus the conditioning residual."""
+    covariance is the corner covariance blocks pushed through the chain's
+    Jacobians (`CornerCovariances.push`) plus the conditioning residual."""
     grid = posterior.grid
     s, t = np.atleast_1d(s), np.atleast_1d(t)
     means = grid.states.take(np.zeros(len(s), dtype=int))
@@ -254,8 +260,7 @@ def query_states(posterior, s, t, cell: Optional[Tuple[int, int]] = None):
     for b in bind(grid.s_knots, grid.t_knots, s, t, cell):
         x, jacs, noise = interpolate([grid.states.take(n) for n in b.nodes],
                                      b.temporal, b.spatial)
-        U = np.concatenate(jacs, axis=-1)
-        cov = U @ posterior.cov.joint(b.nodes) @ _T(U) \
+        cov = posterior.cov.push(b.nodes, jacs) \
             + _residual(noise, posterior.params, len(b.index))
         means.put(b.index, x)
         covs[b.index] = 0.5 * (cov + _T(cov))

@@ -24,14 +24,16 @@ along the longer grid axis (along time when N == K).  Stencil neighbours
 are then at most b positions apart, b = min(N, K) + 1 when both axes have
 two knots or more, 1 along a single row or column and 0 for one node, so
 the matrix has 24*(b + 1) - 1 sub-diagonals and one LAPACK banded Cholesky
-(`dpbtrf`, solved by `dpbtrs`) costs time linear in the longer axis.  The
-stencil reaches the band block by block: each stored stencil block has a
-band block column, an offset below the diagonal and a flag for a transposed
-read (`_BandLayout`, O(NK) ints).  The block columns, stored by matrix
-column with one zero block to spare, are LAPACK's band storage through one
-strided view (`_skewed`): assembly scatters into them and copies the view
-out, and the factor is un-skewed through it once for the selected inverse.
-A failed pivot is mapped back through the ordering to its time-major node.
+(`dpbtrf`, solved by `dpbtrs`) costs time linear in the longer axis.  One
+strided view of LAPACK's lower band storage (`_block_view`) reads it as
+block columns, ab[24d + e - a, 24P + a] = A[24(P + d) + e, 24P + a] for
+d = 0..b, and both directions go through it: assembly writes the stencil
+blocks straight into the array `dpbtrf` factors in place, and the selected
+inverse reads the factor's block columns from it, so an estimate holds one
+band at a time.  Each stored stencil block has a band block column, an
+offset below the diagonal and a flag for a transposed read (`_BandLayout`,
+O(NK) ints).  A failed pivot is mapped back through the ordering to its
+time-major node.
 
 Selected inverse.  The covariance's band is closed under the Takahashi
 recursion (Takahashi, Fagan & Chin 1973; Rue & Held 2005): sweeping block
@@ -42,7 +44,6 @@ interpolator reads.
 
 from __future__ import annotations
 
-import functools
 import time
 from dataclasses import dataclass
 from typing import List, Optional, Sequence
@@ -201,21 +202,23 @@ def sweep_order(N: int, K: int) -> np.ndarray:
 
 @dataclass
 class _BandLayout:
-    """The block map from the stencil layout to LAPACK's lower band storage,
-    ab[r, c] = A[c + r, c] for the permuted matrix A.
+    """The block map from the stencil layout to LAPACK's lower band storage
+    of the permuted matrix A, read as block columns through `_block_view`.
 
-    Band blocks live in block columns stored by matrix column,
-    `cols[P, a, 24d + e] = A[24(P + d) + e, 24P + a]` for d = 0..b + 1, from
-    which `_skewed` reads ab.  Stencil block H[u, v] sits in block column
-    min(p, q) at offset |p - q|, p and q the band positions of u and v; it
-    is A's lower block there, and so read transposed, when p >= q."""
+    Stencil block H[u, v] sits in block column min(p, q) at offset |p - q|,
+    p and q the band positions of u and v; it is A's lower block there, and
+    so read transposed, when p >= q (every diagonal block).  The blocks are
+    sorted by (column, transposed): column P's plain blocks are
+    `bounds[2P]:bounds[2P + 1]` and its transposed ones run on to
+    `bounds[2P + 2]`."""
 
-    order: np.ndarray  # (NK,) time-major node at each band position
-    width: int         # block bandwidth b
-    # (transposed, flat stencil blocks u * SLOTS + s, band index) of the
-    # plain blocks, then of the transposed ones; the band index reads block
-    # columns viewed as (NK, 24, blocks, 24)
-    parts: tuple
+    order: np.ndarray       # (NK,) time-major node at each band position
+    width: int              # block bandwidth b
+    column: np.ndarray      # band block column of each stored stencil block
+    offset: np.ndarray      # its offset d below the diagonal
+    target: np.ndarray      # its flat stencil block u * SLOTS + s
+    transposed: np.ndarray  # whether it is read transposed (p >= q)
+    bounds: np.ndarray      # (2NK + 1,) as above
 
 
 def _band_layout(N: int, K: int) -> _BandLayout:
@@ -227,62 +230,78 @@ def _band_layout(N: int, K: int) -> _BandLayout:
     s, u = np.nonzero((n + dn >= 0) & (n + dn < N) & (k + dk < K))
     v = u + dk[s, 0] * N + dn[s, 0]
     p, q = pos[u], pos[v]
-    col, off = np.minimum(p, q), np.abs(p - q)
-    parts = tuple((t, u[m] * SLOTS + s[m], (col[m], slice(None), off[m]))
-                  for t, m in ((False, p < q), (True, p >= q)))
-    return _BandLayout(order, int(np.max(off)), parts)
+    col, flip = np.minimum(p, q), p >= q
+    key = 2 * col + flip
+    m = np.argsort(key, kind="stable")
+    off = np.abs(p - q)
+    return _BandLayout(order, int(np.max(off)), col[m], off[m],
+                       (u * SLOTS + s)[m], flip[m],
+                       np.searchsorted(key[m], np.arange(2 * N * K + 1)))
 
 
-def _skewed(cols: np.ndarray) -> np.ndarray:
-    """ab.T as a view of block columns `cols` (NK, 24, W): row 24P + a is
-    column a of block column P read from its row a on, W - 24 entries.  The
-    last block of each row, a zero block, keeps every read inside its row."""
-    st = cols.strides
-    return as_strided(cols, cols.shape[:2] + (cols.shape[2] - BLOCK,),
-                      (st[0], st[1] + st[2], st[2]))
+def _block_view(ab: np.ndarray, width: int) -> np.ndarray:
+    """LAPACK lower band storage `ab` ((kd + 1, 24NK) in Fortran order,
+    ab[r, c] = A[c + r, c]) as block columns: view[P, a, d, e] =
+    ab[24d + e - a, 24P + a] = A[24(P + d) + e, 24P + a] for d = 0..width.
+
+    Each entry of a column block d >= 1 and each diagonal-block entry with
+    e >= a is one band entry.  The entries with e < a alias the far end of
+    the previous matrix column, so a diagonal block is written on and below
+    A's diagonal only and read through `np.tril`."""
+    if not ab.flags.f_contiguous:
+        raise ValueError("band storage must be in Fortran order")
+    w, it = ab.shape[0], ab.itemsize
+    return as_strided(ab, (ab.shape[1] // BLOCK, BLOCK, width + 1, BLOCK),
+                      (BLOCK * w * it, (w - 1) * it, BLOCK * it, it))
 
 
 @dataclass
 class BandedFactorization:
     """`band` is `dpbtrf`'s lower Cholesky factor of the permuted system, in
-    LAPACK band storage.  `L` and `X` are its block columns, read from one
-    un-skew: the (NK, 24, 24) diagonal blocks and the (NK, 24b, 24) panels
-    below them, in band order."""
+    LAPACK band storage.  `L` and `X` read its block columns through
+    `_block_view`, in band order: `L` the (NK, 24, 24) diagonal blocks,
+    a fresh lower-triangular array, and `X` the (NK, 24b, 24) panels below
+    them, a read-only view of `band` itself."""
 
     N: int
     K: int
     band: np.ndarray
     layout: _BandLayout
 
-    @functools.cached_property
-    def _cols(self) -> np.ndarray:
-        cols = np.zeros((self.N * self.K, BLOCK, len(self.band) + BLOCK))
-        _skewed(cols)[...] = self.band.T.reshape(len(cols), BLOCK, -1)
-        return cols
-
     @property
     def L(self) -> np.ndarray:
-        return np.ascontiguousarray(np.swapaxes(self._cols[..., :BLOCK], 1, 2))
+        view = _block_view(self.band, self.layout.width)
+        return np.tril(np.swapaxes(view[:, :, 0], 1, 2))
 
     @property
     def X(self) -> np.ndarray:
-        return np.ascontiguousarray(
-            np.swapaxes(self._cols[..., BLOCK:-BLOCK], 1, 2))
+        view = _block_view(self.band, self.layout.width)
+        panels = np.moveaxis(view[:, :, 1:], 1, 3)  # [P, d, e, a]
+        out = panels.reshape(len(view), -1, BLOCK)  # d and e merge: a view
+        out.flags.writeable = False
+        return out
 
 
 def assemble_band(system: BlockBandedSystem,
                   layout: Optional[_BandLayout] = None) -> np.ndarray:
     """The permuted system in LAPACK lower band storage, (kd+1, 24NK) in
-    Fortran order: one scatter of the plain stencil blocks and one of the
-    transposed into zeroed block columns, copied out through `_skewed`."""
+    Fortran order, zeros past the matrix's last row: the plain and the
+    transposed off-diagonal stencil blocks each go in with one fancy write
+    through `_block_view`, and the diagonal blocks, on and below the
+    diagonal only, with a third."""
     lay = layout or _band_layout(system.N, system.K)
-    cols = np.zeros((system.N * system.K, BLOCK, BLOCK * (lay.width + 2)))
-    band = cols.reshape(len(cols), BLOCK, -1, BLOCK)
+    nb = system.N * system.K
+    ab = np.zeros((BLOCK * nb, BLOCK * (lay.width + 1))).T
+    view = _block_view(ab, lay.width)
     blocks = system.blocks.reshape(-1, BLOCK, BLOCK)
-    for t, st, idx in lay.parts:
-        band[idx] = (np.swapaxes(blocks, 1, 2) if t else blocks)[st]
-    ab = _skewed(cols)
-    return ab.reshape(-1, ab.shape[2]).T
+    for t in (False, True):
+        m = (lay.transposed == t) & (lay.offset > 0)
+        part = blocks[lay.target[m]]
+        view[lay.column[m], :, lay.offset[m]] = \
+            np.swapaxes(part, 1, 2) if t else part
+    a, e = np.triu_indices(BLOCK)  # view[P, a, 0, e] = A[24P + e, 24P + a]
+    view[:, a, 0, e] = blocks[SLOTS * lay.order[:, None], e, a]
+    return ab
 
 
 def factorize(system: BlockBandedSystem) -> BandedFactorization:
@@ -327,14 +346,10 @@ class CornerCovariances:
     def node_marginals(self) -> np.ndarray:
         return self.sig_diag.reshape(self.N * self.K, BLOCK, BLOCK)
 
-    def joint(self, nodes) -> np.ndarray:
-        """Joint covariance of a set of nodes that are pairwise stencil
-        neighbours, its blocks in the order of the ids: (24m, 24m) for m
-        node ids, or (B, 24m, 24m) for an (m, B) array of B such sets.  The
-        node marginals are one gather and the blocks of every pair of
-        positions another, each pair reading its stencil slot; the result
-        is symmetric because the stored marginals are."""
-        nodes = np.asarray(nodes)
+    def _pairs(self, nodes: np.ndarray):
+        """(a, b, Sigma_ab) for every pair of positions a < b of `nodes`,
+        m ids or an (m, B) array of B such sets, each pair reading its
+        stencil slot; ValueError when two ids are not stencil neighbours."""
         m, N = len(nodes), self.N
         a, b = np.triu_indices(m, 1)
         lo, hi = np.sort([nodes[a], nodes[b]], axis=0)
@@ -348,12 +363,43 @@ class CornerCovariances:
         flip = nodes[a] > nodes[b]
         if flip.any():
             off = np.where(flip[..., None, None], np.swapaxes(off, -1, -2), off)
+        return a, b, off
+
+    def joint(self, nodes) -> np.ndarray:
+        """Joint covariance of a set of nodes that are pairwise stencil
+        neighbours, its blocks in the order of the ids: (24m, 24m) for m
+        node ids, or (B, 24m, 24m) for an (m, B) array of B such sets.  The
+        node marginals are one gather and the blocks of every pair of
+        positions another; the result is symmetric because the stored
+        marginals are.  Queries use `push`; this stays because the frozen
+        bench/pipeline.py times it."""
+        nodes = np.asarray(nodes)
+        m = len(nodes)
+        a, b, off = self._pairs(nodes)
         out = np.empty(nodes.shape[1:] + (m, BLOCK, m, BLOCK))
         pairs = np.moveaxis(out, (-4, -2), (0, 1))  # a view indexed [a, b]
         pairs[np.arange(m), np.arange(m)] = self.node_marginals[nodes]
         pairs[a, b] = off
         pairs[b, a] = np.swapaxes(off, -1, -2)
         return out.reshape(nodes.shape[1:] + (BLOCK * m, BLOCK * m))
+
+    def push(self, nodes, jacs: Sequence[np.ndarray]) -> np.ndarray:
+        """The joint covariance of B node sets pushed through their maps,
+        sum over a, b of J_a Sigma_ab J_b^T, without forming the joint.
+        `nodes` is (m, B) as for `joint`, `jacs` the m (B, d, 24) maps.
+        Each corner a adds J_a (Sigma_aa J_a^T / 2 + sum over b > a of
+        Sigma_ab J_b^T), and the total plus its transpose is the result,
+        symmetric to the bit: 14 products of 24x24 stacks at four nodes."""
+        nodes = np.asarray(nodes)
+        a, b, off = self._pairs(nodes)
+        jt = [np.swapaxes(j, -1, -2) for j in jacs]
+        half = 0.0
+        for i, sig in enumerate(self.node_marginals[nodes]):
+            inner = 0.5 * sig @ jt[i]
+            for k in np.flatnonzero(a == i):
+                inner = inner + off[k] @ jt[b[k]]
+            half = half + jacs[i] @ inner
+        return half + np.swapaxes(half, -1, -2)
 
 
 def corner_covariances(fact: BandedFactorization) -> CornerCovariances:
@@ -367,10 +413,13 @@ def corner_covariances(fact: BandedFactorization) -> CornerCovariances:
     The window over columns P..P+b slides one block up the diagonal of a
     buffer twice its size, so step P+1's window holds step P's trailing
     blocks in place; it is copied back to the far corner every b+2 steps.
-    Diagonal-block inverses are batched up front, so the loop runs only
-    NumPy products, never alternating BLAS libraries; its window product
-    runs per 24-row block, small enough to stay on the calling thread
-    rather than wait on BLAS workers the factorization's library holds.
+    Each step reads X_P from the factor's band through `_block_view` and
+    writes column P's stencil blocks straight into the result, so no band
+    of the factor or of Sigma is copied.  Diagonal-block inverses are
+    batched up front, so the loop runs only NumPy products, never
+    alternating BLAS libraries; its window product runs per 24-row block,
+    small enough to stay on the calling thread rather than wait on BLAS
+    workers the factorization's library holds.
     """
     N, K = fact.N, fact.K
     nb = N * K
@@ -378,10 +427,11 @@ def corner_covariances(fact: BandedFactorization) -> CornerCovariances:
     b = lay.width
     w = BLOCK * (b + 1)
     l_inv = np.linalg.inv(fact.L)
-    xl = fact.X @ l_inv
     ltl = np.swapaxes(l_inv, 1, 2) @ l_inv
-    # band block columns by matrix column, as `_BandLayout` keeps them
-    cols = np.empty((nb, BLOCK, w))
+    X = fact.X
+    off, tgt, bounds = lay.offset, lay.target, lay.bounds.tolist()
+    sig = np.zeros((nb * SLOTS, BLOCK, BLOCK))
+    sig_t = np.swapaxes(sig, 1, 2)
     buf = np.zeros((2 * w, 2 * w))
     o = w + BLOCK
     for p in range(nb - 1, -1, -1):
@@ -390,17 +440,18 @@ def corner_covariances(fact: BandedFactorization) -> CornerCovariances:
             buf[w + BLOCK:, w + BLOCK:] = buf[:w - BLOCK, :w - BLOCK]
             o = w
         win = buf[o:o + w, o:o + w]
-        col = -(win[BLOCK:, BLOCK:].reshape(b, BLOCK, w - BLOCK) @ xl[p])
+        xl = X[p] @ l_inv[p]
+        col = -(win[BLOCK:, BLOCK:].reshape(b, BLOCK, w - BLOCK) @ xl)
         col = col.reshape(w - BLOCK, BLOCK)
-        diag = ltl[p] - col.T @ xl[p]
+        diag = ltl[p] - col.T @ xl
         win[BLOCK:, :BLOCK] = col
         win[:BLOCK, BLOCK:] = col.T
         win[:BLOCK, :BLOCK] = 0.5 * (diag + diag.T)
-        cols[p] = win[:BLOCK]
-    band = cols.reshape(nb, BLOCK, b + 1, BLOCK)
-    sig = np.zeros((nb * SLOTS, BLOCK, BLOCK))
-    for t, st, idx in lay.parts:
-        sig[st] = np.swapaxes(band[idx], 1, 2) if t else band[idx]
+        # Sigma[P + d, P]; a plain stencil block is its exact transpose
+        blocks = win[:, :BLOCK].reshape(b + 1, BLOCK, BLOCK)
+        i, j, k = bounds[2 * p:2 * p + 3]
+        sig_t[tgt[i:j]] = blocks[off[i:j]]
+        sig[tgt[j:k]] = blocks[off[j:k]]
     sig = sig.reshape(K, N, SLOTS, BLOCK, BLOCK)
     return CornerCovariances(N, K, sig[:, :, 0], sig[:, :, 1:])
 
@@ -531,6 +582,7 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
             cost = system.cost
             trace.append(cost)
         t = time.perf_counter()
+        fact = None  # the previous band goes before the next is built
         fact = factorize(system)
         tf += time.perf_counter() - t
         t = time.perf_counter()

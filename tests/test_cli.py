@@ -13,7 +13,7 @@ import pytest
 from stgp import cli
 from stgp.liegroup import Pose, rotation_to_quaternion, so3_exp
 from stgp.prior import StateArrays
-from stgp.query import query_state, query_states
+from stgp.query import bind, query_state, query_states
 from stgp.sensors import Measurement
 from stgp.sim import GroundTruth
 from stgp.solver import ConvergenceReport, NotPositiveDefiniteError
@@ -352,20 +352,31 @@ def state_row(s: float, t: float, x, stds=None) -> str:
     return ",".join("%.17g" % v for v in vals)
 
 
-def test_query_grid_rows_match_one_batch(run_dir):
-    """cmd_query answers a grid slice by slice, yet prints byte for byte
-    the rows of one query_states call over all of its points: on a grid of
+def test_query_grid_rows_match_one_batch(run_dir, monkeypatch):
+    """cmd_query answers a grid slice by slice in binding-shape order, no
+    slice mixing shapes, yet prints byte for byte the rows of one
+    query_states call over all of its points, in grid order: on a grid of
     one slice and on one of three slices, the last partial."""
     _, out = run_dir
     post = cli.load_posterior(os.path.join(out, "posterior.bin"))
+    shapes = []
+
+    def recording(post, s, t):
+        shapes.append(len(bind(post.grid.s_knots, post.grid.t_knots, s, t)))
+        return query_states(post, s, t)
+
+    monkeypatch.setattr(cli, "query_states", recording)
     for ns, nt in ((7, 5), (13, 11)):
         buf = io.StringIO()
+        shapes.clear()
         assert cli.cmd_query(out, grid_arg=f"{ns}x{nt}", stream=buf) \
             == cli.EXIT_OK
         s = np.tile(np.linspace(post.grid.s_knots[0], post.grid.s_knots[-1],
                                 ns), nt)
         t = np.repeat(np.linspace(post.grid.t_knots[0],
                                   post.grid.t_knots[-1], nt), ns)
+        assert set(shapes) == {1}
+        assert len(bind(post.grid.s_knots, post.grid.t_knots, s, t)) > 1
         means, covs = query_states(post, s, t)
         stds = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
         rows = [state_row(float(a), float(b), means[i], stds[i])

@@ -1,9 +1,12 @@
 """Continuous (s, t) queries: cell location, conditioning weights against the
 dense oracle, mean and covariance reproduction, and hull continuity."""
 
+import os
+
 import numpy as np
 import pytest
 
+from stgp.cli import load_config
 from stgp.graph import build_grid, build_prior_factors
 from stgp.liegroup import Pose, se3_exp
 from stgp.oracle import (dense_condition_query, dense_prior_covariance,
@@ -11,9 +14,12 @@ from stgp.oracle import (dense_condition_query, dense_prior_covariance,
 from stgp.prior import NodeState, chart_encode
 from stgp.sensors import (InterpolatedMeasurementFactor, Measurement,
                           build_measurement_factors)
-from stgp.query import (HULL_TOL, OutOfHullError, bind, locate, query_mean,
-                        query_state, query_states)
-from stgp.solver import gauss_newton
+from stgp.query import (HULL_TOL, OutOfHullError, _bridge, bind, locate,
+                        query_mean, query_state, query_states)
+from stgp.solver import corner_covariances, factorize, gauss_newton
+from test_solver import random_banded_system
+
+FIG3 = os.path.join(os.path.dirname(__file__), "..", "configs", "fig3.json")
 
 I2, I6, I12, I24 = np.eye(2), np.eye(6), np.eye(12), np.eye(24)
 
@@ -183,6 +189,67 @@ def test_bind_matches_point_by_point_reference(params):
             seen += 1
     assert seen == len(pts)
     assert {len(b.nodes) for b in bindings} == {1, 2, 4}
+
+
+def knot_points(s_knots, t_knots, seed: int):
+    """Points of every binding shape: cell interiors, both kinds of knot
+    line, grid nodes and points within the knot tolerance of a knot."""
+    rng = np.random.default_rng(seed)
+    s0, s1, t0, t1 = s_knots[0], s_knots[-1], t_knots[0], t_knots[-1]
+    pts = [(rng.uniform(s0, s1), rng.uniform(t0, t1)) for _ in range(40)]
+    pts += [(s, rng.uniform(t0, t1)) for s in s_knots]
+    pts += [(rng.uniform(s0, s1), t) for t in t_knots]
+    pts += [(s, t) for s in s_knots[::2] for t in t_knots[::2]]
+    pts += [(s_knots[1] + 0.3 * HULL_TOL, rng.uniform(t0, t1)),
+            (rng.uniform(s0, s1), t_knots[1] - 0.3 * HULL_TOL)]
+    return np.array(pts).T
+
+
+@pytest.mark.parametrize("knots", ["fig3", "non-uniform"])
+def test_bind_gains_are_per_stage_bridges(knots):
+    """`bind` evaluates both stages' gains in one `_bridge` call, yet every
+    gain is bit for bit that of a `_bridge` call on its binding shape's
+    points of that stage alone."""
+    if knots == "fig3":
+        cfg = load_config(FIG3)
+        s_knots, t_knots = np.asarray(cfg.s_knots), np.asarray(cfg.t_knots)
+    else:
+        s_knots = np.array([0.0, 0.2, 0.45, 0.5, 1.0])
+        t_knots = np.array([0.0, 0.3, 0.7, 1.0, 1.7])
+    s, t = knot_points(s_knots, t_knots, 41)
+    n, sigma, _ = locate(s_knots, s, "s")
+    k, tau, _ = locate(t_knots, t, "t")
+    bindings = bind(s_knots, t_knots, s, t)
+    assert {len(b.nodes) for b in bindings} == {1, 2, 4}
+    for b in bindings:
+        i = b.index
+        for got, knots_, cell, off in ((b.temporal, t_knots, k, tau),
+                                       (b.spatial, s_knots, n, sigma)):
+            if got is not None:
+                ref = _bridge(knots_[cell[i] + 1] - knots_[cell[i]], off[i])
+                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+
+
+def test_push_matches_dense_joint():
+    """`CornerCovariances.push` against the dense joint pushed through the
+    maps side by side, U joint U^T, for 1-node, both kinds of 2-node and
+    4-node bindings on non-uniform knots: equal within 1e-12 relative and
+    symmetric to the bit."""
+    s_knots = np.array([0.0, 0.2, 0.45, 0.5, 1.0])
+    t_knots = np.array([0.0, 0.3, 0.7, 1.7])
+    cc = corner_covariances(factorize(random_banded_system(43, 5, 4)))
+    rng = np.random.default_rng(44)
+    shapes = set()
+    for b in bind(s_knots, t_knots, *knot_points(s_knots, t_knots, 45)):
+        jacs = [rng.standard_normal((len(b.index), 24, 24)) for _ in b.nodes]
+        U = np.concatenate(jacs, axis=-1)
+        ref = U @ cc.joint(b.nodes) @ np.swapaxes(U, 1, 2)
+        got = cc.push(b.nodes, jacs)
+        assert np.max(np.abs(got - ref)) <= 1e-12 * np.max(np.abs(ref))
+        assert np.array_equal(got, np.swapaxes(got, 1, 2))
+        shapes.add((b.temporal is not None, b.spatial is not None))
+    assert shapes == {(False, False), (True, False), (False, True),
+                      (True, True)}
 
 
 def test_query_states_matches_single_points(linear_posterior):

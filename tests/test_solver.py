@@ -2,6 +2,7 @@
 oracles, and the Gauss-Newton loop."""
 
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -107,6 +108,12 @@ def test_band_matches_permuted_dense(N, K):
     for r in range(kd + 1):
         ref[r, :n - r] = np.diagonal(A, -r)
     assert np.array_equal(ab, ref)
+    # the view's entries above a diagonal block's diagonal alias the band at
+    # block offsets b and b + 1, so a full diagonal write must show here
+    if min(N, K) > 1:
+        assert any(np.any(A[BLOCK * (p + b):BLOCK * (p + b + 1),
+                            BLOCK * p:BLOCK * (p + 1)])
+                   for p in range(N * K - b))
     fact = factorize(system)
     L, X = fact.L, fact.X
     C = np.linalg.cholesky(A)
@@ -117,6 +124,29 @@ def test_band_matches_permuted_dense(N, K):
         rows = C[a + BLOCK:a + BLOCK * (b + 1), a:a + BLOCK]
         panel[:len(rows)] = rows
         assert np.all(np.abs(X[p] - panel) < 1e-12)  # b = 0: no panel
+
+
+def traced_peak(fn, *args):
+    """fn(*args) and the peak of the memory it allocated while running."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn(*args)
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_factorize_and_covariance_hold_one_band():
+    """Factorization and selected inverse make no copy of the band: on an
+    8x24 grid (b = 9) the factorization's traced peak stays below twice the
+    band's bytes, and the covariance sweep's below three times the stencil
+    covariance it returns."""
+    system = random_banded_system(8, N=8, K=24)
+    fact, peak = traced_peak(factorize, system)
+    assert peak < 2 * fact.band.nbytes
+    cc, peak = traced_peak(corner_covariances, fact)
+    assert peak < 3 * (cc.sig_diag.nbytes + cc.sig_off.nbytes)
 
 
 @pytest.mark.parametrize("N,K", [(41, 11), (11, 41)])
