@@ -135,7 +135,9 @@ class Family:
     group.
 
     `nodes` is (m, B): row i holds each factor's i-th node, so each pair of
-    rows has one fixed time-row offset.  `weights` is (B, d, d), the
+    rows has one fixed time-row offset.  A measurement group's factors may
+    share a node set (several samples in one cell); the solver adds those in
+    separate scatter rounds.  `weights` is (B, d, d), the
     inverse noise covariances.  `kernel` is the batched error function of
     the kind, called as `kernel(*args, *node_states)` with the m gathered
     node-state stacks last, in the manner of `functools.partial`: for a

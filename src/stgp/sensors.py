@@ -18,7 +18,10 @@ Every measurement goes through one batched path.  `group_measurements`
 stacks the factors once by sensor kind and binding shape, gains included,
 into `graph.Family` items whose kernel is `measurement_batch`: the batched
 chain (`query.interpolate`), then `sensor_model`, which evaluates all four
-kinds with one branch per kind, and the composed Jacobians.  A masked strain
+kinds with one branch per kind, and the composed Jacobians.  A group holds
+every factor of its key however many share one node set, so the chain runs
+once per group; `solver._scatter_family` adds the factors that share nodes
+in separate rounds.  A masked strain
 factor keeps all six error rows and a weight that is zero outside its mask.
 A factor whose sample coincides with a node reduces to the on-node factor
 exactly, because the gains collapse onto that corner.
@@ -172,15 +175,12 @@ def _stack_gains(gains) -> Optional[Gain]:
 def group_measurements(factors) -> List[Family]:
     """Stack measurement factors by (sensor kind, binding shape), in order of
     first appearance, each group a `Family` of `measurement_batch` with
-    (B, d, d) weights that are zero outside a strain mask.  A factor whose
-    kind and nodes repeat an earlier one's opens a further group of the same
-    key, so no two factors of a group share a node and each group scatters
-    into distinct blocks."""
-    buckets, repeats = {}, {}
+    (B, d, d) weights that are zero outside a strain mask.  Factors that
+    share their nodes stay in one group; the solver's scatter keeps them
+    apart."""
+    buckets = {}
     for f in factors:
-        bound = (f.meas.kind, f.nodes)
-        rep = repeats[bound] = repeats.get(bound, -1) + 1
-        key = (f.meas.kind, f.temporal is None, f.spatial is None, rep)
+        key = (f.meas.kind, f.temporal is None, f.spatial is None)
         buckets.setdefault(key, []).append(f)
     return [Family(kind, np.array([f.nodes for f in fs]).T,
                    np.stack([_full_weight(f) for f in fs]), measurement_batch,

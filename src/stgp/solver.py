@@ -8,10 +8,12 @@ emits already stacked (unary, spatial, temporal and cell), or a measurement
 group, which `sensors.group_measurements` stacks once per Gauss-Newton run
 by (sensor kind, binding shape).  Each has (m, B) `nodes`, stacked
 `weights` and a batched `evaluate` that always returns the errors with
-their Jacobians; the cost is read off the same linearization.  Every pair
-of slots in a family has one fixed node offset, so each family costs one
-batched kernel call and one scatter of whole 24x24 blocks into the normal
-equations.
+their Jacobians; the cost is read off the same linearization.  Each family
+costs one batched kernel call, however many of its factors share a node
+set.  Every pair of slots in a family has one fixed node offset, so its
+scatter adds whole 24x24 blocks into the normal equations with one
+fancy-indexed add per slot pair and round: round r holds the r-th factor on
+each node set, and no add within a round hits one block twice.
 
 Stencil layout.  The GP prior couples a node only to its 8 lattice
 neighbours, so the normal equations and the covariance blocks share one
@@ -121,6 +123,20 @@ class BlockBandedSystem:
 # linearization
 
 
+def _rounds(first: np.ndarray) -> list:
+    """Item selectors of a family's scatter rounds, `first` its items' first
+    nodes: round r holds the r-th occurrence of each first node, in item
+    order.  With no repeat that is one `slice(None)`, so the round copies
+    nothing."""
+    order = np.argsort(first, kind="stable")
+    ranked = first[order]
+    rank = np.empty_like(order)
+    rank[order] = np.arange(len(order)) - np.searchsorted(ranked, ranked)
+    if not rank.any():
+        return [slice(None)]
+    return [np.flatnonzero(rank == r) for r in range(rank.max() + 1)]
+
+
 def _scatter_family(system: BlockBandedSystem, nodes: np.ndarray,
                     jacs: Sequence[np.ndarray], weights: np.ndarray,
                     errors: np.ndarray):
@@ -128,20 +144,26 @@ def _scatter_family(system: BlockBandedSystem, nodes: np.ndarray,
 
     `nodes[i]` is the (B,) flat-index array of the i-th slot, `jacs[i]` the
     matching (B, m, 24) Jacobian stack.  Every slot pair of a family has one
-    fixed node offset and each item targets a distinct block, so each pair
-    is one fancy-indexed add of whole 24x24 blocks.  Of the two orderings of
-    a node pair only the one whose second node follows the first is stored.
+    fixed node offset, so an item's first node names its node set, and items
+    with distinct first nodes target distinct blocks.  Items that share a
+    node set go in separate rounds (`_rounds`), and each round adds every
+    slot pair with one fancy-indexed add of whole 24x24 blocks.  The rounds
+    run outermost, so the family adds the same sums in the same order as
+    its rounds would as separate families.  Of the two orderings of a node
+    pair only the one whose second node follows the first is stored.
     """
     blocks = system.blocks.reshape(-1, SLOTS, BLOCK, BLOCK)
     rhs = system.rhs.reshape(-1, BLOCK)
     wj = [weights @ J for J in jacs]
     we = weights @ errors[..., None]
-    for ni, Ji in zip(nodes, jacs):
-        jt = np.swapaxes(Ji, -1, -2)
-        rhs[ni] -= (jt @ we)[..., 0]
-        for nj, WJj in zip(nodes, wj):
-            if nj[0] >= ni[0]:
-                blocks[ni, stencil_slot(system.N, ni, nj)] += jt @ WJj
+    for r in _rounds(nodes[0]):
+        rnodes, rwj, rwe = nodes[:, r], [w[r] for w in wj], we[r]
+        for ni, Ji in zip(rnodes, jacs):
+            jt = np.swapaxes(Ji[r], -1, -2)
+            rhs[ni] -= (jt @ rwe)[..., 0]
+            for nj, WJj in zip(rnodes, rwj):
+                if nj[0] >= ni[0]:
+                    blocks[ni, stencil_slot(system.N, ni, nj)] += jt @ WJj
 
 
 def _family_geom(factors: FactorSet):
@@ -571,28 +593,27 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
     tl = tf = ts = 0.0
     converged = False
     message = "iteration limit reached"
-    system = None
-    cost = None
+    t = time.perf_counter()
+    system = _linearize(geom, grid)
+    tl += time.perf_counter() - t
+    cost = system.cost
+    trace.append(cost)
 
     for iterations in range(1, opts.max_iters + 1):
-        if system is None:
-            t = time.perf_counter()
-            system = _linearize(geom, grid)
-            tl += time.perf_counter() - t
-            cost = system.cost
-            trace.append(cost)
         t = time.perf_counter()
         fact = None  # the previous band goes before the next is built
         fact = factorize(system)
         tf += time.perf_counter() - t
+        # of the system only its cost is read after the step
+        rhs, system = system.rhs_flat(), None
         t = time.perf_counter()
-        delta = solve_factorized(fact, system.rhs_flat())
+        delta = solve_factorized(fact, rhs)
         ts += time.perf_counter() - t
         norms.append(float(np.max(np.abs(delta))) if delta.size else 0.0)
         # elementwise: a BLAS dot this long (24NK >= 1e4 at long_rod's
         # 41x11) wakes numpy's BLAS threads, which then spin against the
         # next linearization on a small machine
-        decrement = float(np.sum(delta * system.rhs_flat()))
+        decrement = float(np.sum(delta * rhs))
         decrements.append(decrement)
         if 0.0 <= decrement < opts.tol:
             converged = True
@@ -605,11 +626,12 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
         accepted = False
         nh = 0
         for nh in range(opts.max_step_halvings + 1):
+            system = None  # a rejected trial's system goes before the next
             trial = apply_update(grid, scale * delta)
             t = time.perf_counter()
-            trial_system = _linearize(geom, trial)
+            system = _linearize(geom, trial)
             tl += time.perf_counter() - t
-            if trial_system.cost <= cost * (1.0 + 1e-12) + 1e-300:
+            if system.cost <= cost * (1.0 + 1e-12) + 1e-300:
                 accepted = True
                 break
             scale *= 0.5
@@ -619,7 +641,6 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
                        f" halvings at iteration {iterations}")
             break
         grid = trial
-        system = trial_system
         cost = system.cost
         trace.append(cost)
 

@@ -10,7 +10,7 @@ from stgp.oracle import dense_condition_query
 from stgp.prior import NodeState, StateArrays
 from stgp.sensors import (KINDS, InterpolatedMeasurementFactor, Measurement,
                           NodeMeasurementFactor, build_measurement_factors,
-                          sensor_model)
+                          group_measurements, sensor_model)
 from stgp.solver import apply_update
 from conftest import factor_terms, random_state, random_states, retract
 
@@ -240,6 +240,28 @@ def test_bind_many_in_input_order(params):
             for op, op_ref in zip(got or (), want or ()):
                 assert np.max(np.abs(op - op_ref)) \
                     <= 1e-15 * np.max(np.abs(op_ref))
+
+
+def test_one_family_per_kind_and_binding_shape(params):
+    """Eight gyro3 samples in one cell, five on one knot line and three at
+    one node, interleaved, make one family per binding shape, each with its
+    factors in input order, however many share a node set."""
+    grid = make_test_grid(params)
+    cell = [(0.1 + 0.04 * i, 0.2 + 0.09 * i) for i in range(8)]
+    line = [(0.5, 1.1 + 0.1 * i) for i in range(5)]
+    node = [(0.5, 1.0)] * 3
+    points = [p for group in zip(cell, line + node) for p in group] \
+        + cell[len(line + node):]
+    meas = [Measurement("gyro3", s, t, np.full(3, i), np.eye(3))
+            for i, (s, t) in enumerate(points)]
+    fams = group_measurements(build_measurement_factors(meas, grid, params))
+    assert [(f.kind, len(f.nodes), len(f)) for f in fams] == \
+        [("gyro3", 4, 8), ("gyro3", 2, 5), ("gyro3", 1, 3)]
+    for f, group in zip(fams, (cell, line, node)):
+        assert len(set(f.nodes[0])) == 1
+        index = f.args[1][:, 0].astype(int)  # each value is its input index
+        assert np.all(np.diff(index) > 0)
+        assert [points[i] for i in index] == group
 
 
 def test_offgrid_jacobians_fd(params):

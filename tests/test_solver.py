@@ -3,6 +3,7 @@ oracles, and the Gauss-Newton loop."""
 
 import pickle
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -205,7 +206,7 @@ def brute_force_normal_equations(factors, grid):
 def test_linearize_matches_brute_force_with_measurements(params):
     """Every measurement group against per-factor normal equations: each
     sensor kind on a node, on both kinds of knot line and inside a cell,
-    masked strain, and groups with several factors on the same nodes."""
+    masked strain, and groups with up to three factors on one node set."""
     s = np.linspace(0.0, 1.0, 3)
     t = np.linspace(0.0, 0.8, 2)
     states = random_states(11, 6, angle=0.15, trans=0.1, deriv=0.2)
@@ -231,9 +232,16 @@ def test_linearize_matches_brute_force_with_measurements(params):
                                           "strain6") for si, ti in points]
     ms += [meas("strain6", si, ti, masked=True) for si, ti in points]
     ms.append(meas("position3", 0.7, 0.5))  # a second factor on one cell
+    # a third gyro3 factor on one knot line's 2 nodes and two more in the
+    # cell of (0.7, 0.5), interleaved with other kinds: scatter rounds 0-2
+    ms += [meas(kind, si, ti) for kind, si, ti in [
+        ("gyro3", 0.5, 0.1), ("pose6", 0.3, 0.3), ("gyro3", 0.8, 0.2),
+        ("position3", 0.2, 0.8), ("gyro3", 0.6, 0.7)]]
     factors = build_prior_factors(grid, params)
     mf = build_measurement_factors(ms, grid, params)
     assert sorted({len(f.nodes) for f in mf}) == [1, 2, 4]
+    shared = Counter(f.nodes for f in mf if f.meas.kind == "gyro3")
+    assert sorted(len(n) for n, c in shared.items() if c == 3) == [2, 4]
     factors = FactorSet(factors.unary, factors.binary_spatial,
                         factors.binary_temporal, factors.quaternary, mf)
     system = linearize(factors, grid)
@@ -416,6 +424,28 @@ def test_gn_stop_bounds_next_step_in_posterior_sigma():
     assert np.sqrt(np.max(mah)) <= np.sqrt(cfg.tol)
     with pytest.raises(ValueError, match="tol must be > 0"):
         SolverOptions(tol=0.0)
+
+
+def test_gn_holds_one_system(identity_params):
+    """Gauss-Newton keeps no system it no longer reads: on an 8x24 grid with
+    position fixes pulling away from the prior mean, its traced peak stays
+    below the band it keeps for the covariance plus 3.2 systems' blocks, the
+    one being linearized and the linearization's per-family stacks; holding
+    the previous system through the trials as well reads 3.7."""
+    N, K = 8, 24
+    s, t = np.linspace(0, 1, N), np.linspace(0, 1, K)
+    grid = build_grid(s, t, identity_params.prior_mean)
+    factors = build_prior_factors(grid, identity_params)
+    factors.measurement = build_measurement_factors(
+        [Measurement("position3", si, ti, [0.5 * si, 0.2, 0.1],
+                     1e-4 * np.eye(3)) for si in s[1:] for ti in t[::3]],
+        grid, identity_params)
+    post, peak = traced_peak(gauss_newton, grid, factors, identity_params,
+                             SolverOptions(max_iters=3))
+    assert post.report.iterations == 3
+    band_bytes = 8 * BLOCK * (N + 2) * BLOCK * N * K  # b = N + 1
+    system_bytes = BlockBandedSystem.zeros(N, K).blocks.nbytes
+    assert peak < band_bytes + 3.2 * system_bytes
 
 
 def test_gn_update_applies_in_each_node_chart(params):
