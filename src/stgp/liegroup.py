@@ -111,7 +111,7 @@ def _sinc_coeffs(theta: np.ndarray):
     b = np.where(small, 0.5 - t2 / 24.0 + t2 * t2 / 720.0,
                  (1.0 - np.cos(safe)) / (safe * safe))
     c = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
-                 (safe - np.sin(safe)) / (safe ** 3))
+                 (safe - np.sin(safe)) / (safe * safe * safe))
     return a, b, c
 
 
@@ -291,11 +291,12 @@ def _barfoot_q(rh: np.ndarray, ph: np.ndarray, pp: np.ndarray,
     t2 = theta * theta
     small = theta < ANGLE_EPS
     safe = np.where(small, 1.0, theta)
+    s2 = safe * safe  # powers as products, not np.power (SIMD-dependent)
     # 1 - cos t as 2 sin^2(t/2): cos t - 1 loses digits just above ANGLE_EPS
     b = np.where(small, 1.0 / 24.0 - t2 / 720.0 + t2 * t2 / 40320.0,
-                 (t2 / 2.0 - 2.0 * np.sin(0.5 * safe) ** 2) / safe ** 4)
+                 (t2 / 2.0 - 2.0 * np.sin(0.5 * safe) ** 2) / (s2 * s2))
     d = np.where(small, -1.0 / 120.0 + t2 / 5040.0 - t2 * t2 / 362880.0,
-                 (safe - np.sin(safe) - safe ** 3 / 6.0) / safe ** 5)
+                 (safe - np.sin(safe) - s2 * safe / 6.0) / (s2 * s2 * safe))
     b, c = b[..., None, None], 0.5 * (b + 3.0 * d)[..., None, None]
     php = ph @ rh @ ph
     term1 = ph @ rh + rh @ ph + php

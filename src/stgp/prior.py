@@ -313,7 +313,8 @@ def k_matrix(d) -> np.ndarray:
     covariance a step d of unit white noise on the derivative leaves on a
     (level, derivative) pair: (2, 2) for a scalar d, else (B, 2, 2)."""
     d = np.asarray(d, dtype=float)
-    return _sym2(d ** 3 / 3.0, d ** 2 / 2.0, d)
+    d2 = d * d  # products, not np.power, whose last bit varies by SIMD path
+    return _sym2(d2 * d / 3.0, d2 / 2.0, d)
 
 
 def k_matrix_inv(d) -> np.ndarray:
@@ -322,7 +323,8 @@ def k_matrix_inv(d) -> np.ndarray:
     d = np.asarray(d, dtype=float)
     if np.any(d <= 0):
         raise ValueError("step must be > 0")
-    return _sym2(12.0 / d ** 3, -6.0 / d ** 2, 4.0 / d)
+    d2 = d * d
+    return _sym2(12.0 / (d2 * d), -6.0 / d2, 4.0 / d)
 
 
 def kron_lift(g_t, g_s, q: np.ndarray) -> np.ndarray:

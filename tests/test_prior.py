@@ -88,6 +88,24 @@ def test_k_matrix_quadrature_sweep():
             P.k_matrix_inv(bad)
 
 
+def test_k_matrix_powers_are_products():
+    """K(d) and K(d)^-1 take d^2 and d^3 as products, which IEEE arithmetic
+    fixes to the bit; np.power's last bit depends on the SIMD path NumPy
+    dispatches to.  Pinned on the 20 and 40 arclength steps of fig3 and
+    long_rod, 4 of which np.power rounds differently on an AVX-512 machine,
+    one at a time and stacked."""
+    for n in (21, 41):
+        steps = np.diff(np.linspace(0.0, 1.0, n))
+        for d in (steps, *steps):
+            d2 = d * d
+            want = np.stack([d2 * d / 3.0, d2 / 2.0, 12.0 / (d2 * d),
+                             -6.0 / d2], -1)
+            got = np.stack([P.k_matrix(d)[..., 0, 0], P.k_matrix(d)[..., 0, 1],
+                            P.k_matrix_inv(d)[..., 0, 0],
+                            P.k_matrix_inv(d)[..., 0, 1]], -1)
+            assert np.array_equal(got, want)
+
+
 def test_kron_lift_is_np_kron():
     """The batched lift of the prior weights is np.kron(g_t, np.kron(g_s,
     q)) bit for bit, I_2 standing in for an axis left None, and keeps an
