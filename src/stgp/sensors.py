@@ -21,10 +21,10 @@ chain (`query.interpolate`), then `sensor_model`, which evaluates all four
 kinds with one branch per kind, and the composed Jacobians.  A group holds
 every factor of its key however many share one node set, so the chain runs
 once per group; `solver._scatter_family` adds the factors that share nodes
-in separate rounds.  A masked strain
-factor keeps all six error rows and a weight that is zero outside its mask.
-A factor whose sample coincides with a node reduces to the on-node factor
-exactly, because the gains collapse onto that corner.
+in separate rounds.  A masked strain factor keeps all six error rows and a
+weight that is zero outside its mask.  A factor whose sample coincides with
+a node reduces to the on-node factor exactly, because the gains collapse
+onto that corner.
 """
 
 from __future__ import annotations

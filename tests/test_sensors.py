@@ -250,8 +250,7 @@ def test_one_family_per_kind_and_binding_shape(params):
     cell = [(0.1 + 0.04 * i, 0.2 + 0.09 * i) for i in range(8)]
     line = [(0.5, 1.1 + 0.1 * i) for i in range(5)]
     node = [(0.5, 1.0)] * 3
-    points = [p for group in zip(cell, line + node) for p in group] \
-        + cell[len(line + node):]
+    points = [p for pair in zip(cell, line + node) for p in pair]
     meas = [Measurement("gyro3", s, t, np.full(3, i), np.eye(3))
             for i, (s, t) in enumerate(points)]
     fams = group_measurements(build_measurement_factors(meas, grid, params))
