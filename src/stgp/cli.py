@@ -340,14 +340,13 @@ def load_posterior(path: str) -> Posterior:
 
 
 def cmd_simulate(cfg: ScenarioConfig, out_dir: str) -> int:
-    os.makedirs(out_dir, exist_ok=True)
     truth = GroundTruth(cfg)
     measurements = generate_measurements(cfg, truth)
+    os.makedirs(out_dir, exist_ok=True)
     save_measurements(os.path.join(out_dir, "measurements.json"), measurements)
     write_state_csv(os.path.join(out_dir, "ground_truth.csv"),
                     "ground_truth", np.tile(cfg.s_knots, cfg.n_time),
-                    np.repeat(cfg.t_knots, cfg.n_space),
-                    StateArrays.from_states(truth.grid_states()))
+                    np.repeat(cfg.t_knots, cfg.n_space), truth.grid_states())
     return EXIT_OK
 
 

@@ -21,7 +21,7 @@ states, returns the errors and one Jacobian per node slot.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, List, Optional, Sequence, Union
+from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
@@ -58,9 +58,6 @@ class Grid:
     def flat(self, n: int, k: int) -> int:
         return k * self.N + n
 
-    def state(self, n: int, k: int) -> NodeState:
-        return self.states[self.flat(n, k)]
-
     def copy(self) -> "Grid":
         return Grid(self.s_knots.copy(), self.t_knots.copy(),
                     self.states.take(np.arange(self.n_nodes)))
@@ -78,12 +75,11 @@ def _check_knots(knots: np.ndarray, name: str):
 
 
 def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
-               init: Union[NodeState, Callable[[float, float], NodeState]]) -> Grid:
-    """Lay out the lattice and initialize every node.
-
-    `init` is either the state at the first node, continued across the grid
-    with zero process noise (so every prior factor starts at zero error), or
-    a callable (s, t) -> NodeState sampled at each knot pair.
+               init: NodeState) -> Grid:
+    """Lay out the lattice and start every node from `init`, the state at
+    the first node, continued across the grid with zero process noise, so
+    every prior factor starts at zero error.  (A grid of given states, such
+    as `sim.GroundTruth.grid_states()`, is `Grid(s_knots, t_knots, states)`.)
 
     The continuation sweeps the anti-diagonals n + k = d, one batched step
     per diagonal: a node on the first time row takes a spatial step from its
@@ -96,9 +92,6 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
     _check_knots(s_knots, "s_knots")
     _check_knots(t_knots, "t_knots")
     N, K = len(s_knots), len(t_knots)
-    if callable(init):
-        return Grid(s_knots, t_knots, StateArrays.from_states(
-            [init(float(s), float(t)) for t in t_knots for s in s_knots]))
     # every node starts as `init`; each diagonal overwrites its own nodes
     sa = StateArrays.from_state(init).take(np.zeros(N * K, dtype=int))
     ms, mt = integrator(np.diff(s_knots)), integrator(np.diff(t_knots))

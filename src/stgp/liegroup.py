@@ -377,32 +377,11 @@ class Pose:
     def identity() -> "Pose":
         return Pose(np.eye(3), np.zeros(3))
 
-    @staticmethod
-    def from_matrix(m: np.ndarray) -> "Pose":
-        m = np.asarray(m, dtype=float)
-        return Pose(m[:3, :3].copy(), m[:3, 3].copy())
-
-    @staticmethod
-    def exp(xi: np.ndarray) -> "Pose":
-        return Pose.from_matrix(se3_exp(xi))
-
-    def log(self) -> np.ndarray:
-        return se3_log(self.matrix())
-
     def matrix(self) -> np.ndarray:
         m = np.eye(4)
         m[:3, :3] = self.R
         m[:3, 3] = self.t
         return m
-
-    def inverse(self) -> "Pose":
-        return Pose(self.R.T, -self.R.T @ self.t)
-
-    def __matmul__(self, other: "Pose") -> "Pose":
-        return Pose(self.R @ other.R, self.R @ other.t + self.t)
-
-    def adjoint(self) -> np.ndarray:
-        return adjoint(self.matrix())
 
     def copy(self) -> "Pose":
         return Pose(self.R.copy(), self.t.copy())

@@ -16,7 +16,8 @@ def random_state(rng: np.random.Generator, angle: float = 0.3,
     phi = rng.standard_normal(3)
     phi *= angle * rng.uniform(0.1, 1.0) / np.linalg.norm(phi)
     xi = np.concatenate([trans * rng.standard_normal(3), phi])
-    return NodeState(Pose.from_matrix(se3_exp(xi)),
+    m = se3_exp(xi)
+    return NodeState(Pose(m[:3, :3], m[:3, 3]),
                      deriv * rng.standard_normal(6),
                      deriv * rng.standard_normal(6),
                      deriv * rng.standard_normal(6))

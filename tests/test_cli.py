@@ -42,14 +42,14 @@ def test_state_csv_roundtrip(run_dir):
     assert list(gt.dtype.names) == cli.STATE_COLUMNS
     n_nodes = cfg.n_space * cfg.n_time
     assert est.shape == gt.shape == (n_nodes,)
+    ref = truth.states(gt["s"], gt["t"])
     for i, x in enumerate(post.grid.states):
         assert np.array_equal([est["x"][i], est["y"][i], est["z"][i]],
                               x.pose.t)
         assert np.array_equal([est[f"eps{j}"][i] for j in range(1, 7)],
                               x.strain)
-        ref = truth.state(float(gt["s"][i]), float(gt["t"][i]))
         assert np.array_equal([gt["x"][i], gt["y"][i], gt["z"][i]],
-                              ref.pose.t)
+                              ref.t[i])
     assert np.all(np.stack([est[c] for c in cli.STD_COLUMNS]) > 0)
     with pytest.raises(cli.SchemaError):
         cli.read_state_csv(os.path.join(out, "estimate.csv"), "ground_truth")
@@ -169,6 +169,21 @@ def test_exit_invalid_config_fields(tmp_path, capsys, changes):
     assert captured.err.startswith("error: invalid config:")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == ""
+
+
+@pytest.mark.parametrize("s", [-0.01, 0.61])
+def test_exit_invalid_sample_off_the_rod(tmp_path, capsys, s):
+    """A sensor sample at an arclength outside [0, length] exits 2 with one
+    error line, writing nothing."""
+    cfg = write_config(tmp_path, sensors=[
+        {"kind": "position3", "std": 0.01, "samples": [[0.3, 0.5], [s, 0.5]]}])
+    out = tmp_path / "run"
+    assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) \
+        == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: arclength out of range")
+    assert len(captured.err.splitlines()) == 1
+    assert captured.out == "" and not out.exists()
 
 
 def test_exit_invalid_simulate_seed(tmp_path, capsys):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 
 from stgp.graph import Grid, build_grid, build_prior_factors
-from stgp.liegroup import Pose
+from stgp.liegroup import Pose, se3_exp
 from stgp.oracle import dense_prior_precision, phi_cell
 from stgp.prior import (NodeState, PriorParams, StateArrays, apply_pair,
                         chart_encode, decode_with_jacobians_batch,
@@ -51,18 +51,6 @@ def test_build_grid_rejects_nonmonotone():
         build_grid([0.0, 0.5, 0.5], [0.0], NodeState.identity())
     with pytest.raises(ValueError):
         build_grid([0.0, 1.0], [1.0, 0.0], NodeState.identity())
-
-
-def test_build_grid_from_ground_truth():
-    cfg = ScenarioConfig(length=0.5, n_space=4, n_time=3, duration=1.0,
-                         kappa0=0.8, kappa_a=0.3)
-    truth = GroundTruth(cfg)
-    g = build_grid(cfg.s_knots, cfg.t_knots, truth.state)
-    for k, t in enumerate(cfg.t_knots):
-        for n, s in enumerate(cfg.s_knots):
-            ref = truth.state(float(s), float(t))
-            got = g.state(n, k)
-            assert np.max(np.abs(got.pose.matrix() - ref.pose.matrix())) < 1e-12
 
 
 def test_build_grid_prior_mean_propagation():
@@ -132,7 +120,8 @@ def test_build_grid_matches_node_by_node_recursion(N, K, init):
         x0 = ScenarioConfig(length=1.0, n_space=N, n_time=K,
                             duration=1.0).prior_params().prior_mean
     else:
-        x0 = NodeState(Pose.exp(np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.2])),
+        T = se3_exp(np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.2]))
+        x0 = NodeState(Pose(T[:3, :3], T[:3, 3]),
                        np.array([1.0, 0.1, -0.2, 0.3, -0.4, 0.8]),
                        0.3 * rng.standard_normal(6),
                        0.3 * rng.standard_normal(6))
@@ -265,15 +254,15 @@ def test_grid_state_arrays_roundtrip():
 
 
 def test_grid_states_index_and_iterate():
-    """Indexing, iterating and `Grid.state` give each node's `NodeState`
-    in time-major order."""
+    """Indexing, iterating and indexing at `Grid.flat` give each node's
+    `NodeState` in time-major order."""
     cfg = ScenarioConfig(length=0.5, n_space=3, n_time=2, duration=1.0)
-    g = build_grid(cfg.s_knots, cfg.t_knots, GroundTruth(cfg).state)
+    g = Grid(cfg.s_knots, cfg.t_knots, GroundTruth(cfg).grid_states())
     states = list(g.states)
     assert len(g.states) == len(states) == g.n_nodes
     for i, x in enumerate(states):
         k, n = divmod(i, g.N)
-        for y in (g.states[i], g.state(n, k)):
+        for y in (g.states[i], g.states[g.flat(n, k)]):
             assert np.array_equal(y.pose.R, g.states.R[i])
             assert np.array_equal(y.strain_velocity, x.strain_velocity)
     assert np.array_equal(g.states[-1].pose.t, g.states.t[g.n_nodes - 1])

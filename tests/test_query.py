@@ -7,11 +7,11 @@ import numpy as np
 import pytest
 
 from stgp.cli import load_config
-from stgp.graph import build_grid, build_prior_factors
-from stgp.liegroup import Pose, se3_exp
+from stgp.graph import Grid, build_grid, build_prior_factors
+from stgp.liegroup import se3_exp
 from stgp.oracle import (dense_condition_query, dense_prior_covariance,
                          k_matrix)
-from stgp.prior import NodeState, chart_encode
+from stgp.prior import StateArrays, chart_encode
 from stgp.sensors import (InterpolatedMeasurementFactor, Measurement,
                           build_measurement_factors)
 from stgp.query import (HULL_TOL, OutOfHullError, _bridge, bind, locate,
@@ -348,12 +348,12 @@ def test_query_mean_straight_rod(params):
     s = np.linspace(0.0, 2.0, 5)
     t = np.linspace(0.0, 1.0, 3)
 
-    def straight(si, ti):
-        pose = Pose.from_matrix(se3_exp(np.array([si, 0, 0, 0, 0, 0])))
-        return NodeState(pose, np.array([1.0, 0, 0, 0, 0, 0]),
-                         np.zeros(6), np.zeros(6))
-
-    post = MeanOnlyPosterior(build_grid(s, t, straight), params)
+    n = len(s) * len(t)
+    unit = np.tile([1.0, 0, 0, 0, 0, 0], (n, 1))
+    pose = se3_exp(np.tile(s, len(t))[:, None] * unit)
+    straight = StateArrays(pose[:, :3, :3].copy(), pose[:, :3, 3].copy(),
+                           unit, np.zeros((n, 6)), np.zeros((n, 6)))
+    post = MeanOnlyPosterior(Grid(s, t, straight), params)
     rng = np.random.default_rng(5)
     for _ in range(25):
         si = rng.uniform(0.0, 2.0)

@@ -8,10 +8,10 @@ from collections import Counter
 import numpy as np
 import pytest
 
-from stgp.graph import FactorSet, build_grid, build_prior_factors
-from stgp.liegroup import Pose
+from stgp.graph import FactorSet, Grid, build_grid, build_prior_factors
+from stgp.liegroup import Pose, se3_exp
 from stgp.oracle import dense_prior_precision
-from stgp.prior import NodeState, PriorParams, chart_encode
+from stgp.prior import NodeState, PriorParams, StateArrays, chart_encode
 from stgp.sensors import Measurement, NodeMeasurementFactor, \
     build_measurement_factors
 from stgp.sim import GroundTruth, generate_measurements
@@ -210,14 +210,14 @@ def test_linearize_matches_brute_force_with_measurements(params):
     s = np.linspace(0.0, 1.0, 3)
     t = np.linspace(0.0, 0.8, 2)
     states = random_states(11, 6, angle=0.15, trans=0.1, deriv=0.2)
-    grid = build_grid(s, t, lambda si, ti: states.pop())
+    grid = Grid(s, t, StateArrays.from_states(states[::-1]))
     rng = np.random.default_rng(12)
     mask = np.array([True, False, False, False, False, True])
 
     def meas(kind, si, ti, masked=False):
         if kind == "pose6":
-            return Measurement(kind, si, ti,
-                               Pose.exp(0.1 * rng.standard_normal(6)),
+            T = se3_exp(0.1 * rng.standard_normal(6))
+            return Measurement(kind, si, ti, Pose(T[:3, :3], T[:3, 3]),
                                1e-4 * np.eye(6))
         dim = 2 if masked else (6 if kind == "strain6" else 3)
         return Measurement(kind, si, ti, 0.1 * rng.standard_normal(
@@ -259,7 +259,7 @@ def test_one_family_factor_sets_add_up(params):
     s = np.linspace(0.0, 1.0, 3)
     t = np.linspace(0.0, 0.8, 3)
     states = random_states(13, 9, angle=0.15, trans=0.1, deriv=0.2)
-    grid = build_grid(s, t, lambda si, ti: states.pop())
+    grid = Grid(s, t, StateArrays.from_states(states[::-1]))
     full = build_prior_factors(grid, params)
     full.measurement = build_measurement_factors(
         [Measurement("position3", 0.7, 0.5, np.zeros(3), 1e-4 * np.eye(3))],
@@ -402,7 +402,7 @@ def test_gn_converges_with_nonincreasing_cost():
     assert rep.final_cost <= rep.initial_cost
     # the fit should beat the prior mean by a wide margin at the sensed nodes
     est = post.grid.states[cfg.n_space - 1].pose.t
-    ref = truth.pose(cfg.s_knots[-1], cfg.t_knots[0]).t
+    ref = truth.states([cfg.s_knots[-1]], [cfg.t_knots[0]]).t[0]
     assert np.linalg.norm(est - ref) < 0.01
 
 
@@ -471,8 +471,9 @@ def test_gn_reports_step_halving_exhaustion(identity_params, monkeypatch):
                         lambda fact, rhs: -solve(fact, rhs))
     grid = build_grid([0.0], [0.0], NodeState.identity())
     factors = build_prior_factors(grid, identity_params)
+    T = se3_exp(np.full(6, 0.3))
     factors.measurement = build_measurement_factors(
-        [Measurement("pose6", 0.0, 0.0, Pose.exp(np.full(6, 0.3)),
+        [Measurement("pose6", 0.0, 0.0, Pose(T[:3, :3], T[:3, 3]),
                      np.eye(6))], grid, identity_params)
     opts = SolverOptions(max_iters=10, tol=1e-10, max_step_halvings=4)
     post = gauss_newton(grid, factors, identity_params, opts)
