@@ -59,8 +59,9 @@ from typing import List, Optional, Sequence, TextIO, Tuple
 import numpy as np
 
 from .graph import Grid, build_grid, build_prior_factors
-from .liegroup import Pose, quaternion_to_rotation, rotation_to_quaternion
-from .prior import NodeState, PriorParams, StateArrays
+from .liegroup import (pose_matrix, quaternion_to_rotation,
+                       rotation_to_quaternion)
+from .prior import PriorParams, StateArrays
 # query_state is kept only because the frozen bench/pipeline.py patches it
 from .query import (OutOfHullError, bind, query_state,  # noqa: F401
                     query_states)
@@ -174,8 +175,9 @@ def measurement_to_dict(m: Measurement) -> dict:
     rec = {"kind": m.kind, "s": m.s, "t": m.t,
            "noise_cov": [list(row) for row in np.asarray(m.noise_cov)]}
     if m.kind == "pose6":
-        rec["value"] = {"quat_wxyz": list(_quaternions(m.value.R[None])[0]),
-                        "translation": list(m.value.t)}
+        quat = _quaternions(m.value[None, :3, :3])[0]
+        rec["value"] = {"quat_wxyz": list(quat),
+                        "translation": list(m.value[:3, 3])}
     else:
         rec["value"] = list(np.asarray(m.value, dtype=float))
     if m.kind == "strain6":
@@ -186,8 +188,11 @@ def measurement_to_dict(m: Measurement) -> dict:
 def measurement_from_dict(rec: dict) -> Measurement:
     value = rec["value"]
     if rec["kind"] == "pose6":
-        value = Pose(quaternion_to_rotation(np.asarray(value["quat_wxyz"])),
-                     np.asarray(value["translation"], dtype=float))
+        quat = np.asarray(value["quat_wxyz"], dtype=float)
+        if quat.shape != (4,):
+            raise ValueError("pose6 quat_wxyz must hold 4 numbers")
+        value = pose_matrix(quaternion_to_rotation(quat),
+                            np.asarray(value["translation"], dtype=float))
     return Measurement(rec["kind"], rec["s"], rec["t"], value,
                        np.asarray(rec["noise_cov"], dtype=float),
                        mask=rec.get("mask"))
@@ -267,9 +272,8 @@ def save_posterior(path: str, post: Posterior, report_dict: dict) -> None:
         s_knots=grid.s_knots, t_knots=grid.t_knots,
         qs_psd=params.qs_psd, qt_psd=params.qt_psd,
         qst_psd=params.qst_psd, p0=params.p0,
-        mean_R=mean.pose.R, mean_t=mean.pose.t,
-        mean_strain=mean.strain, mean_velocity=mean.velocity,
-        mean_sv=mean.strain_velocity,
+        mean_R=mean.R[0], mean_t=mean.t[0], mean_strain=mean.eps[0],
+        mean_velocity=mean.vel[0], mean_sv=mean.sv[0],
         R=sa.R, t=sa.t, strain=sa.eps, velocity=sa.vel, sv=sa.sv,
         sig_diag=post.cov.sig_diag, sig_off=post.cov.sig_off,
         report=json.dumps(report_dict, sort_keys=True))
@@ -309,15 +313,14 @@ def load_posterior(path: str) -> Posterior:
                 if got != shape:
                     raise SchemaError(f"posterior {path}: {name} has shape "
                                       f"{got}, expected {shape}")
-            states = StateArrays(arrays["R"], arrays["t"], arrays["strain"],
-                                 arrays["velocity"], arrays["sv"])
             for name in shapes:
                 if name.startswith("mean_") \
                         and not np.all(np.isfinite(arrays[name])):
                     raise SchemaError(f"posterior {path}: {name} not finite")
-            mean = NodeState(Pose(arrays["mean_R"], arrays["mean_t"]),
-                             arrays["mean_strain"], arrays["mean_velocity"],
-                             arrays["mean_sv"])
+            names = ("R", "t", "strain", "velocity", "sv")
+            states = StateArrays(*(arrays[name] for name in names))
+            mean = StateArrays(*(arrays["mean_" + name][None]
+                                 for name in names))
             params = PriorParams(qs_psd=z["qs_psd"], qt_psd=z["qt_psd"],
                                  qst_psd=z["qst_psd"], p0=z["p0"],
                                  prior_mean=mean)

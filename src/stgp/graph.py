@@ -25,10 +25,10 @@ from typing import Callable, List, Optional, Sequence
 
 import numpy as np
 
-from .prior import (NodeState, PriorParams, StateArrays, apply_pair,
-                    binary_batch, decode_with_jacobians_batch,
-                    encode_with_jacobians_batch, integrator, k_matrix_inv,
-                    kron_lift, quaternary_batch, unary_batch)
+from .prior import (PriorParams, StateArrays, apply_pair, binary_batch,
+                    decode_with_jacobians_batch, encode_with_jacobians_batch,
+                    integrator, k_matrix_inv, kron_lift, quaternary_batch,
+                    unary_batch)
 
 
 @dataclass
@@ -75,10 +75,11 @@ def _check_knots(knots: np.ndarray, name: str):
 
 
 def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
-               init: NodeState) -> Grid:
-    """Lay out the lattice and start every node from `init`, the state at
-    the first node, continued across the grid with zero process noise, so
-    every prior factor starts at zero error.  (A grid of given states, such
+               init: StateArrays) -> Grid:
+    """Lay out the lattice and start every node from `init`, a one-state
+    `StateArrays` (such as `PriorParams.prior_mean`) taken as the state at
+    the first node and continued across the grid with zero process noise,
+    so every prior factor starts at zero error.  (A grid of given states, such
     as `sim.GroundTruth.grid_states()`, is `Grid(s_knots, t_knots, states)`.)
 
     The continuation sweeps the anti-diagonals n + k = d, one batched step
@@ -93,7 +94,7 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
     _check_knots(t_knots, "t_knots")
     N, K = len(s_knots), len(t_knots)
     # every node starts as `init`; each diagonal overwrites its own nodes
-    sa = StateArrays.from_state(init).take(np.zeros(N * K, dtype=int))
+    sa = init.take(np.zeros(N * K, dtype=int))
     ms, mt = integrator(np.diff(s_knots)), integrator(np.diff(t_knots))
     for d in range(1, N + K - 1):
         n = np.arange(max(0, d - K + 1), min(d, N - 1) + 1)

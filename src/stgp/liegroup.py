@@ -252,13 +252,21 @@ def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     return _I3 - 0.5 * ph + (c2 - u * c4)[..., None, None] * (ph @ ph)
 
 
-def se3_exp(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    out = np.zeros(xi.shape[:-1] + (4, 4))
-    out[..., :3, :3] = so3_exp(xi[..., 3:])
-    out[..., :3, 3] = np.squeeze(so3_left_jacobian(xi[..., 3:]) @ xi[..., :3, None], -1)
+def pose_matrix(R: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """The 4x4 homogeneous transforms [[R, t], [0, 1]] of rotations R and
+    translations t, batched over their broadcast leading dimensions."""
+    R, t = np.asarray(R, dtype=float), np.asarray(t, dtype=float)
+    out = np.zeros(np.broadcast_shapes(R.shape[:-2], t.shape[:-1]) + (4, 4))
+    out[..., :3, :3] = R
+    out[..., :3, 3] = t
     out[..., 3, 3] = 1.0
     return out
+
+
+def se3_exp(xi: np.ndarray) -> np.ndarray:
+    xi = np.asarray(xi, dtype=float)
+    return pose_matrix(so3_exp(xi[..., 3:]), np.squeeze(
+        so3_left_jacobian(xi[..., 3:]) @ xi[..., :3, None], -1))
 
 
 def se3_log(t: np.ndarray) -> np.ndarray:
@@ -365,26 +373,11 @@ def dleft_jacobian_inv_vec(ad: np.ndarray, phi: np.ndarray,
 
 
 class Pose:
-    """Rigid transform: rotation matrix R and translation t."""
+    """Rigid transform: rotation matrix R and translation t, the pose view
+    of one `prior.StateArrays` item."""
 
     __slots__ = ("R", "t")
 
     def __init__(self, R: np.ndarray, t: np.ndarray):
         self.R = np.asarray(R, dtype=float)
         self.t = np.asarray(t, dtype=float)
-
-    @staticmethod
-    def identity() -> "Pose":
-        return Pose(np.eye(3), np.zeros(3))
-
-    def matrix(self) -> np.ndarray:
-        m = np.eye(4)
-        m[:3, :3] = self.R
-        m[:3, 3] = self.t
-        return m
-
-    def copy(self) -> "Pose":
-        return Pose(self.R.copy(), self.t.copy())
-
-    def __repr__(self) -> str:
-        return f"Pose(t={np.array2string(self.t, precision=4)})"

@@ -17,6 +17,10 @@ transition over a grid step is a Kronecker product of 2x2 integrator blocks
 M(d) = [[1, d], [0, 1]] acting on the temporal/spatial derivative pairs, and
 white noise enters at the highest derivative of each chain, giving the
 familiar [[d^3/3, d^2/2], [d^2/2, d]] covariance blocks.
+
+States are held stacked in a `StateArrays` everywhere: the grid, the factor
+and query batches, and the prior mean (a one-state stack).  `NodeState` and
+its `liegroup.Pose` are only the views that indexing one item gives back.
 """
 
 from __future__ import annotations
@@ -27,8 +31,8 @@ from math import prod
 import numpy as np
 
 from .liegroup import (Pose, ad6, adjoint, dleft_jacobian_inv_vec, hat3,
-                       jinv_coeffs, jinv_poly, se3_exp_with_jacobian,
-                       so3_log_angle)
+                       jinv_coeffs, jinv_poly, pose_matrix,
+                       se3_exp_with_jacobian, so3_log_angle)
 
 CHART_ANGLE_LIMIT = 0.9 * np.pi
 
@@ -54,7 +58,7 @@ class ChartRangeError(ValueError):
 
 @dataclass
 class NodeState:
-    """Full state of one grid node."""
+    """Full state of one node: the view `StateArrays[i]` gives back."""
 
     pose: Pose
     strain: np.ndarray
@@ -65,14 +69,6 @@ class NodeState:
         self.strain = np.asarray(self.strain, dtype=float).reshape(6)
         self.velocity = np.asarray(self.velocity, dtype=float).reshape(6)
         self.strain_velocity = np.asarray(self.strain_velocity, dtype=float).reshape(6)
-
-    @staticmethod
-    def identity() -> "NodeState":
-        return NodeState(Pose.identity(), np.zeros(6), np.zeros(6), np.zeros(6))
-
-    def copy(self) -> "NodeState":
-        return NodeState(self.pose.copy(), self.strain.copy(),
-                         self.velocity.copy(), self.strain_velocity.copy())
 
     def derivative_vector(self) -> np.ndarray:
         """(0, eps, pi, psi): the chart of the state about its own pose."""
@@ -99,24 +95,6 @@ def _as_psd(m, n: int, name: str) -> np.ndarray:
     return 0.5 * (m + m.T)
 
 
-@dataclass
-class PriorParams:
-    """Power-spectral densities of the three white-noise sources plus the
-    initial condition (mean state and 24x24 covariance at the first node)."""
-
-    qs_psd: np.ndarray
-    qt_psd: np.ndarray
-    qst_psd: np.ndarray
-    p0: np.ndarray
-    prior_mean: NodeState = field(default_factory=NodeState.identity)
-
-    def __post_init__(self):
-        self.qs_psd = _as_psd(self.qs_psd, 6, "qs_psd")
-        self.qt_psd = _as_psd(self.qt_psd, 6, "qt_psd")
-        self.qst_psd = _as_psd(self.qst_psd, 6, "qst_psd")
-        self.p0 = _as_psd(self.p0, STATE_DIM, "p0")
-
-
 # ---------------------------------------------------------------------------
 # batched state arrays and chart coordinates
 
@@ -133,18 +111,11 @@ class StateArrays:
     sv: np.ndarray   # (B, 6)
 
     @staticmethod
-    def from_states(states) -> "StateArrays":
-        return StateArrays(
-            R=np.stack([s.pose.R for s in states]),
-            t=np.stack([s.pose.t for s in states]),
-            eps=np.stack([s.strain for s in states]),
-            vel=np.stack([s.velocity for s in states]),
-            sv=np.stack([s.strain_velocity for s in states]),
-        )
-
-    @staticmethod
-    def from_state(state: NodeState) -> "StateArrays":
-        return StateArrays.from_states([state])
+    def identity() -> "StateArrays":
+        """One state: the identity pose, with zero strain, velocity and
+        strain rate."""
+        return StateArrays(np.eye(3)[None], np.zeros((1, 3)),
+                           *np.zeros((3, 1, 6)))
 
     def __len__(self) -> int:
         return len(self.t)
@@ -176,10 +147,33 @@ class StateArrays:
                                self.sv], axis=-1)
 
 
+@dataclass
+class PriorParams:
+    """Power-spectral densities of the three white-noise sources plus the
+    initial condition at the first node: its 24x24 covariance and its mean,
+    a one-state `StateArrays` (the identity state by default)."""
+
+    qs_psd: np.ndarray
+    qt_psd: np.ndarray
+    qst_psd: np.ndarray
+    p0: np.ndarray
+    prior_mean: StateArrays = field(default_factory=StateArrays.identity)
+
+    def __post_init__(self):
+        self.qs_psd = _as_psd(self.qs_psd, 6, "qs_psd")
+        self.qt_psd = _as_psd(self.qt_psd, 6, "qt_psd")
+        self.qst_psd = _as_psd(self.qst_psd, 6, "qst_psd")
+        self.p0 = _as_psd(self.p0, STATE_DIM, "p0")
+        if len(self.prior_mean) != 1:
+            raise ValueError("prior_mean must hold one state")
+
+
 def chart_encode(x: NodeState, base: Pose) -> np.ndarray:
     """24-vector chart of x about the base pose."""
-    return encode_with_jacobians_batch(StateArrays.from_state(x), base.R[None],
-                                       base.t[None], want_jac=False)[0][0]
+    sa = StateArrays(x.pose.R[None], x.pose.t[None], x.strain[None],
+                     x.velocity[None], x.strain_velocity[None])
+    return encode_with_jacobians_batch(sa, base.R[None], base.t[None],
+                                       want_jac=False)[0][0]
 
 
 def decode_with_jacobians_batch(z: np.ndarray, Rb: np.ndarray,
@@ -217,9 +211,7 @@ def decode_with_jacobians_batch(z: np.ndarray, Rb: np.ndarray,
     s = np.zeros(B + (4, 6, 4, 6))
     s[..., _BLOCKS, :, _BLOCKS, :] = jl
     s[..., 1:, :, 0, :] = -(jl_s @ dvs) - 0.5 * (d1 @ jl_s)
-    T = np.zeros(B + (4, 4))
-    T[..., :3, :3], T[..., :3, 3] = Re, te
-    adj = adjoint(T)[..., None, :, :]
+    adj = adjoint(pose_matrix(Re, te))[..., None, :, :]
     s_bm = np.concatenate([-adj, 0.5 * (d1 @ adj)], axis=-3)
     return x, s.reshape(B + (24, 24)), s_bm.reshape(B + (24, 6))
 
@@ -358,13 +350,12 @@ def apply_pair(g: np.ndarray, x: np.ndarray, outer: int) -> np.ndarray:
 
 
 def unary_batch(params: PriorParams, sa: StateArrays):
-    base = params.prior_mean.pose
+    mean = params.prior_mean
     B = sa.eps.shape[0]
-    Rb = np.broadcast_to(base.R, (B, 3, 3))
-    tb = np.broadcast_to(base.t, (B, 3))
+    Rb = np.broadcast_to(mean.R, (B, 3, 3))
+    tb = np.broadcast_to(mean.t, (B, 3))
     z, enc, _ = encode_with_jacobians_batch(sa, Rb, tb)
-    e = z - params.prior_mean.derivative_vector()
-    return e, enc
+    return z - mean.chart_origin(), enc
 
 
 def binary_batch(m: np.ndarray, outer: int, sa_a: StateArrays,

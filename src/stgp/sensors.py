@@ -1,7 +1,10 @@
 """Sensor models and the measurement factors they induce on the grid.
 
-Four kinds:
-  pose6      full pose observation; error lives in the pose tangent
+Four kinds, each with the value shape and error dimension of `VALUE_SHAPES`
+and `DIMS`:
+  pose6      full pose observation, its value the (4, 4) homogeneous matrix
+             [[R, t], [0, 1]] (finite, last row exactly (0, 0, 0, 1)); error
+             lives in the pose tangent
   position3  world-frame position of the cross-section origin
   gyro3      body-frame angular rate
   strain6    body-frame strain, optionally masked to a component subset
@@ -35,15 +38,17 @@ from typing import List, Optional, Tuple
 import numpy as np
 
 from .graph import Family, Grid
-from .liegroup import Pose, ad6, hat3, se3_left_jacobian_inv, se3_log
+from .liegroup import (ad6, hat3, pose_matrix, se3_left_jacobian_inv,
+                       se3_log)
 from .prior import PriorParams, StateArrays
 # make_interpolant is kept only because the frozen bench/pipeline.py
 # patches it here
 from .query import Gain, bind, interpolate, make_interpolant  # noqa: F401
 
-KINDS = ("pose6", "position3", "gyro3", "strain6")
-
-_DIMS = {"pose6": 6, "position3": 3, "gyro3": 3, "strain6": 6}
+DIMS = {"pose6": 6, "position3": 3, "gyro3": 3, "strain6": 6}
+VALUE_SHAPES = {"pose6": (4, 4), "position3": (3,), "gyro3": (3,),
+                "strain6": (6,)}
+KINDS = tuple(DIMS)
 
 
 @dataclass
@@ -53,19 +58,18 @@ class Measurement:
     kind: str
     s: float
     t: float
-    value: object
+    value: np.ndarray
     noise_cov: np.ndarray
     mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
         if self.kind not in KINDS:
             raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if self.kind == "pose6":
-            if not isinstance(self.value, Pose):
-                raise ValueError("pose6 value must be a Pose")
-        else:
-            self.value = np.asarray(self.value, dtype=float).reshape(
-                _DIMS[self.kind])
+        self.value = np.asarray(self.value, dtype=float)
+        shape = VALUE_SHAPES[self.kind]
+        if self.value.shape != shape:
+            raise ValueError(f"{self.kind} value must have shape {shape}, "
+                             f"got {self.value.shape}")
         if self.mask is not None and self.kind != "strain6":
             raise ValueError("mask applies to strain6 only")
         if self.kind == "strain6":
@@ -75,10 +79,12 @@ class Measurement:
                 raise ValueError("strain6 mask selects no components")
             self.mask = m
         self.noise_cov = np.asarray(self.noise_cov, dtype=float)
-        parts = (self.value.R, self.value.t) if self.kind == "pose6" \
-            else (self.value,)
-        if not all(np.all(np.isfinite(a)) for a in parts + (self.noise_cov,)):
+        if not (np.all(np.isfinite(self.value))
+                and np.all(np.isfinite(self.noise_cov))):
             raise ValueError(f"{self.kind} value and noise_cov must be finite")
+        if self.kind == "pose6" and not np.array_equal(self.value[3],
+                                                       [0.0, 0.0, 0.0, 1.0]):
+            raise ValueError("pose6 value's last row must be (0, 0, 0, 1)")
         d = self.dim
         if self.noise_cov.shape == ():
             self.noise_cov = float(self.noise_cov) * np.eye(d)
@@ -100,30 +106,24 @@ class Measurement:
     def dim(self) -> int:
         if self.kind == "strain6":
             return int(np.count_nonzero(self.mask))
-        return _DIMS[self.kind]
+        return DIMS[self.kind]
 
 
 # ---------------------------------------------------------------------------
 # the batched sensor model
 
 
-def _value_array(meas: Measurement) -> np.ndarray:
-    return meas.value.matrix() if meas.kind == "pose6" else meas.value
-
-
 def sensor_model(kind: str, x: StateArrays, values: np.ndarray):
     """Stacked errors (B, d) of one sensor kind against states `x`, and their
     Jacobians (B, d, 24) with respect to each state's own chart perturbation.
-    `values` holds (B, 4, 4) pose matrices for pose6 and (B, d) vectors
-    otherwise; strain6 always yields all six rows."""
+    `values` stacks the kind's measurement values, (B, 4, 4) pose matrices
+    for pose6 and (B, d) vectors otherwise; strain6 always yields all six
+    rows."""
     B = len(x.t)
     rt = np.swapaxes(x.R, 1, 2)
     J = np.zeros((B, 6 if kind in ("pose6", "strain6") else 3, 24))
     if kind == "pose6":
-        inv = np.zeros((B, 4, 4))
-        inv[:, :3, :3] = rt
-        inv[:, :3, 3] = -np.squeeze(rt @ x.t[..., None], -1)
-        inv[:, 3, 3] = 1.0
+        inv = pose_matrix(rt, -np.squeeze(rt @ x.t[..., None], -1))
         e = se3_log(values @ inv)
         J[:, :, 0:6] = -se3_left_jacobian_inv(-e)
     elif kind == "position3":
@@ -184,7 +184,7 @@ def group_measurements(factors) -> List[Family]:
         buckets.setdefault(key, []).append(f)
     return [Family(kind, np.array([f.nodes for f in fs]).T,
                    np.stack([_full_weight(f) for f in fs]), measurement_batch,
-                   (kind, np.stack([_value_array(f.meas) for f in fs]),
+                   (kind, np.stack([f.meas.value for f in fs]),
                     _stack_gains([f.temporal for f in fs]),
                     _stack_gains([f.spatial for f in fs])))
             for (kind, *_), fs in buckets.items()]

@@ -22,9 +22,9 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .liegroup import Pose, adjoint, se3_exp, se3_log
-from .prior import NodeState, PriorParams, StateArrays
-from .sensors import KINDS, Measurement
+from .liegroup import adjoint, pose_matrix, se3_exp, se3_log
+from .prior import PriorParams, StateArrays
+from .sensors import DIMS, KINDS, Measurement
 
 _C1 = 0.5 - math.sqrt(3.0) / 6.0
 _C2 = 0.5 + math.sqrt(3.0) / 6.0
@@ -157,9 +157,8 @@ class ScenarioConfig:
         return np.linspace(0.0, self.duration, self.n_time)
 
     def prior_params(self) -> PriorParams:
-        mean = NodeState(Pose.identity(),
-                         np.array([1.0, 0, 0, 0, 0, 0]),
-                         np.zeros(6), np.zeros(6))
+        mean = StateArrays.identity()
+        mean.eps[0, 0] = 1.0
         return PriorParams(qs_psd=np.diag(self.qs_diag),
                            qt_psd=np.diag(self.qt_diag),
                            qst_psd=np.diag(self.qst_diag),
@@ -239,24 +238,27 @@ class GroundTruth:
         return out
 
     def states(self, s, t) -> StateArrays:
-        """States at the points (s[i], t[i]), s within [0, length] (to a
-        relative 1e-9, then clipped).  Velocity and strain-rate are central
-        differences over t +/- delta, one-sided where t - delta < 0 or else
-        t + delta > duration, and zero for a duration-0 scenario."""
+        """States at the points (s[i], t[i]), s within [0, length] and t
+        within [0, duration] (each to a relative 1e-9, then clipped).
+        Velocity and strain-rate are central differences over t +/- delta,
+        one-sided where t - delta < 0 or else t + delta > duration, and
+        zero for a duration-0 scenario."""
         cfg = self.config
-        L = cfg.length
+        L, D = cfg.length, cfg.duration
         s = np.asarray(s, dtype=float).reshape(-1)
         t = np.asarray(t, dtype=float).reshape(-1)
-        if np.any(s < -_RANGE_TOL * L) or np.any(s > L * (1 + _RANGE_TOL)):
-            raise ValueError(f"arclength out of range [0, {L}]")
-        s = np.clip(s, 0.0, L)
+        for name, x, end in (("arclength", s, L), ("time", t, D)):
+            if np.any(x < -_RANGE_TOL * end) \
+                    or np.any(x > end * (1 + _RANGE_TOL)):
+                raise ValueError(f"{name} out of range [0, {end}]")
+        s, t = np.clip(s, 0.0, L), np.clip(t, 0.0, D)
         P = len(s)
-        moving = cfg.duration > 0
+        moving = D > 0
         if moving:
             d = self._delta
             early = t - d < 0.0
             lo = np.where(early, t, t - d)
-            hi = np.where(~early & (t + d > cfg.duration), t, t + d)
+            hi = np.where(~early & (t + d > D), t, t + d)
             s, t = np.tile(s, 3), np.concatenate([t, lo, hi])
         times, which = np.unique(t, return_inverse=True)
         sin_t = np.array([math.sin(2.0 * math.pi * x / cfg.period)
@@ -287,17 +289,15 @@ def _measured_values(kind: str, x: StateArrays, noise: np.ndarray,
     strain with noise on its masked components."""
     if kind == "pose6":
         E = se3_exp(noise)
-        R = E[:, :3, :3] @ x.R
-        t = (E[:, :3, :3] @ x.t[..., None])[..., 0] + E[:, :3, 3]
-        return [Pose(Ri, ti) for Ri, ti in zip(R, t)]
+        return pose_matrix(E[:, :3, :3] @ x.R,
+                           (E[:, :3, :3] @ x.t[..., None])[..., 0]
+                           + E[:, :3, 3])
     if kind == "position3":
         return x.t + noise
     if kind == "gyro3":
         return (np.swapaxes(x.R, 1, 2) @ x.vel[:, 3:6, None])[..., 0] + noise
-    inverse = np.zeros((len(x), 4, 4))
     Rt = np.swapaxes(x.R, 1, 2)
-    inverse[:, :3, :3] = Rt
-    inverse[:, :3, 3] = (-Rt @ x.t[..., None])[..., 0]
+    inverse = pose_matrix(Rt, (-Rt @ x.t[..., None])[..., 0])
     body = (adjoint(inverse) @ x.eps[..., None])[..., 0]
     body[:, mask] += noise
     return body
@@ -326,8 +326,7 @@ def generate_measurements(config: ScenarioConfig,
         if spec.kind == "strain6":
             mask = np.ones(6, dtype=bool) if spec.mask is None \
                 else np.asarray(spec.mask, dtype=bool).reshape(6)
-        dim = int(mask.sum()) if mask is not None else \
-            {"pose6": 6, "position3": 3, "gyro3": 3}[spec.kind]
+        dim = DIMS[spec.kind] if mask is None else int(mask.sum())
         cov = max(spec.std, 1e-30) ** 2 * np.eye(dim)
         noise = spec.std * rng.standard_normal((len(pts), dim))
         x = states.take(np.arange(start, start + len(pts)))

@@ -1,12 +1,14 @@
-"""Shared helpers: seeded random states and their retraction, small default
-prior parameters, one measurement factor evaluated on its own, and the dense
-reference views of a stencil-layout system."""
+"""Shared helpers: seeded random states, their stacking and their
+retraction, small default prior parameters, one measurement factor
+evaluated on its own, and the dense reference views of a stencil-layout
+system."""
 
 import numpy as np
 import pytest
 
 from stgp.liegroup import Pose, se3_exp
-from stgp.prior import NodeState, PriorParams, decode_with_jacobians_batch
+from stgp.prior import (NodeState, PriorParams, StateArrays,
+                        decode_with_jacobians_batch)
 from stgp.sensors import group_measurements
 from stgp.solver import BLOCK, FORWARD, stencil_slot
 
@@ -26,6 +28,16 @@ def random_state(rng: np.random.Generator, angle: float = 0.3,
 def random_states(seed: int, n: int, **kw):
     rng = np.random.default_rng(seed)
     return [random_state(rng, **kw) for _ in range(n)]
+
+
+def stack_states(states) -> StateArrays:
+    """The `NodeState`s of a list, stacked in order."""
+    return StateArrays(
+        R=np.stack([s.pose.R for s in states]),
+        t=np.stack([s.pose.t for s in states]),
+        eps=np.stack([s.strain for s in states]),
+        vel=np.stack([s.velocity for s in states]),
+        sv=np.stack([s.strain_velocity for s in states]))
 
 
 def retract(x: NodeState, delta: np.ndarray) -> NodeState:

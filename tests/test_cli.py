@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from stgp import cli
-from stgp.liegroup import Pose, rotation_to_quaternion, so3_exp
+from stgp.liegroup import pose_matrix, rotation_to_quaternion, so3_exp
 from stgp.prior import StateArrays
 from stgp.query import bind, query_state, query_states
 from stgp.sensors import Measurement
@@ -106,8 +106,9 @@ def test_loads_report_1_0_without_decrements(run_dir, tmp_path):
 
 
 def test_posterior_round_trips_bit_for_bit(linear_posterior, tmp_path):
-    """load_posterior(save_posterior(p)) gives back the states and the
-    covariance blocks exactly, and answers queries exactly as p does."""
+    """load_posterior(save_posterior(p)) gives back the states, the
+    covariance blocks, the prior PSDs, p0 and the prior mean exactly, and
+    answers queries exactly as p does."""
     _, post = linear_posterior
     path = str(tmp_path / "posterior.bin")
     cli.save_posterior(path, post, dataclasses.asdict(post.report))
@@ -117,6 +118,13 @@ def test_posterior_round_trips_bit_for_bit(linear_posterior, tmp_path):
         assert np.array_equal(getattr(a, f), getattr(b, f)), f
     assert np.array_equal(post.cov.sig_diag, loaded.cov.sig_diag)
     assert np.array_equal(post.cov.sig_off, loaded.cov.sig_off)
+    for f in ("qs_psd", "qt_psd", "qst_psd", "p0"):
+        assert np.array_equal(getattr(post.params, f),
+                              getattr(loaded.params, f)), f
+    a, b = post.params.prior_mean, loaded.params.prior_mean
+    assert len(b) == 1
+    for f in ("R", "t", "eps", "vel", "sv"):
+        assert np.array_equal(getattr(a, f), getattr(b, f)), f
     for s, t in [(0.0, 0.0), (0.2, 0.5), (0.6, 0.83), (0.35, 1.0)]:
         x, cov = query_state(post, s, t)
         y, cov_loaded = query_state(loaded, s, t)
@@ -171,17 +179,20 @@ def test_exit_invalid_config_fields(tmp_path, capsys, changes):
     assert captured.out == ""
 
 
-@pytest.mark.parametrize("s", [-0.01, 0.61])
-def test_exit_invalid_sample_off_the_rod(tmp_path, capsys, s):
-    """A sensor sample at an arclength outside [0, length] exits 2 with one
-    error line, writing nothing."""
+@pytest.mark.parametrize("s,t,name", [(-0.01, 0.5, "arclength"),
+                                        (0.61, 0.5, "arclength"),
+                                        (0.3, -0.01, "time"),
+                                        (0.3, 1.5, "time")])
+def test_exit_invalid_sample_off_the_rod(tmp_path, capsys, s, t, name):
+    """A sensor sample at an arclength outside [0, length] or a time outside
+    [0, duration] exits 2 with one error line, writing nothing."""
     cfg = write_config(tmp_path, sensors=[
-        {"kind": "position3", "std": 0.01, "samples": [[0.3, 0.5], [s, 0.5]]}])
+        {"kind": "position3", "std": 0.01, "samples": [[0.3, 0.5], [s, t]]}])
     out = tmp_path / "run"
     assert cli.main(["simulate", "--config", cfg, "--out", str(out)]) \
         == cli.EXIT_INVALID
     captured = capsys.readouterr()
-    assert captured.err.startswith("error: arclength out of range")
+    assert captured.err.startswith(f"error: {name} out of range")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == "" and not out.exists()
 
@@ -243,11 +254,15 @@ def test_exit_invalid_query(run_dir, args, capsys):
     ("measurements", {"schema": "stgp.measurements/1.0", "measurements": [
         {"kind": "position3", "s": 0.0, "t": 0.0,
          "noise_cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),
+    ("measurements", {"schema": "stgp.measurements/1.0", "measurements": [
+        {"kind": "pose6", "s": 0.0, "t": 0.0,
+         "value": {"quat_wxyz": [1, 0, 0], "translation": [0, 0, 0]},
+         "noise_cov": np.eye(6).tolist()}]}),
 ])
 def test_exit_invalid_input_files(run_dir, tmp_path, capsys, what, content):
     """Malformed config and measurement files exit 2 with an error line:
     a top-level list, a missing measurement list, a record without
-    `value`."""
+    `value`, a pose6 quaternion of three numbers."""
     _, out = run_dir
     path = str(tmp_path / f"{what}.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -435,7 +450,8 @@ def test_state_rows_match_per_row_reference():
     empty = states.take(np.arange(0))
     assert "".join(cli.state_rows(s_vals[:0], t_vals[:0], empty)) == ""
     for r in R:
-        m = Measurement("pose6", 0.0, 0.0, Pose(r, np.zeros(3)), np.eye(6))
+        m = Measurement("pose6", 0.0, 0.0, pose_matrix(r, np.zeros(3)),
+                        np.eye(6))
         assert json.dumps(cli.measurement_to_dict(m)["value"]["quat_wxyz"]) \
             == json.dumps(list(_canonical_quat(r)))
 

@@ -12,7 +12,7 @@ from stgp.prior import (NodeState, PriorParams, StateArrays, apply_pair,
                         integrator)
 from stgp.sim import GroundTruth, ScenarioConfig
 from stgp.solver import linearize
-from conftest import dense
+from conftest import dense, stack_states
 
 
 def family_pattern(factors, n_nodes: int) -> np.ndarray:
@@ -32,12 +32,12 @@ def dense_block_pattern(H: np.ndarray) -> np.ndarray:
 
 
 def test_build_grid_single_node():
-    g = build_grid([0.0], [0.0], NodeState.identity())
+    g = build_grid([0.0], [0.0], StateArrays.identity())
     assert g.N == 1 and g.K == 1 and g.n_nodes == 1
 
 
 def test_build_grid_flat_ordering():
-    g = build_grid([0.0, 0.5, 1.0], [0.0, 1.0], NodeState.identity())
+    g = build_grid([0.0, 0.5, 1.0], [0.0, 1.0], StateArrays.identity())
     assert g.N == 3 and g.K == 2
     # time-major: flat index k*N + n
     order = [(n, k) for k in range(2) for n in range(3)]
@@ -48,16 +48,16 @@ def test_build_grid_flat_ordering():
 
 def test_build_grid_rejects_nonmonotone():
     with pytest.raises(ValueError):
-        build_grid([0.0, 0.5, 0.5], [0.0], NodeState.identity())
+        build_grid([0.0, 0.5, 0.5], [0.0], StateArrays.identity())
     with pytest.raises(ValueError):
-        build_grid([0.0, 1.0], [1.0, 0.0], NodeState.identity())
+        build_grid([0.0, 1.0], [1.0, 0.0], StateArrays.identity())
 
 
 def test_build_grid_prior_mean_propagation():
     """Default init integrates the zero-noise prior from the initial state, so
     prior factor errors vanish on the initial grid."""
-    init = NodeState(Pose.identity(), np.array([1.0, 0, 0, 0, 0, 0.5]),
-                     np.zeros(6), np.zeros(6))
+    init = StateArrays.identity()
+    init.eps[0] = [1.0, 0, 0, 0, 0, 0.5]
     g = build_grid(np.linspace(0, 1, 4), np.linspace(0, 2, 3), init)
     params = PriorParams(qs_psd=np.eye(6), qt_psd=np.eye(6), qst_psd=np.eye(6),
                          p0=np.eye(24), prior_mean=init)
@@ -121,12 +121,12 @@ def test_build_grid_matches_node_by_node_recursion(N, K, init):
                             duration=1.0).prior_params().prior_mean
     else:
         T = se3_exp(np.array([0.1, -0.2, 0.05, 0.3, -0.1, 0.2]))
-        x0 = NodeState(Pose(T[:3, :3], T[:3, 3]),
-                       np.array([1.0, 0.1, -0.2, 0.3, -0.4, 0.8]),
-                       0.3 * rng.standard_normal(6),
-                       0.3 * rng.standard_normal(6))
+        x0 = stack_states([NodeState(
+            Pose(T[:3, :3], T[:3, 3]),
+            np.array([1.0, 0.1, -0.2, 0.3, -0.4, 0.8]),
+            0.3 * rng.standard_normal(6), 0.3 * rng.standard_normal(6))])
     got = build_grid(s, t, x0).states
-    ref = StateArrays.from_states(node_by_node_grid(s, t, x0))
+    ref = stack_states(node_by_node_grid(s, t, x0[0]))
     for f in ("R", "t", "eps", "vel", "sv"):
         assert np.array_equal(getattr(got, f), getattr(ref, f)), f
 
@@ -139,7 +139,7 @@ def test_build_grid_matches_node_by_node_recursion(N, K, init):
 ])
 def test_prior_factor_counts(N, K, counts, params):
     g = build_grid(np.linspace(0, 1, N), np.linspace(0, 1, K),
-                   NodeState.identity())
+                   StateArrays.identity())
     fs = build_prior_factors(g, params)
     got = (len(fs.unary), len(fs.binary_spatial), len(fs.binary_temporal),
            len(fs.quaternary))
@@ -149,7 +149,7 @@ def test_prior_factor_counts(N, K, counts, params):
 
 def test_every_node_referenced(params):
     g = build_grid(np.linspace(0, 1, 4), np.linspace(0, 1, 3),
-                   NodeState.identity())
+                   StateArrays.identity())
     fs = build_prior_factors(g, params)
     seen = set()
     for fam in fs.prior_families():
@@ -160,7 +160,7 @@ def test_every_node_referenced(params):
 def test_binary_chain_placement(params):
     # spatial chain on the first time row, temporal chain on the first column
     g = build_grid(np.linspace(0, 1, 4), np.linspace(0, 1, 3),
-                   NodeState.identity())
+                   StateArrays.identity())
     fs = build_prior_factors(g, params)
     a, b = fs.binary_spatial.nodes
     assert np.all(a // g.N == 0) and np.all(b // g.N == 0)
@@ -177,7 +177,7 @@ def test_binary_chain_placement(params):
 
 
 def test_precision_pattern_single_node(params):
-    g = build_grid([0.0], [0.0], NodeState.identity())
+    g = build_grid([0.0], [0.0], StateArrays.identity())
     fs = build_prior_factors(g, params)
     pat = family_pattern(fs, g.n_nodes)
     assert pat.shape == (1, 1) and pat[0, 0]
@@ -186,7 +186,7 @@ def test_precision_pattern_single_node(params):
 
 def test_precision_pattern_neighbors(params):
     g = build_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 3),
-                   NodeState.identity())
+                   StateArrays.identity())
     fs = build_prior_factors(g, params)
     pat = family_pattern(fs, g.n_nodes)
     assert np.array_equal(pat, pat.T)
@@ -200,7 +200,7 @@ def test_precision_pattern_neighbors(params):
 
 def test_precision_pattern_bandwidth(params):
     g = build_grid(np.linspace(0, 1, 4), np.linspace(0, 1, 4),
-                   NodeState.identity())
+                   StateArrays.identity())
     fs = build_prior_factors(g, params)
     pat = family_pattern(fs, g.n_nodes)
     idx = np.nonzero(pat)
@@ -218,7 +218,7 @@ def test_precision_matches_oracle_and_pattern(params):
     cases.append((np.array([0.0, 0.1, 0.45, 1.0]),
                   np.array([0.0, 0.3, 1.1])))
     for s_knots, t_knots in cases:
-        g = build_grid(s_knots, t_knots, NodeState.identity())
+        g = build_grid(s_knots, t_knots, StateArrays.identity())
         fs = build_prior_factors(g, params)
         H = dense(linearize(fs, g))
         ref = dense_prior_precision(s_knots, t_knots, params)
@@ -235,7 +235,7 @@ def test_precision_matches_oracle_and_pattern(params):
 
 def test_diagonal_blocks_positive_definite(params):
     g = build_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 3),
-                   NodeState.identity())
+                   StateArrays.identity())
     fs = build_prior_factors(g, params)
     H = dense(linearize(fs, g))
     for i in range(g.n_nodes):
@@ -246,7 +246,7 @@ def test_diagonal_blocks_positive_definite(params):
 def test_grid_state_arrays_roundtrip():
     """`state_arrays`, which the benchmark scripts read, is `states`."""
     g = build_grid(np.linspace(0, 1, 3), np.linspace(0, 1, 2),
-                   NodeState.identity())
+                   StateArrays.identity())
     sa = g.state_arrays()
     assert sa is g.states
     assert sa.R.shape == (6, 3, 3)
@@ -283,7 +283,7 @@ def test_grid_states_index_and_iterate():
 def test_nonuniform_knots(params):
     s = np.array([0.0, 0.1, 0.4, 1.0])
     t = np.array([0.0, 0.5, 0.6])
-    g = build_grid(s, t, NodeState.identity())
+    g = build_grid(s, t, StateArrays.identity())
     fs = build_prior_factors(g, params)
     # each binary family's pair factors give the dense transition of its step
     for fam, phi in ((fs.binary_spatial, [phi_cell(d, 0) for d in np.diff(s)]),

@@ -141,3 +141,51 @@ def test_referenced_names_parser(tmp_path):
     path.write_text("import a.b as c\nfrom d import e\nx = f(g.h)\n"
                     "def unused():\n    'k'\n")
     assert referenced_names([str(path)]) == {"a.b", "e", "x", "f", "g", "h"}
+
+
+SCALAR_STATES = ("NodeState", "Pose")
+
+
+def scalar_state_calls(path):
+    """(enclosing class.function, line) of every NodeState(...) or Pose(...)
+    call in a source file, by bare name or as a module attribute."""
+    with open(path, encoding="utf-8") as fh:
+        tree = ast.parse(fh.read())
+    found = []
+
+    def visit(node, scope):
+        if isinstance(node, ast.Call):
+            name = getattr(node.func, "id", getattr(node.func, "attr", None))
+            if name in SCALAR_STATES:
+                found.append((".".join(scope), node.lineno))
+        if isinstance(node, (ast.ClassDef, ast.FunctionDef,
+                             ast.AsyncFunctionDef)):
+            scope = scope + [node.name]
+        for child in ast.iter_child_nodes(node):
+            visit(child, scope)
+
+    visit(tree, [])
+    return found
+
+
+def test_scalar_states_only_as_item_views():
+    """Production code holds states stacked in `StateArrays`: outside the
+    oracle, a `NodeState` or `Pose` is only ever built by
+    `StateArrays.__getitem__`, as the view of one item."""
+    calls = {os.path.basename(p): scalar_state_calls(p)
+             for p in glob.glob(os.path.join(SRC, "*.py"))
+             if os.path.basename(p) != "oracle.py"}
+    assert [s for s, _ in calls["prior.py"]] == ["StateArrays.__getitem__"] * 2
+    stray = [f"{f}:{line} in {scope or '<module>'}"
+             for f, found in calls.items() for scope, line in found
+             if scope != "StateArrays.__getitem__"]
+    assert stray == []
+
+
+def test_scalar_state_calls_parser(tmp_path):
+    path = tmp_path / "m.py"
+    path.write_text("x = Pose(1, 2)\nclass A:\n    def f(self):\n"
+                    "        return NodeState(Pose(1, 2), 0, 0, 0)\n"
+                    "def g():\n    return q.Pose(1), Poses(2)\n")
+    assert scalar_state_calls(str(path)) == [("", 1), ("A.f", 4), ("A.f", 4),
+                                             ("g", 6)]

@@ -5,21 +5,21 @@ import numpy as np
 import pytest
 
 from stgp.graph import build_grid, build_prior_factors
-from stgp.liegroup import Pose, adjoint, se3_exp
+from stgp.liegroup import Pose, adjoint, pose_matrix, se3_exp
 from stgp.oracle import dense_condition_query
 from stgp.prior import NodeState, StateArrays
 from stgp.sensors import (KINDS, InterpolatedMeasurementFactor, Measurement,
                           NodeMeasurementFactor, build_measurement_factors,
                           group_measurements, sensor_model)
 from stgp.solver import apply_update
-from conftest import factor_terms, random_state, random_states, retract
+from conftest import (factor_terms, random_state, random_states, retract,
+                      stack_states)
 
 
 def measurement_model(meas, x):
     """Error and chart Jacobian of one measurement against state x: a batch
     of one through `sensor_model`, cut to the rows the measurement observes."""
-    value = meas.value.matrix() if meas.kind == "pose6" else meas.value
-    e, J = sensor_model(meas.kind, StateArrays.from_state(x), value[None])
+    e, J = sensor_model(meas.kind, stack_states([x]), meas.value[None])
     return e[0][meas.rows], J[0][meas.rows]
 
 
@@ -28,13 +28,14 @@ def measurement_model(meas, x):
 
 def test_pose_meas_zero_at_truth():
     x = random_states(0, 1)[0]
-    e, _ = measurement_model(Measurement("pose6", 0, 0, x.pose, np.eye(6)), x)
+    m = Measurement("pose6", 0, 0, pose_matrix(x.pose.R, x.pose.t), np.eye(6))
+    e, _ = measurement_model(m, x)
     assert np.max(np.abs(e)) < 1e-12
 
 
 def test_pose_meas_translation_offset():
-    x = NodeState.identity()
-    meas = Pose(np.eye(3), np.array([0.01, 0, 0]))
+    x = StateArrays.identity()[0]
+    meas = pose_matrix(np.eye(3), np.array([0.01, 0, 0]))
     e, _ = measurement_model(Measurement("pose6", 0, 0, meas, np.eye(6)), x)
     assert np.allclose(e, [0.01, 0, 0, 0, 0, 0], atol=1e-12)
 
@@ -48,10 +49,10 @@ def test_position_meas_offsets():
 
 
 def test_gyro_meas_static_and_aligned():
-    x = NodeState.identity()
+    x = StateArrays.identity()[0]
     m = Measurement("gyro3", 0, 0, np.zeros(3), np.eye(3))
     assert np.max(np.abs(measurement_model(m, x)[0])) < 1e-14
-    x = NodeState(Pose.identity(), np.zeros(6),
+    x = NodeState(Pose(np.eye(3), np.zeros(3)), np.zeros(6),
                   np.array([0, 0, 0, 0, 0, 1.0]), np.zeros(6))
     m = Measurement("gyro3", 0, 0, np.array([0, 0, 1.0]), np.eye(3))
     assert np.max(np.abs(measurement_model(m, x)[0])) < 1e-14
@@ -69,12 +70,12 @@ def test_gyro_meas_frame_transport():
 def test_strain_meas_adjoint_transport():
     rng = np.random.default_rng(3)
     x = random_state(rng)
-    body = adjoint(np.linalg.inv(x.pose.matrix())) @ x.strain
+    body = adjoint(np.linalg.inv(pose_matrix(x.pose.R, x.pose.t))) @ x.strain
     m = Measurement("strain6", 0, 0, body, np.eye(6))
     assert np.max(np.abs(measurement_model(m, x)[0])) < 1e-12
     # identity pose: plain difference
-    x = NodeState(Pose.identity(), rng.standard_normal(6), np.zeros(6),
-                  np.zeros(6))
+    x = NodeState(Pose(np.eye(3), np.zeros(3)), rng.standard_normal(6),
+                  np.zeros(6), np.zeros(6))
     val = x.strain + 0.1
     m = Measurement("strain6", 0, 0, val, np.eye(6))
     assert np.allclose(measurement_model(m, x)[0], 0.1, atol=1e-14)
@@ -82,8 +83,8 @@ def test_strain_meas_adjoint_transport():
 
 def test_strain_mask():
     rng = np.random.default_rng(4)
-    x = NodeState(Pose.identity(), rng.standard_normal(6), np.zeros(6),
-                  np.zeros(6))
+    x = NodeState(Pose(np.eye(3), np.zeros(3)), rng.standard_normal(6),
+                  np.zeros(6), np.zeros(6))
     mask = np.array([True, False, False, False, False, True])
     m = Measurement("strain6", 0, 0, x.strain + 1.0, np.eye(2), mask=mask)
     e, J = measurement_model(m, x)
@@ -101,6 +102,15 @@ def test_measurement_validation():
         Measurement("position3", 0, 0, np.zeros(3), -np.eye(3))
     with pytest.raises(ValueError):
         Measurement("pose6", 0, 0, np.zeros(6), np.eye(6))
+    # a pose6 value is a finite 4x4 matrix whose last row is (0, 0, 0, 1)
+    T = se3_exp(np.array([0.1, -0.2, 0.3, 0.2, 0.1, -0.3]))
+    Measurement("pose6", 0, 0, T, np.eye(6))
+    bad_row, not_finite = T.copy(), T.copy()
+    bad_row[3, 0] = 1e-12
+    not_finite[0, 3] = np.nan
+    for value in (T[:3], T[None], bad_row, not_finite):
+        with pytest.raises(ValueError):
+            Measurement("pose6", 0, 0, value, np.eye(6))
 
 
 # Jacobians by central differences in the state's own chart
@@ -123,9 +133,9 @@ def test_measurement_jacobians_fd(kind):
     for _ in range(25):
         x = random_state(rng)
         if kind == "pose6":
-            T = se3_exp(0.1 * rng.standard_normal(6)) @ x.pose.matrix()
-            meas = Measurement(kind, 0, 0, Pose(T[:3, :3], T[:3, 3]),
-                               np.eye(6))
+            T = se3_exp(0.1 * rng.standard_normal(6)) \
+                @ pose_matrix(x.pose.R, x.pose.t)
+            meas = Measurement(kind, 0, 0, T, np.eye(6))
         elif kind == "position3":
             meas = Measurement(kind, 0, 0, x.pose.t + 0.01 * rng.standard_normal(3),
                                np.eye(3))
@@ -143,15 +153,15 @@ def test_strain_node_batch_matches_scalar():
     (masked strain included), against per-state central differences."""
     rng = np.random.default_rng(6)
     states = random_states(6, 8)
-    sa = StateArrays.from_states(states)
+    sa = stack_states(states)
     mask = np.array([True, False, True, False, False, True])
     for kind in KINDS:
         meas = []
         for i, x in enumerate(states):
             if kind == "pose6":
-                T = se3_exp(0.1 * rng.standard_normal(6)) @ x.pose.matrix()
-                meas.append(Measurement(kind, 0, 0, Pose(T[:3, :3], T[:3, 3]),
-                                        np.eye(6)))
+                T = se3_exp(0.1 * rng.standard_normal(6)) \
+                    @ pose_matrix(x.pose.R, x.pose.t)
+                meas.append(Measurement(kind, 0, 0, T, np.eye(6)))
             elif kind == "strain6":
                 m = mask if i % 2 else None
                 dim = 6 if m is None else 3
@@ -160,8 +170,7 @@ def test_strain_node_batch_matches_scalar():
             else:
                 meas.append(Measurement(kind, 0, 0, rng.standard_normal(3),
                                         np.eye(3)))
-        values = np.stack([m.value.matrix() if kind == "pose6" else m.value
-                           for m in meas])
+        values = np.stack([m.value for m in meas])
         e_b, J_b = sensor_model(kind, sa, values)
         for x, m, e, J in zip(states, meas, e_b, J_b):
             e_ref = measurement_model(m, x)[0]
@@ -176,7 +185,7 @@ def test_strain_node_batch_matches_scalar():
 
 def make_test_grid(params, N=3, K=3):
     grid = build_grid(np.linspace(0, 1.0, N), np.linspace(0, 2.0, K),
-                      NodeState.identity())
+                      StateArrays.identity())
     rng = np.random.default_rng(7)
     delta = 0.05 * rng.standard_normal(24 * grid.n_nodes)
     return apply_update(grid, delta)
@@ -275,8 +284,7 @@ def test_offgrid_jacobians_fd(params):
         for kind in ("position3", "strain6", "gyro3", "pose6"):
             if kind == "pose6":
                 T = se3_exp(0.05 * rng.standard_normal(6))
-                meas = Measurement(kind, s, t, Pose(T[:3, :3], T[:3, 3]),
-                                   np.eye(6))
+                meas = Measurement(kind, s, t, T, np.eye(6))
             else:
                 dim = 3 if kind != "strain6" else 6
                 meas = Measurement(kind, s, t, 0.1 * rng.standard_normal(dim),
@@ -303,7 +311,7 @@ def test_offgrid_linear_regime_matches_dense(params):
     N, K = 3, 3
     s_knots = np.linspace(0, 1.0, N)
     t_knots = np.linspace(0, 2.0, K)
-    grid = build_grid(s_knots, t_knots, NodeState.identity())
+    grid = build_grid(s_knots, t_knots, StateArrays.identity())
     s, t = 0.3, 0.7
     meas = Measurement("position3", s, t, np.array([0.01, 0.0, 0.0]),
                        np.eye(3))
@@ -324,11 +332,11 @@ def test_constant_field_interpolates_to_itself(params):
     # same state anywhere in the cell
     T = se3_exp(np.array([0.1, 0.2, -0.1, 0, 0, 0.3]))
     grid = build_grid(np.linspace(0, 1, 3), np.linspace(0, 2, 3),
-                      NodeState(Pose(T[:3, :3], T[:3, 3]), np.zeros(6),
-                                np.zeros(6), np.zeros(6)))
-    x_ref = grid.states[0]
+                      stack_states([NodeState(Pose(T[:3, :3], T[:3, 3]),
+                                              np.zeros(6), np.zeros(6),
+                                              np.zeros(6))]))
     for (s, t) in ((0.25, 0.33), (0.7, 1.51), (0.5, 1.0)):
-        meas = Measurement("pose6", s, t, x_ref.pose, np.eye(6))
+        meas = Measurement("pose6", s, t, T, np.eye(6))
         (f,) = build_measurement_factors([meas], grid, params)
         assert np.max(np.abs(factor_terms(f, grid)[0])) < 1e-10
 

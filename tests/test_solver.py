@@ -9,9 +9,9 @@ import numpy as np
 import pytest
 
 from stgp.graph import FactorSet, Grid, build_grid, build_prior_factors
-from stgp.liegroup import Pose, se3_exp
+from stgp.liegroup import se3_exp
 from stgp.oracle import dense_prior_precision
-from stgp.prior import NodeState, PriorParams, StateArrays, chart_encode
+from stgp.prior import StateArrays, chart_encode
 from stgp.sensors import Measurement, NodeMeasurementFactor, \
     build_measurement_factors
 from stgp.sim import GroundTruth, generate_measurements
@@ -21,7 +21,7 @@ from stgp.solver import (BLOCK, BlockBandedSystem, NotPositiveDefiniteError,
                          factorize, gauss_newton, linearize, solve_factorized,
                          sweep_order)
 from conftest import (add_block, add_rhs, dense, factor_terms, matvec,
-                      random_states, stencil_pairs)
+                      random_states, stack_states, stencil_pairs)
 
 
 def random_banded_system(seed: int, N: int, K: int) -> BlockBandedSystem:
@@ -210,15 +210,14 @@ def test_linearize_matches_brute_force_with_measurements(params):
     s = np.linspace(0.0, 1.0, 3)
     t = np.linspace(0.0, 0.8, 2)
     states = random_states(11, 6, angle=0.15, trans=0.1, deriv=0.2)
-    grid = Grid(s, t, StateArrays.from_states(states[::-1]))
+    grid = Grid(s, t, stack_states(states[::-1]))
     rng = np.random.default_rng(12)
     mask = np.array([True, False, False, False, False, True])
 
     def meas(kind, si, ti, masked=False):
         if kind == "pose6":
             T = se3_exp(0.1 * rng.standard_normal(6))
-            return Measurement(kind, si, ti, Pose(T[:3, :3], T[:3, 3]),
-                               1e-4 * np.eye(6))
+            return Measurement(kind, si, ti, T, 1e-4 * np.eye(6))
         dim = 2 if masked else (6 if kind == "strain6" else 3)
         return Measurement(kind, si, ti, 0.1 * rng.standard_normal(
             6 if kind == "strain6" else 3), 1e-4 * np.eye(dim),
@@ -259,7 +258,7 @@ def test_one_family_factor_sets_add_up(params):
     s = np.linspace(0.0, 1.0, 3)
     t = np.linspace(0.0, 0.8, 3)
     states = random_states(13, 9, angle=0.15, trans=0.1, deriv=0.2)
-    grid = Grid(s, t, StateArrays.from_states(states[::-1]))
+    grid = Grid(s, t, stack_states(states[::-1]))
     full = build_prior_factors(grid, params)
     full.measurement = build_measurement_factors(
         [Measurement("position3", 0.7, 0.5, np.zeros(3), 1e-4 * np.eye(3))],
@@ -469,12 +468,12 @@ def test_gn_reports_step_halving_exhaustion(identity_params, monkeypatch):
     solve = solver.solve_factorized
     monkeypatch.setattr(solver, "solve_factorized",
                         lambda fact, rhs: -solve(fact, rhs))
-    grid = build_grid([0.0], [0.0], NodeState.identity())
+    grid = build_grid([0.0], [0.0], StateArrays.identity())
     factors = build_prior_factors(grid, identity_params)
     T = se3_exp(np.full(6, 0.3))
     factors.measurement = build_measurement_factors(
-        [Measurement("pose6", 0.0, 0.0, Pose(T[:3, :3], T[:3, 3]),
-                     np.eye(6))], grid, identity_params)
+        [Measurement("pose6", 0.0, 0.0, T, np.eye(6))], grid,
+        identity_params)
     opts = SolverOptions(max_iters=10, tol=1e-10, max_step_halvings=4)
     post = gauss_newton(grid, factors, identity_params, opts)
     assert not post.report.converged
