@@ -31,11 +31,16 @@ estimator did not converge (artifacts still written); 5 normal equations not
 positive definite; 2 invalid input, which is one of
   config         a field missing or out of range (simulate's --seed counts
                  as the seed field); an integer field (n_space, n_time,
-                 seed, refinement, max_iters) not an integer; a number (a
-                 prior diagonal and a sensor's std, rate, samples and
-                 locations included) not finite; max_iters < 1; tol <= 0
-                 (tol bounds the Gauss-Newton decrement at convergence, in
-                 chi-square units of the cost)
+                 seed, max_iters) not an integer; a number (a prior
+                 diagonal and a sensor's std and its square, rate, samples
+                 and locations included) not finite; a sensor's samples
+                 not (s, t) pairs, its locations neither "knots" nor
+                 arclengths, or its mask not six booleans; max_iters < 1;
+                 tol <= 0 (tol bounds the Gauss-Newton decrement at
+                 convergence, in chi-square units of the cost)
+  simulate       a sample off the rod or outside [0, duration], a rod that
+                 turns more than the simulator integrates, or a ground-truth
+                 value that is not finite
   measurements   a record malformed, or its value or noise_cov not finite
   query          a point out of the hull or not finite; --grid given with
                  --s or --t
@@ -138,7 +143,6 @@ def config_from_dict(d: dict) -> ScenarioConfig:
             qst_diag=d.get("qst_diag", np.ones(6)),
             p0_diag=d.get("p0_diag", np.ones(24)),
             sensors=sensors, seed=d.get("seed", 0),
-            refinement=d.get("refinement", 8),
             max_iters=d.get("max_iters", 50), tol=d.get("tol", 1e-8))
     except (KeyError, TypeError, ValueError) as exc:
         raise ConfigError(f"invalid config: {exc}") from exc
@@ -345,11 +349,12 @@ def load_posterior(path: str) -> Posterior:
 def cmd_simulate(cfg: ScenarioConfig, out_dir: str) -> int:
     truth = GroundTruth(cfg)
     measurements = generate_measurements(cfg, truth)
+    states = truth.grid_states()
     os.makedirs(out_dir, exist_ok=True)
     save_measurements(os.path.join(out_dir, "measurements.json"), measurements)
     write_state_csv(os.path.join(out_dir, "ground_truth.csv"),
                     "ground_truth", np.tile(cfg.s_knots, cfg.n_time),
-                    np.repeat(cfg.t_knots, cfg.n_space), truth.grid_states())
+                    np.repeat(cfg.t_knots, cfg.n_space), states)
     return EXIT_OK
 
 

@@ -21,10 +21,10 @@ Where each Jacobian comes from:
   so3_left_jacobian_inv and dleft_jacobian_inv_vec; their callers stay in
   it (se3_log returns angles up to pi, charts stay below
   prior.CHART_ANGLE_LIMIT = 0.9 pi).
-* Left Jacobians and exponentials, from closed forms in the angle (with the
-  small-angle series above): so3_exp, so3_left_jacobian, se3_exp and
-  se3_exp_with_jacobian, valid at any angle, because a Gauss-Newton step
-  decoded through them can turn a chart past pi.
+* The exponential and left Jacobian, from closed forms in the angle (with
+  the small-angle series above): se3_exp_with_jacobian, and se3_exp built
+  from it, valid at any angle, because a Gauss-Newton step decoded through
+  them can turn a chart past pi.
 
 so3_log takes the angle as atan2(|vee(R - R^T)|/2, (tr R - 1)/2) and the
 vector as angle/sin(angle) * vee(R - R^T)/2.  The axis of that vee loses
@@ -113,16 +113,6 @@ def _sinc_coeffs(theta: np.ndarray):
     c = np.where(small, 1.0 / 6.0 - t2 / 120.0 + t2 * t2 / 5040.0,
                  (safe - np.sin(safe)) / (safe * safe * safe))
     return a, b, c
-
-
-def so3_exp(phi: np.ndarray) -> np.ndarray:
-    """Rodrigues formula."""
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi, axis=-1)
-    a, b, _ = _sinc_coeffs(theta)
-    ph = hat3(phi)
-    eye = np.broadcast_to(np.eye(3), ph.shape)
-    return eye + a[..., None, None] * ph + b[..., None, None] * (ph @ ph)
 
 
 def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
@@ -234,15 +224,6 @@ def so3_log(r: np.ndarray) -> np.ndarray:
     return so3_log_angle(r)[0]
 
 
-def so3_left_jacobian(phi: np.ndarray) -> np.ndarray:
-    phi = np.asarray(phi, dtype=float)
-    theta = np.linalg.norm(phi, axis=-1)
-    _, b, c = _sinc_coeffs(theta)
-    ph = hat3(phi)
-    eye = np.broadcast_to(np.eye(3), ph.shape)
-    return eye + b[..., None, None] * ph + c[..., None, None] * (ph @ ph)
-
-
 def so3_left_jacobian_inv(phi: np.ndarray) -> np.ndarray:
     """I - hat(phi)/2 + (c2 - u c4) hat(phi)^2, u = |phi|^2 <= pi^2."""
     phi = np.asarray(phi, dtype=float)
@@ -264,9 +245,8 @@ def pose_matrix(R: np.ndarray, t: np.ndarray) -> np.ndarray:
 
 
 def se3_exp(xi: np.ndarray) -> np.ndarray:
-    xi = np.asarray(xi, dtype=float)
-    return pose_matrix(so3_exp(xi[..., 3:]), np.squeeze(
-        so3_left_jacobian(xi[..., 3:]) @ xi[..., :3, None], -1))
+    """exp(xi) as a 4x4 homogeneous transform."""
+    return pose_matrix(*se3_exp_with_jacobian(xi)[:2])
 
 
 def se3_log(t: np.ndarray) -> np.ndarray:

@@ -2,15 +2,14 @@
 asynchronous measurement synthesis.
 
 The rod is inextensible with body strain (1, 0, 0, 0, 0, kappa(s, t)) and a
-curvature field kappa = kappa0 + kappa_a * sin(2*pi*t/period) * (s/L).  Poses
-come from the product integral of body increments along arclength, taken with
-a 4th-order commutator-free two-exponential step.  Velocities and
-strain-velocities are central time differences of the integrated fields, so
-they stay consistent with the poses by construction.
-
-`GroundTruth.states` simulates a batch of points in one cell-by-cell sweep
-of the arclength lattice, memoizing nothing; `generate_measurements` makes
-one such call for all of a scenario's sensor samples.
+curvature field kappa = kappa0 + kappa_a * sin(2*pi*t/period) * (s/L), so it
+bends in the xy plane and its tangent angle is a closed form in (s, t).
+`GroundTruth.states` evaluates a batch of points from that closed form: the
+rotation directly, the position by one Gauss-Legendre quadrature along the
+arclength, and velocity, strain and strain rate as exact derivatives.
+`generate_measurements` makes one such call for all of a scenario's sensor
+samples and adds noise through its own forward model, independent of
+`sensors.sensor_model`.
 """
 
 from __future__ import annotations
@@ -22,14 +21,17 @@ from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
-from .liegroup import adjoint, pose_matrix, se3_exp, se3_log
+from .liegroup import adjoint, pose_matrix, se3_exp
 from .prior import PriorParams, StateArrays
 from .sensors import DIMS, KINDS, Measurement
 
-_C1 = 0.5 - math.sqrt(3.0) / 6.0
-_C2 = 0.5 + math.sqrt(3.0) / 6.0
-_ALPHA = 0.25 + math.sqrt(3.0) / 6.0
-_BETA = 0.25 - math.sqrt(3.0) / 6.0
+# one 32-node Gauss-Legendre panel on [0, 1]; a panel covers at most
+# _PANEL_TURNING rad of the rod's turning, and at most _MAX_PANELS of them
+# bound the cost of a point
+_NODES, _WEIGHTS = np.polynomial.legendre.leggauss(32)
+_NODES, _WEIGHTS = 0.5 * (_NODES + 1.0), 0.5 * _WEIGHTS
+_PANEL_TURNING = 20.0
+_MAX_PANELS = 1000
 
 _RANGE_TOL = 1e-9
 
@@ -53,8 +55,10 @@ class SensorSpec:
     """One sensor family: a kind, a noise level, and a sample schedule.
 
     Rate-based sensors sample every location at t in {0, 1/rate, ...} up to
-    the scenario duration (ends inclusive).  `locations="knots"` expands to
-    the grid's arclength knots.  Explicit `samples` bypass the schedule.
+    the scenario duration (ends inclusive).  `locations` is a list of
+    arclengths or "knots", the grid's arclength knots.  Explicit `samples`,
+    (s, t) pairs, bypass the schedule.  A strain6 `mask` holds six booleans,
+    the measured components.
     """
 
     kind: str
@@ -68,12 +72,19 @@ class SensorSpec:
         if self.kind not in KINDS:
             raise ValueError(f"unknown sensor kind {self.kind!r}")
         _require_finite("sensor std", self.std)
+        _require_finite("sensor variance", float(self.std) * float(self.std))
         for name in ("rate", "samples", "locations"):
             value = getattr(self, name)
             if value is not None and not isinstance(value, str):
                 _require_finite(f"sensor {name}", value)
         if self.std < 0:
             raise ValueError("sensor std must be >= 0")
+        if self.samples is not None and np.shape(self.samples) != (0,) \
+                and np.shape(self.samples)[1:] != (2,):
+            raise ValueError("sensor samples must be (s, t) pairs")
+        if isinstance(self.locations, str) and self.locations != "knots" \
+                or np.ndim(self.locations) > 1:
+            raise ValueError('sensor locations must be "knots" or arclengths')
         if self.samples is None:
             if self.rate is None or self.rate <= 0:
                 raise ValueError(f"{self.kind} sensor needs rate > 0")
@@ -81,21 +92,18 @@ class SensorSpec:
                 raise ValueError(f"{self.kind} sensor needs locations")
         if self.mask is not None and self.kind != "strain6":
             raise ValueError("mask applies to strain6 sensors only")
+        if self.mask is not None and (np.shape(self.mask) != (6,) or not all(
+                isinstance(b, (bool, np.bool_)) for b in self.mask)):
+            raise ValueError("strain6 mask must hold 6 booleans")
 
     def sample_points(self, config: "ScenarioConfig"):
         if self.samples is not None:
             return [(float(s), float(t)) for s, t in self.samples]
-        times = rate_schedule(self.rate, config.duration)
-        locs = config.s_knots if (isinstance(self.locations, str)
-                                  and self.locations == "knots") \
+        n = int(config.duration * self.rate + 1e-9)
+        times = np.arange(n + 1) / self.rate
+        locs = config.s_knots if isinstance(self.locations, str) \
             else np.atleast_1d(np.asarray(self.locations, dtype=float))
         return [(float(s), float(t)) for s in locs for t in times]
-
-
-def rate_schedule(rate: float, duration: float) -> np.ndarray:
-    """Sample times {0, 1/rate, ...} up to and including the duration."""
-    n = int(math.floor(duration * rate + 1e-9))
-    return np.arange(n + 1) / rate
 
 
 @dataclass
@@ -121,7 +129,6 @@ class ScenarioConfig:
     p0_diag: np.ndarray = field(default_factory=lambda: np.full(24, 1.0))
     sensors: List[SensorSpec] = field(default_factory=list)
     seed: int = 0
-    refinement: int = 8
     max_iters: int = 50
     tol: float = 1e-8
 
@@ -131,7 +138,7 @@ class ScenarioConfig:
         self.qst_diag = np.asarray(self.qst_diag, dtype=float).reshape(6)
         self.p0_diag = np.asarray(self.p0_diag, dtype=float).reshape(24)
         for name, low in (("n_space", 1), ("n_time", 1), ("seed", 0),
-                          ("refinement", 1), ("max_iters", 1)):
+                          ("max_iters", 1)):
             _require_int(name, getattr(self, name), low)
         for name in ("length", "duration", "kappa0", "kappa_a", "period",
                      "tol", "qs_diag", "qt_diag", "qst_diag", "p0_diag"):
@@ -166,114 +173,72 @@ class ScenarioConfig:
 
 
 class GroundTruth:
-    """Continuous ground-truth fields of one scenario.
+    """Continuous ground-truth fields of one scenario, in closed form.
 
-    `states(s, t)` integrates a whole batch of points in one sweep of a fine
-    arclength lattice (refinement x grid density cells of 8 substeps): one
-    pose per distinct time, the t +/- delta of the rates included, is carried
-    from s = 0 one cell at a time, each point takes its pose at its cell's
-    start, and then all points finish their remainders together.  Nothing is
-    memoized.  The sweep goes cell by cell because forming every (time,
-    substep) increment at once would dominate the memory of a process that
-    simulates and then estimates, as the one measuring the bench's
-    `peak_rss_mb` does.  Product chains keep the order of a per-point
-    integration and each distinct time's sine is taken once with `math.sin`,
-    so a state's bits do not depend on the batch it comes in.
+    The tangent has turned by theta = kappa0 s + a(t) s^2 / (2 L) at
+    arclength s, a(t) = kappa_a sin(2 pi t / period).  With xy vectors as
+    complex numbers the pose is (Rz(theta), p = int_0^s e^(i theta) du), the
+    world strain (e^(i theta) - i kappa p, kappa) and the velocity (pdot -
+    i theta_t p, theta_t); rates are exact time derivatives.  p and pdot
+    are 32-node Gauss-Legendre sums over [0, s], one panel per 20 rad of the
+    total turning (|kappa0| + |kappa_a|) L, within about 1e-15 of the
+    integrals.  Each point sums its own nodes, so its bits do not depend on
+    its batch.  A scenario of duration 0 does not move: its rates are zero.
     """
 
     def __init__(self, config: ScenarioConfig):
         self.config = config
-        cells = config.n_space * config.refinement
-        self._lattice = np.linspace(0.0, config.length, cells + 1)
-        self._h = config.length / cells / 8.0
-        self._delta = 1e-5 * config.period
-
-    def _strain(self, s, sin_t) -> np.ndarray:
-        """Body strains (1, 0, 0, 0, 0, kappa) at arclengths s and times
-        whose sines sin_t broadcast against s."""
-        cfg = self.config
-        kappa = cfg.kappa0 + cfg.kappa_a * sin_t * (s / cfg.length)
-        out = np.zeros(kappa.shape + (6,))
-        out[..., 0] = 1.0
-        out[..., 5] = kappa
-        return out
-
-    def _increments(self, starts: np.ndarray, h, sin_t: np.ndarray):
-        """4x4 increments G with T <- T @ G for 4th-order commutator-free
-        two-exponential steps of length h from arclengths `starts`, at times
-        whose sines `sin_t` broadcast against `starts`."""
-        a1 = self._strain(starts + _C1 * h, sin_t)
-        a2 = self._strain(starts + _C2 * h, sin_t)
-        h = np.asarray(h)[..., None]
-        return se3_exp(h * (_ALPHA * a1 + _BETA * a2)) \
-            @ se3_exp(h * (_BETA * a1 + _ALPHA * a2))
-
-    def _poses(self, s: np.ndarray, which: np.ndarray,
-               sin_t: np.ndarray) -> np.ndarray:
-        """(P, 4, 4) poses at arclengths s in [0, L] and the times whose
-        sines are sin_t[which]."""
-        lat, h = self._lattice, self._h
-        cell = np.minimum(np.searchsorted(lat, s, side="right") - 1,
-                          len(lat) - 1)
-        out = np.empty((len(s), 4, 4))
-        T = np.broadcast_to(np.eye(4), (len(sin_t), 4, 4))
-        substeps = np.arange(8) * h
-        for j in range(int(cell.max(initial=0)) + 1):
-            if j:
-                G = self._increments(lat[j - 1] + substeps, h,
-                                     sin_t[:, None])
-                for i in range(8):
-                    T = T @ G[:, i]
-            at = np.flatnonzero(cell == j)
-            out[at] = T[which[at]]
-        # the remainder of each point past its cell start, in m <= 8 steps
-        rem = s - lat[cell]
-        m = np.where(rem > 1e-15 * max(1.0, self.config.length),
-                     np.maximum(1.0, np.ceil(rem / h - 1e-12)), 0.0)
-        step = rem / np.maximum(m, 1.0)
-        for i in range(int(m.max(initial=0))):
-            go = np.flatnonzero(m > i)
-            out[go] = out[go] @ self._increments(
-                lat[cell[go]] + i * step[go], step[go], sin_t[which[go]])
-        return out
+        turning = (abs(config.kappa0) + abs(config.kappa_a)) * config.length
+        if not turning <= _MAX_PANELS * _PANEL_TURNING:
+            raise ValueError(f"the rod turns by up to {turning:g} rad, more "
+                             f"than the {_MAX_PANELS * _PANEL_TURNING:g} rad "
+                             "the simulator integrates")
+        self._panels = max(1, math.ceil(turning / _PANEL_TURNING))
 
     def states(self, s, t) -> StateArrays:
         """States at the points (s[i], t[i]), s within [0, length] and t
         within [0, duration] (each to a relative 1e-9, then clipped).
-        Velocity and strain-rate are central differences over t +/- delta,
-        one-sided where t - delta < 0 or else t + delta > duration, and
-        zero for a duration-0 scenario."""
+        Raises ValueError where a state entry is not finite."""
         cfg = self.config
-        L, D = cfg.length, cfg.duration
+        L, D, k0, n = cfg.length, cfg.duration, cfg.kappa0, self._panels
         s = np.asarray(s, dtype=float).reshape(-1)
         t = np.asarray(t, dtype=float).reshape(-1)
         for name, x, end in (("arclength", s, L), ("time", t, D)):
             if np.any(x < -_RANGE_TOL * end) \
                     or np.any(x > end * (1 + _RANGE_TOL)):
                 raise ValueError(f"{name} out of range [0, {end}]")
-        s, t = np.clip(s, 0.0, L), np.clip(t, 0.0, D)
-        P = len(s)
-        moving = D > 0
-        if moving:
-            d = self._delta
-            early = t - d < 0.0
-            lo = np.where(early, t, t - d)
-            hi = np.where(~early & (t + d > D), t, t + d)
-            s, t = np.tile(s, 3), np.concatenate([t, lo, hi])
-        times, which = np.unique(t, return_inverse=True)
-        sin_t = np.array([math.sin(2.0 * math.pi * x / cfg.period)
-                          for x in times.tolist()])
-        T = self._poses(s, which, sin_t)
-        strain = self._strain(s, sin_t[which])
-        eps = (adjoint(T) @ strain[..., None])[..., 0]
-        if moving:
-            span = (hi - lo)[:, None]
-            vel = se3_log(T[2 * P:] @ np.linalg.inv(T[P:2 * P])) / span
-            sv = (eps[2 * P:] - eps[P:2 * P]) / span
-        else:
-            vel = sv = np.zeros((P, 6))
-        return StateArrays(T[:P, :3, :3].copy(), T[:P, :3, 3].copy(),
-                           eps[:P], vel, sv)
+        x, t = np.clip(s, 0.0, L) / L, np.clip(t, 0.0, D)
+
+        def tangent(y, a, da):
+            """e^(i theta) and theta_t at normalized arclengths y = s / L."""
+            return (np.exp(1j * L * y * (k0 + 0.5 * a * y)),
+                    0.5 * L * da * y * y)
+
+        with np.errstate(all="ignore"):
+            w = 2.0 * math.pi / cfg.period
+            a = cfg.kappa_a * np.sin(w * t)
+            da = cfg.kappa_a * w * np.cos(w * t) if D > 0 else 0.0 * t
+            p = dp = 0j
+            for k in range(n):
+                e, dth = tangent(x[:, None] * ((k + _NODES) / n),
+                                 a[:, None], da[:, None])
+                p = p + (_WEIGHTS * e).sum(-1)
+                dp = dp + (_WEIGHTS * dth * e).sum(-1)
+            p, dp = L * x / n * p, 1j * (L * x / n) * dp
+            e, dth = tangent(x, a, da)
+            kappa, dk = k0 + a * x, da * x
+            eps, vel = e - 1j * kappa * p, dp - 1j * dth * p
+            sv = 1j * (dth * e - dk * p - kappa * dp)
+            zero, one = np.zeros_like(x), np.ones_like(x)
+            fields = (np.stack([e.real, -e.imag, zero, e.imag, e.real, zero,
+                                zero, zero, one], -1).reshape(-1, 3, 3),
+                      np.stack([p.real, p.imag, zero], -1),
+                      *(np.stack([v.real, v.imag, zero, zero, zero, r], -1)
+                        for v, r in ((eps, kappa), (vel, dth), (sv, dk))))
+        if not all(np.isfinite(f).all() for f in fields):
+            raise ValueError("ground truth not finite: the scenario's "
+                             "curvature or its rate overflows")
+        return StateArrays(*fields)
 
     def grid_states(self) -> StateArrays:
         """States at the grid knots, flat time-major order (k*N + n)."""
@@ -325,7 +290,7 @@ def generate_measurements(config: ScenarioConfig,
         mask = None
         if spec.kind == "strain6":
             mask = np.ones(6, dtype=bool) if spec.mask is None \
-                else np.asarray(spec.mask, dtype=bool).reshape(6)
+                else np.asarray(spec.mask, dtype=bool)
         dim = DIMS[spec.kind] if mask is None else int(mask.sum())
         cov = max(spec.std, 1e-30) ** 2 * np.eye(dim)
         noise = spec.std * rng.standard_normal((len(pts), dim))

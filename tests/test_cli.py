@@ -11,7 +11,8 @@ import numpy as np
 import pytest
 
 from stgp import cli
-from stgp.liegroup import pose_matrix, rotation_to_quaternion, so3_exp
+from stgp.liegroup import (pose_matrix, rotation_to_quaternion,
+                           se3_exp_with_jacobian)
 from stgp.prior import StateArrays
 from stgp.query import bind, query_state, query_states
 from stgp.sensors import Measurement
@@ -164,9 +165,16 @@ def test_exit_invalid_schema_major(tmp_path):
                   "locations": "knots"}]},
     {"sensors": [{"kind": "position3", "std": 0.01,
                   "samples": [[0.3, float("inf")]]}]},
+    {"sensors": [{"kind": "position3", "std": 0.01,
+                  "samples": [[0.3, 0.5, 0.1]]}]},
+    {"sensors": [{"kind": "gyro3", "std": 0.01, "rate": 2.0,
+                  "locations": "tip"}]},
+    {"sensors": [{"kind": "strain6", "std": 0.01, "rate": 2.0,
+                  "locations": "knots", "mask": [True, False]}]},
 ], ids=["n_space-float", "max_iters-float", "seed-str", "tol-str",
         "n_time-bool", "duration-inf", "length-nan", "max_iters-0",
-        "tol-0", "tol-negative", "qt_diag-nan", "std-nan", "sample-inf"])
+        "tol-0", "tol-negative", "qt_diag-nan", "std-nan", "sample-inf",
+        "sample-triple", "locations-str", "mask-short"])
 def test_exit_invalid_config_fields(tmp_path, capsys, changes):
     """A config field of the wrong type, not finite or out of range exits 2
     with one error line and nothing on standard output."""
@@ -195,6 +203,44 @@ def test_exit_invalid_sample_off_the_rod(tmp_path, capsys, s, t, name):
     assert captured.err.startswith(f"error: {name} out of range")
     assert len(captured.err.splitlines()) == 1
     assert captured.out == "" and not out.exists()
+
+
+def finite_numbers(node) -> bool:
+    """Every number in a parsed JSON document is finite."""
+    if isinstance(node, dict):
+        return all(finite_numbers(v) for v in node.values())
+    if isinstance(node, list):
+        return all(finite_numbers(v) for v in node)
+    return not isinstance(node, float) or np.isfinite(node)
+
+
+@pytest.mark.parametrize("changes", [
+    {"period": 1e-300}, {"duration": 1e300, "sensors": []},
+    {"kappa_a": 1e308, "length": 0.5}, {"period": 1e-308},
+    {"sensors": [{"kind": "position3", "std": 1e200,
+                  "samples": [[0.3, 0.5]]}]},
+], ids=["period-tiny", "duration-huge", "kappa_a-huge", "period-tinier",
+        "std-huge"])
+def test_simulate_writes_only_finite_values(tmp_path, capsys, changes):
+    """Simulate either exits 2 with one error line, writing nothing, or
+    exits 0 with every value in measurements.json and ground_truth.csv
+    finite."""
+    cfg = write_config(tmp_path, **changes)
+    out = tmp_path / "run"
+    rc = cli.main(["simulate", "--config", cfg, "--out", str(out)])
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    if rc == cli.EXIT_INVALID:
+        assert captured.err.startswith("error:")
+        assert len(captured.err.splitlines()) == 1
+        assert not out.exists()
+        return
+    assert rc == cli.EXIT_OK
+    with open(out / "measurements.json", encoding="utf-8") as fh:
+        assert finite_numbers(json.load(fh))
+    rows = (out / "ground_truth.csv").read_text().splitlines()[2:]
+    assert np.all(np.isfinite([float(v) for row in rows
+                               for v in row.split(",")]))
 
 
 def test_exit_invalid_simulate_seed(tmp_path, capsys):
@@ -428,8 +474,11 @@ def test_state_rows_match_per_row_reference():
     axes /= np.linalg.norm(axes, axis=1, keepdims=True)
     half = 2 * axes[:, :, None] * axes[:, None, :] - np.eye(3)
     R = np.concatenate([np.eye(3)[None], half,
-                        so3_exp(np.array([[-0.9 * np.pi, 0, 0]])),
-                        so3_exp(rng.standard_normal((150, 3)))])
+                        se3_exp_with_jacobian(np.array(
+                            [[0, 0, 0, -0.9 * np.pi, 0, 0]]))[0],
+                        se3_exp_with_jacobian(np.column_stack(
+                            [np.zeros((150, 3)),
+                             rng.standard_normal((150, 3))]))[0]])
     P = len(R)
     raw = rotation_to_quaternion(R[1:8])
     first = raw[np.arange(7), np.argmax(raw != 0, axis=1)]

@@ -12,9 +12,8 @@ from stgp.liegroup import (SO3_LOG_QUAT_COS, ad6, adjoint,
                            dleft_jacobian_inv_vec, hat3, jinv_coeffs,
                            quaternion_to_rotation, rotation_to_quaternion,
                            se3_exp, se3_exp_with_jacobian,
-                           se3_left_jacobian_inv, se3_log, so3_exp,
-                           so3_left_jacobian, so3_left_jacobian_inv, so3_log,
-                           so3_log_angle)
+                           se3_left_jacobian_inv, se3_log,
+                           so3_left_jacobian_inv, so3_log, so3_log_angle)
 
 
 def bernoulli_exact(nmax: int):
@@ -78,6 +77,22 @@ def dleft_jacobian_vec(xi: np.ndarray, v: np.ndarray) -> np.ndarray:
 def se3_left_jacobian(xi: np.ndarray) -> np.ndarray:
     """The 6x6 left Jacobian of the chart decode kernel."""
     return se3_exp_with_jacobian(xi)[2]
+
+
+def rotation_twist(phi) -> np.ndarray:
+    phi = np.asarray(phi, dtype=float)
+    return np.concatenate([np.zeros(phi.shape), phi], axis=-1)
+
+
+def rotation_exp(phi) -> np.ndarray:
+    """exp(phi^), the rotation block of se3_exp_with_jacobian."""
+    return se3_exp_with_jacobian(rotation_twist(phi))[0]
+
+
+def rotation_jacobian(phi) -> np.ndarray:
+    """The SO(3) left Jacobian, the upper-left block of se3_exp_with_jacobian's
+    J_l."""
+    return se3_exp_with_jacobian(rotation_twist(phi))[2][..., :3, :3]
 
 
 def dleft_jacobian_inv(xi: np.ndarray, v: np.ndarray) -> np.ndarray:
@@ -182,11 +197,11 @@ def series_exp(m: np.ndarray, terms: int = 40) -> np.ndarray:
 
 
 def test_so3_exp_zero_is_identity():
-    assert np.allclose(so3_exp(np.zeros(3)), np.eye(3), atol=1e-15)
+    assert np.allclose(rotation_exp(np.zeros(3)), np.eye(3), atol=1e-15)
 
 
 def test_so3_exp_quarter_turn_maps_x_to_y():
-    r = so3_exp(np.array([0.0, 0.0, np.pi / 2]))
+    r = rotation_exp(np.array([0.0, 0.0, np.pi / 2]))
     assert np.allclose(r @ np.array([1.0, 0, 0]), [0.0, 1.0, 0.0], atol=1e-12)
 
 
@@ -195,7 +210,8 @@ def test_so3_exp_matches_series():
     for _ in range(20):
         phi = rng.standard_normal(3)
         phi *= 0.7 / np.linalg.norm(phi)
-        assert np.allclose(so3_exp(phi), series_exp(hat3(phi)), atol=1e-14)
+        assert np.allclose(rotation_exp(phi), series_exp(hat3(phi)),
+                           atol=1e-14)
 
 
 def test_so3_log_identity_is_zero():
@@ -204,14 +220,14 @@ def test_so3_log_identity_is_zero():
 
 def test_so3_log_roundtrip_specific():
     phi = np.array([0.1, -0.2, 0.3])
-    assert np.allclose(so3_log(so3_exp(phi)), phi, atol=1e-10)
+    assert np.allclose(so3_log(rotation_exp(phi)), phi, atol=1e-10)
 
 
 def test_so3_log_pi_branch_sign():
     # at exactly pi the axis sign is fixed: first nonzero component positive
-    out = so3_log(so3_exp(np.array([0.0, 0.0, np.pi])))
+    out = so3_log(rotation_exp(np.array([0.0, 0.0, np.pi])))
     assert np.allclose(out, [0.0, 0.0, np.pi], atol=1e-9)
-    out = so3_log(so3_exp(np.array([0.0, 0.0, -np.pi])))
+    out = so3_log(rotation_exp(np.array([0.0, 0.0, -np.pi])))
     assert np.allclose(out, [0.0, 0.0, np.pi], atol=1e-9)
 
 
@@ -219,7 +235,7 @@ def test_so3_exp_inverse_pairing():
     rng = np.random.default_rng(4)
     for _ in range(50):
         phi = rng.standard_normal(3)
-        assert np.allclose(so3_exp(phi) @ so3_exp(-phi), np.eye(3),
+        assert np.allclose(rotation_exp(phi) @ rotation_exp(-phi), np.eye(3),
                            atol=1e-12)
 
 
@@ -228,13 +244,13 @@ def test_so3_exp_determinant_one():
     for _ in range(50):
         phi = rng.standard_normal(3)
         phi *= rng.uniform(0, np.pi) / np.linalg.norm(phi)
-        assert abs(np.linalg.det(so3_exp(phi)) - 1.0) < 1e-12
+        assert abs(np.linalg.det(rotation_exp(phi)) - 1.0) < 1e-12
 
 
 def test_so3_small_angle_branch():
     for mag in (1e-12, 1e-9, 5e-9, 2e-8):
         phi = np.array([mag, -0.5 * mag, 0.25 * mag])
-        r = so3_exp(phi)
+        r = rotation_exp(phi)
         assert np.allclose(r, series_exp(hat3(phi)), atol=1e-15)
         assert np.allclose(so3_log(r), phi, atol=1e-15)
 
@@ -291,7 +307,7 @@ def test_adjoint_identity():
 
 
 def test_adjoint_pure_rotation_block_diagonal():
-    r = so3_exp(np.array([0.3, -0.4, 0.5]))
+    r = rotation_exp(np.array([0.3, -0.4, 0.5]))
     m = np.eye(4)
     m[:3, :3] = r
     ad = adjoint(m)
@@ -372,7 +388,7 @@ def test_so3_left_jacobian_series():
             fact *= (n + 1)
             ref += term / fact
             term = term @ hat3(phi)
-        assert np.allclose(so3_left_jacobian(phi), ref, atol=1e-12)
+        assert np.allclose(rotation_jacobian(phi), ref, atol=1e-12)
 
 
 def test_so3_left_jacobian_inv_near_pi():
@@ -445,7 +461,7 @@ def test_so3_log_matches_quaternion_route():
         [f(rng, 500) for f in ANGLE_BUCKETS.values()]
         + [switch * (1.0 + rng.uniform(-1e-3, 1e-3, 2000)),
            switch * (1.0 + np.array([-1e-12, 1e-12])), np.full(50, np.pi)])
-    r = so3_exp(twists_at_angles(35, angles)[:, 3:])
+    r = rotation_exp(twists_at_angles(35, angles)[:, 3:])
     phi, theta = so3_log_angle(r)
     ref = so3_log_quaternion(r)
     assert np.all(np.max(np.abs(phi - ref), axis=1) <= 1e-15 * theta)
@@ -478,7 +494,7 @@ def test_skew_builders_match_elementwise_reference():
 
 def test_quaternion_roundtrip():
     for xi in random_twists(27, 100, np.pi * 0.999):
-        r = so3_exp(xi[3:])
+        r = rotation_exp(xi[3:])
         q = rotation_to_quaternion(r)
         assert abs(np.linalg.norm(q) - 1.0) < 1e-12
         assert np.allclose(quaternion_to_rotation(q), r, atol=1e-12)

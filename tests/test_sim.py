@@ -8,7 +8,7 @@ import pytest
 from scipy.integrate import quad
 
 from stgp.cli import load_config
-from stgp.liegroup import adjoint, se3_log
+from stgp.liegroup import adjoint, pose_matrix, se3_log
 from stgp.sim import GroundTruth, SensorSpec, generate_measurements
 
 
@@ -49,13 +49,18 @@ def planar_reference(cfg, s: float, t: float):
     return R, p, vel, eps, deps
 
 
-@pytest.mark.parametrize("duration", [2.0, 0.0])
-def test_states_match_planar_physics(duration):
-    """Poses and strains to 1e-12 and their time rates to 1e-5 at
-    off-lattice and lattice points, at both ends of the rod and at t = 0 and
-    t = duration, where the differences are one-sided; a duration-0
-    scenario has zero rates."""
-    cfg = load_config("configs/fig3.json")
+# a rod that turns by up to 20 rad, one quadrature panel's worth
+CURVED = {"kappa0": 15.0, "kappa_a": 5.0}
+
+
+@pytest.mark.parametrize("duration,bend", [(2.0, {}), (0.0, {}),
+                                           (2.0, CURVED)],
+                         ids=["2.0", "0.0", "curved"])
+def test_states_match_planar_physics(duration, bend):
+    """Poses, strains and their time rates to 1e-12 at knots and between
+    them, at both ends of the rod and at t = 0 and t = duration, on fig3 and
+    on a strongly curved rod; a duration-0 scenario has zero rates."""
+    cfg = dataclasses.replace(load_config("configs/fig3.json"), **bend)
     if duration == 0.0:
         cfg = dataclasses.replace(cfg, duration=0.0, n_time=1)
     rng = np.random.default_rng(4)
@@ -73,8 +78,36 @@ def test_states_match_planar_physics(duration):
         if duration == 0.0:
             assert not got.vel[i].any() and not got.sv[i].any()
         else:
-            assert np.max(np.abs(got.vel[i] - vel)) < 1e-5
-            assert np.max(np.abs(got.sv[i] - deps)) < 1e-5
+            assert np.max(np.abs(got.vel[i] - vel)) < 1e-12
+            assert np.max(np.abs(got.sv[i] - deps)) < 1e-12
+
+
+@pytest.mark.parametrize("bend", [{}, CURVED], ids=["fig3", "curved"])
+def test_rates_match_finite_differences(bend):
+    """The exact derivatives against central differences of the states
+    themselves, which share no formula with them: velocity against
+    log(T(t+h) T(t-h)^-1) / 2h, strain rate against (eps(t+h) - eps(t-h)) /
+    2h and strain against log(T(s+h) T(s-h)^-1) / 2h, at interior points,
+    to 1e-8 (the differences' own error is below 3e-9 at h = 1e-5)."""
+    cfg = dataclasses.replace(load_config("configs/fig3.json"), **bend)
+    truth = GroundTruth(cfg)
+    rng = np.random.default_rng(5)
+    s = rng.uniform(0.01, cfg.length - 0.01, 20)
+    t = rng.uniform(0.01, cfg.duration - 0.01, 20)
+    h = 1e-5
+    x = truth.states(s, t)
+
+    def difference(ds, dt):
+        plus, minus = truth.states(s + ds, t + dt), truth.states(s - ds, t - dt)
+        log = se3_log(pose_matrix(plus.R, plus.t)
+                      @ np.linalg.inv(pose_matrix(minus.R, minus.t)))
+        return log / (2 * h), (plus.eps - minus.eps) / (2 * h)
+
+    vel, sv = difference(0.0, h)
+    eps, _ = difference(h, 0.0)
+    assert np.max(np.abs(vel - x.vel)) < 1e-8
+    assert np.max(np.abs(sv - x.sv)) < 1e-8
+    assert np.max(np.abs(eps - x.eps)) < 1e-8
 
 
 def test_states_reject_arclength_off_the_rod():
