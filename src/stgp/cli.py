@@ -41,7 +41,8 @@ positive definite; 2 invalid input, which is one of
   simulate       a sample off the rod or outside [0, duration], a rod that
                  turns more than the simulator integrates, or a ground-truth
                  value that is not finite
-  measurements   a record malformed, or its value or noise_cov not finite
+  measurements   a record malformed, its value or noise_cov not finite, or
+                 a pose6 quaternion all zero
   query          a point out of the hull or not finite; --grid given with
                  --s or --t
   posterior.bin  an array missing or of a shape that does not fit the knot
@@ -167,19 +168,11 @@ def _dump_json(obj, path: str) -> None:
 # measurement files
 
 
-def _quaternions(R: np.ndarray) -> np.ndarray:
-    """(B, 4) unit quaternions (w, x, y, z) of (B, 3, 3) rotations, each
-    signed so that its first non-zero component is positive."""
-    q = rotation_to_quaternion(R)
-    first = np.argmax(q != 0.0, axis=-1)[..., None]
-    return np.where(np.take_along_axis(q, first, -1) < 0, -q, q)
-
-
 def measurement_to_dict(m: Measurement) -> dict:
     rec = {"kind": m.kind, "s": m.s, "t": m.t,
            "noise_cov": [list(row) for row in np.asarray(m.noise_cov)]}
     if m.kind == "pose6":
-        quat = _quaternions(m.value[None, :3, :3])[0]
+        quat = rotation_to_quaternion(m.value[:3, :3])
         rec["value"] = {"quat_wxyz": list(quat),
                         "translation": list(m.value[:3, 3])}
     else:
@@ -193,8 +186,10 @@ def measurement_from_dict(rec: dict) -> Measurement:
     value = rec["value"]
     if rec["kind"] == "pose6":
         quat = np.asarray(value["quat_wxyz"], dtype=float)
-        if quat.shape != (4,):
-            raise ValueError("pose6 quat_wxyz must hold 4 numbers")
+        if quat.shape != (4,) or not np.all(np.isfinite(quat)) \
+                or not np.any(quat):
+            raise ValueError("pose6 quat_wxyz must hold 4 finite numbers,"
+                             " not all zero")
         value = pose_matrix(quaternion_to_rotation(quat),
                             np.asarray(value["translation"], dtype=float))
     return Measurement(rec["kind"], rec["s"], rec["t"], value,
@@ -236,7 +231,8 @@ def state_rows(s, t, states: StateArrays, stds: Optional[np.ndarray] = None):
     %.17g, yielded as text slices of CHUNK lines at most."""
     cols = [np.asarray(s, dtype=float)[:, None],
             np.asarray(t, dtype=float)[:, None], states.t,
-            _quaternions(states.R), states.eps, states.vel, states.sv]
+            rotation_to_quaternion(states.R), states.eps, states.vel,
+            states.sv]
     if stds is not None:
         cols.append(stds)
     line = ",".join(["%.17g"] * sum(c.shape[1] for c in cols)) + "\n"

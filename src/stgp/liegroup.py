@@ -5,8 +5,9 @@ Conventions, fixed once here and relied on everywhere else:
 * Twists are 6-vectors ordered linear-then-angular: (vx, vy, vz, wx, wy, wz).
 * Perturbations act on the left (world side): T <- exp(delta^) @ T.
 * se3_exp maps a twist to a 4x4 homogeneous transform; se3_log inverts it on
-  the angular range [0, pi].  At angle exactly pi the rotation axis sign is
-  ambiguous; we return the axis whose first nonzero component is positive.
+  the angular range [0, pi].  At angle pi the rotation axis sign is
+  ambiguous; within 2e-12 of pi we return the axis whose first component
+  above 1e-12 in magnitude is positive.
 * Closed-form small-angle branches switch below ANGLE_EPS; the series forms
   used there agree with the closed forms to well under 1e-12.
 
@@ -29,9 +30,13 @@ Where each Jacobian comes from:
 so3_log takes the angle as atan2(|vee(R - R^T)|/2, (tr R - 1)/2) and the
 vector as angle/sin(angle) * vee(R - R^T)/2.  The axis of that vee loses
 relative accuracy as 1/sin(angle), so items with cos(angle) below
-SO3_LOG_QUAT_COS (angles above about 0.955 pi) take angle and axis from the
-unit quaternion instead, which also fixes the sign at exactly pi.  On the
-vee side of the switch the two routes agree to within 1e-15 per radian.
+SO3_LOG_SYM_COS (angles above about 0.955 pi) read the axis a from the
+symmetric part instead, (R + R^T)/2 - cos(angle) I = (1 - cos(angle)) a a^T:
+the column of its largest diagonal entry, normalized and signed by the vee
+(within 2e-12 of pi, where either sign gives R to 4e-12, by the rule above).
+Both routes agree with SciPy's quaternion log to within 1e-15 per radian.
+rotation_to_quaternion is the half-angle form of this one log, so a rotation
+has one set of parameters and one sign rule.
 
 All functions broadcast over leading batch dimensions; a bare (3,) / (3,3) /
 (6,) / (4,4) input returns an unbatched result.
@@ -43,8 +48,9 @@ import numpy as np
 from scipy.special import zeta
 
 ANGLE_EPS = 1e-2
-# cos(angle) below which so3_log takes the quaternion route (module docstring)
-SO3_LOG_QUAT_COS = -0.99
+# cos(angle) below which so3_log reads the axis from the symmetric part of R
+# (module docstring)
+SO3_LOG_SYM_COS = -0.99
 
 _I3 = np.eye(3)
 _I6 = np.eye(6)
@@ -115,94 +121,10 @@ def _sinc_coeffs(theta: np.ndarray):
     return a, b, c
 
 
-def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
-    """Unit quaternion (w, x, y, z) with w >= 0, via Shepperd's pivoting."""
-    r = np.asarray(r, dtype=float)
-    batch = r.shape[:-2]
-    tr = np.trace(r, axis1=-2, axis2=-1)
-    m = np.stack([tr, r[..., 0, 0], r[..., 1, 1], r[..., 2, 2]], axis=-1)
-    pivot = np.argmax(m, axis=-1)
-
-    def g(i, j):
-        return r[..., i, j]
-
-    s0 = np.sqrt(np.maximum(1.0 + tr, 1e-30))
-    q0 = np.stack([s0 / 2, (g(2, 1) - g(1, 2)) / (2 * s0),
-                   (g(0, 2) - g(2, 0)) / (2 * s0),
-                   (g(1, 0) - g(0, 1)) / (2 * s0)], axis=-1)
-    s1 = np.sqrt(np.maximum(1.0 + g(0, 0) - g(1, 1) - g(2, 2), 1e-30))
-    q1 = np.stack([(g(2, 1) - g(1, 2)) / (2 * s1), s1 / 2,
-                   (g(0, 1) + g(1, 0)) / (2 * s1),
-                   (g(0, 2) + g(2, 0)) / (2 * s1)], axis=-1)
-    s2 = np.sqrt(np.maximum(1.0 - g(0, 0) + g(1, 1) - g(2, 2), 1e-30))
-    q2 = np.stack([(g(0, 2) - g(2, 0)) / (2 * s2),
-                   (g(0, 1) + g(1, 0)) / (2 * s2), s2 / 2,
-                   (g(1, 2) + g(2, 1)) / (2 * s2)], axis=-1)
-    s3 = np.sqrt(np.maximum(1.0 - g(0, 0) - g(1, 1) + g(2, 2), 1e-30))
-    q3 = np.stack([(g(1, 0) - g(0, 1)) / (2 * s3),
-                   (g(0, 2) + g(2, 0)) / (2 * s3),
-                   (g(1, 2) + g(2, 1)) / (2 * s3), s3 / 2], axis=-1)
-
-    cands = np.stack([q0, q1, q2, q3], axis=0)
-    idx = np.broadcast_to(pivot, batch)[None, ..., None]
-    q = np.take_along_axis(cands, idx, axis=0)[0]
-    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    flip = np.signbit(q[..., 0])
-    q = np.where(flip[..., None], -q, q)
-    return q
-
-
-def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
-    q = np.asarray(q, dtype=float)
-    q = q / np.linalg.norm(q, axis=-1, keepdims=True)
-    w, x, y, z = q[..., 0], q[..., 1], q[..., 2], q[..., 3]
-    out = np.empty(q.shape[:-1] + (3, 3))
-    out[..., 0, 0] = 1 - 2 * (y * y + z * z)
-    out[..., 0, 1] = 2 * (x * y - w * z)
-    out[..., 0, 2] = 2 * (x * z + w * y)
-    out[..., 1, 0] = 2 * (x * y + w * z)
-    out[..., 1, 1] = 1 - 2 * (x * x + z * z)
-    out[..., 1, 2] = 2 * (y * z - w * x)
-    out[..., 2, 0] = 2 * (x * z - w * y)
-    out[..., 2, 1] = 2 * (y * z + w * x)
-    out[..., 2, 2] = 1 - 2 * (x * x + y * y)
-    return out
-
-
-def _so3_log_quaternion(r: np.ndarray):
-    """so3_log_angle's route near pi: (rotation vector, angle) of (B, 3, 3)
-    rotations through the unit quaternion, whose axis stays accurate
-    arbitrarily close to pi.  At pi (where +/-axis give the same rotation)
-    the sign is canonicalized: first nonzero axis component positive."""
-    q = rotation_to_quaternion(r)
-    w = q[..., 0]
-    vec = q[..., 1:]
-    n = np.linalg.norm(vec, axis=-1)
-    theta = 2.0 * np.arctan2(n, w)
-    small = n < 1e-9
-    safe_n = np.where(small, 1.0, n)
-    # theta/n, with theta ~ 2n/w for tiny n
-    scale = np.where(small, 2.0 / np.where(w == 0, 1.0, w), theta / safe_n)
-    phi = scale[..., None] * vec
-
-    at_pi = w < 1e-12
-    if np.any(at_pi):
-        axis = vec / safe_n[..., None]
-        first = np.zeros(axis.shape[:-1])
-        for k in (2, 1, 0):
-            comp = axis[..., k]
-            use = np.abs(comp) > 1e-12
-            first = np.where(use, comp, first)
-        sign = np.where(first < 0, -1.0, 1.0)
-        phi_pi = (theta * sign)[..., None] * axis
-        phi = np.where(at_pi[..., None], phi_pi, phi)
-    return phi, theta
-
-
 def so3_log_angle(r: np.ndarray):
     """Rotation vector of R and its angle in [0, pi]: atan2 of the vee of
-    R - R^T against the trace, or the quaternion route where cos(angle) <
-    SO3_LOG_QUAT_COS (module docstring)."""
+    R - R^T against the trace, with the axis read from the symmetric part
+    where cos(angle) < SO3_LOG_SYM_COS (module docstring)."""
     r = np.asarray(r, dtype=float)
     batch = r.shape[:-2]
     flat = r.reshape(-1, 9)
@@ -212,11 +134,45 @@ def so3_log_angle(r: np.ndarray):
     theta = np.arctan2(s, c)
     # angle/sin(angle); s is exactly 0 only at angle 0 or pi
     phi = (theta / np.where(s > 0.0, s, 1.0))[:, None] * v
-    near_pi = c < SO3_LOG_QUAT_COS
+    near_pi = c < SO3_LOG_SYM_COS
     if np.any(near_pi):
-        phi[near_pi], theta[near_pi] = _so3_log_quaternion(
-            flat[near_pi].reshape(-1, 3, 3))
+        # (R + R^T)/2 - c I = (1 - c) a a^T: its column of largest diagonal
+        r, th = flat[near_pi].reshape(-1, 3, 3), theta[near_pi]
+        sym = 0.5 * (r + r.swapaxes(1, 2)) - c[near_pi, None, None] * _I3
+        k = np.argmax(np.diagonal(sym, axis1=1, axis2=2), axis=-1)
+        col = np.take_along_axis(sym, k[:, None, None], axis=2)[..., 0]
+        axis = col / np.sqrt(np.sum(col * col, axis=-1))[:, None]
+        # signed by the vee, or within 2e-12 of pi, where either sign gives
+        # R to 4e-12, by its first component above 1e-12 in magnitude
+        first = np.argmax(np.abs(axis) > 1e-12, axis=-1)[:, None]
+        sign = np.where((np.pi - th < 2e-12)[:, None],
+                        np.take_along_axis(axis, first, axis=-1),
+                        np.sum(axis * v[near_pi], axis=-1, keepdims=True))
+        phi[near_pi] = np.where(sign < 0.0, -th[:, None], th[:, None]) * axis
     return phi.reshape(batch + (3,)), theta.reshape(batch)
+
+
+def rotation_to_quaternion(r: np.ndarray) -> np.ndarray:
+    """Unit quaternion (w, x, y, z) = (cos(angle/2), sin(angle/2)/angle phi)
+    of (phi, angle) = so3_log_angle(R).  The angle is at most pi in floating
+    point, so w > 0; within 2e-12 of a half turn the vector takes so3_log's
+    sign rule."""
+    phi, theta = so3_log_angle(r)
+    half = 0.5 * np.sinc(theta / (2.0 * np.pi))  # sin(angle/2)/angle
+    return np.concatenate([np.cos(0.5 * theta)[..., None],
+                           half[..., None] * phi], axis=-1)
+
+
+def quaternion_to_rotation(q: np.ndarray) -> np.ndarray:
+    """Rotation I + 2w hat(v) + 2 hat(v)^2 of the quaternion q = (w, v),
+    which need not be unit: it is divided by its largest |component|, so its
+    norm can neither overflow nor underflow, then normalized.  q must be
+    finite and not all zero."""
+    q = np.asarray(q, dtype=float)
+    q = q / np.max(np.abs(q), axis=-1, keepdims=True)
+    q = q / np.sqrt(np.sum(q * q, axis=-1, keepdims=True))
+    vh = hat3(q[..., 1:])
+    return _I3 + 2.0 * q[..., 0, None, None] * vh + 2.0 * (vh @ vh)
 
 
 def so3_log(r: np.ndarray) -> np.ndarray:

@@ -63,6 +63,8 @@ BLOCK = 24
 # (dn, dk) of the forward stencil neighbours, in slot order 1..4
 FORWARD = ((1, 0), (-1, 1), (0, 1), (1, 1))
 SLOTS = 1 + len(FORWARD)
+# a Gauss-Newton step is halved at most this often before the run stops
+MAX_STEP_HALVINGS = 8
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -491,7 +493,6 @@ class SolverOptions:
 
     max_iters: int = 50
     tol: float = 1e-8
-    max_step_halvings: int = 8
 
     def __post_init__(self):
         if self.max_iters < 1:
@@ -625,7 +626,7 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
         scale = 1.0
         accepted = False
         nh = 0
-        for nh in range(opts.max_step_halvings + 1):
+        for nh in range(MAX_STEP_HALVINGS + 1):
             system = None  # a rejected trial's system goes before the next
             trial = apply_update(grid, scale * delta)
             t = time.perf_counter()
@@ -637,7 +638,7 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
             scale *= 0.5
         halvings.append(nh)
         if not accepted:
-            message = (f"step halving exhausted after {opts.max_step_halvings}"
+            message = (f"step halving exhausted after {MAX_STEP_HALVINGS}"
                        f" halvings at iteration {iterations}")
             break
         grid = trial

@@ -300,15 +300,15 @@ def test_exit_invalid_query(run_dir, args, capsys):
     ("measurements", {"schema": "stgp.measurements/1.0", "measurements": [
         {"kind": "position3", "s": 0.0, "t": 0.0,
          "noise_cov": [[1, 0, 0], [0, 1, 0], [0, 0, 1]]}]}),
-    ("measurements", {"schema": "stgp.measurements/1.0", "measurements": [
+] + [("measurements", {"schema": "stgp.measurements/1.0", "measurements": [
         {"kind": "pose6", "s": 0.0, "t": 0.0,
-         "value": {"quat_wxyz": [1, 0, 0], "translation": [0, 0, 0]},
-         "noise_cov": np.eye(6).tolist()}]}),
-])
+         "value": {"quat_wxyz": quat, "translation": [0, 0, 0]},
+         "noise_cov": np.eye(6).tolist()}]})
+    for quat in ([1, 0, 0], [0, 0, 0, 0], [float("inf"), 0, 0, 0])])
 def test_exit_invalid_input_files(run_dir, tmp_path, capsys, what, content):
     """Malformed config and measurement files exit 2 with an error line:
     a top-level list, a missing measurement list, a record without
-    `value`, a pose6 quaternion of three numbers."""
+    `value`, a pose6 quaternion of three numbers, all zero or not finite."""
     _, out = run_dir
     path = str(tmp_path / f"{what}.json")
     with open(path, "w", encoding="utf-8") as fh:
@@ -321,6 +321,21 @@ def test_exit_invalid_input_files(run_dir, tmp_path, capsys, what, content):
     assert cli.main(args) == cli.EXIT_INVALID
     err = capsys.readouterr().err
     assert err.startswith("error:") and len(err.splitlines()) == 1
+
+
+def test_pose6_quaternion_read_at_any_scale():
+    """The reader takes a pose6 quaternion at any finite, nonzero scale:
+    (1e308, 1e308, 0, 0), whose norm overflows, is the quarter turn about
+    x, and (1e-320, 0, 0, 0), whose norm underflows, is the identity."""
+    quarter_x = np.array([[1.0, 0.0, 0.0], [0.0, 0.0, -1.0],
+                          [0.0, 1.0, 0.0]])
+    for quat, R in (([1e308, 1e308, 0.0, 0.0], quarter_x),
+                    ([1e-320, 0.0, 0.0, 0.0], np.eye(3))):
+        m = cli.measurement_from_dict(
+            {"kind": "pose6", "s": 0.0, "t": 0.0, "noise_cov": np.eye(6),
+             "value": {"quat_wxyz": quat, "translation": [1.0, 2.0, 3.0]}})
+        assert np.allclose(m.value, pose_matrix(R, [1.0, 2.0, 3.0]),
+                           rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("field", ["value", "noise_cov"])
@@ -409,19 +424,9 @@ def test_exit_invalid_posterior_shapes(run_dir, tmp_path, capsys, name):
     assert captured.out == ""
 
 
-def _canonical_quat(R: np.ndarray) -> np.ndarray:
-    """Per-row reference: R's quaternion with its first non-zero component
-    positive."""
-    q = rotation_to_quaternion(R)
-    for c in q:
-        if c != 0.0:
-            return -q if c < 0 else q
-    return q
-
-
 def state_row(s: float, t: float, x, stds=None) -> str:
     """Per-row reference of one line of `cli.state_rows`."""
-    vals = [s, t, *x.pose.t, *_canonical_quat(x.pose.R), *x.strain,
+    vals = [s, t, *x.pose.t, *rotation_to_quaternion(x.pose.R), *x.strain,
             *x.velocity, *x.strain_velocity]
     if stds is not None:
         vals.extend(stds)
@@ -464,10 +469,9 @@ def test_query_grid_rows_match_one_batch(run_dir, monkeypatch):
 
 def test_state_rows_match_per_row_reference():
     """The batched writer prints the per-row reference's bytes: for the
-    identity, half turns (w = 0, the first non-zero component negative
-    before the sign is fixed), a quaternion whose pivot gives w < 0 before
-    Shepperd's flip, entries of -0.0, random states over several slices and
-    an empty batch.  Pose measurements take the same quaternions."""
+    identity, half turns, a turn of 0.9 pi, entries of -0.0, random states
+    over several slices and an empty batch, every quaternion with w > 0.
+    Pose measurements take the same quaternions."""
     rng = np.random.default_rng(60)
     axes = np.array([[1, 0, 0], [0, 1, 0], [0, 0, 1], [1, -2, 0],
                      [0, 1, -3], [-3, 0, 1]], dtype=float)
@@ -480,9 +484,7 @@ def test_state_rows_match_per_row_reference():
                             [np.zeros((150, 3)),
                              rng.standard_normal((150, 3))]))[0]])
     P = len(R)
-    raw = rotation_to_quaternion(R[1:8])
-    first = raw[np.arange(7), np.argmax(raw != 0, axis=1)]
-    assert np.all(raw[:6, 0] == 0) and np.any(first < 0)
+    assert np.all(rotation_to_quaternion(R)[:, 0] > 0)
     t, eps, vel, sv = (rng.standard_normal((P, k)) for k in (3, 6, 6, 6))
     stds = np.abs(rng.standard_normal((P, 24)))
     for a in (t, eps, vel, sv, stds):
@@ -502,7 +504,7 @@ def test_state_rows_match_per_row_reference():
         m = Measurement("pose6", 0.0, 0.0, pose_matrix(r, np.zeros(3)),
                         np.eye(6))
         assert json.dumps(cli.measurement_to_dict(m)["value"]["quat_wxyz"]) \
-            == json.dumps(list(_canonical_quat(r)))
+            == json.dumps(list(rotation_to_quaternion(r)))
 
 
 def test_query_grid_memory_per_point(run_dir, monkeypatch):

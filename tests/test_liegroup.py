@@ -7,8 +7,9 @@ from math import comb, factorial
 import numpy as np
 import pytest
 from scipy.linalg import expm
+from scipy.spatial.transform import Rotation
 
-from stgp.liegroup import (SO3_LOG_QUAT_COS, ad6, adjoint,
+from stgp.liegroup import (SO3_LOG_SYM_COS, ad6, adjoint,
                            dleft_jacobian_inv_vec, hat3, jinv_coeffs,
                            quaternion_to_rotation, rotation_to_quaternion,
                            se3_exp, se3_exp_with_jacobian,
@@ -129,23 +130,16 @@ def se3_left_jacobian_inv_closed(xi: np.ndarray) -> np.ndarray:
     return out
 
 
-def so3_log_quaternion(r: np.ndarray) -> np.ndarray:
-    """Rotation vector of R through the unit quaternion, angle in [0, pi];
-    at pi the first nonzero axis component is positive."""
-    q = rotation_to_quaternion(r)
-    w, vec = q[..., 0], q[..., 1:]
-    n = np.linalg.norm(vec, axis=-1)
-    theta = 2.0 * np.arctan2(n, w)
-    small = n < 1e-9
-    safe_n = np.where(small, 1.0, n)
-    scale = np.where(small, 2.0 / np.where(w == 0, 1.0, w), theta / safe_n)
-    phi = scale[..., None] * vec
-    axis = vec / safe_n[..., None]
-    first = np.zeros(axis.shape[:-1])
-    for k in (2, 1, 0):
-        first = np.where(np.abs(axis[..., k]) > 1e-12, axis[..., k], first)
-    phi_pi = (theta * np.where(first < 0, -1.0, 1.0))[..., None] * axis
-    return np.where((w < 1e-12)[..., None], phi_pi, phi)
+def so3_log_scipy(r: np.ndarray) -> np.ndarray:
+    """SciPy's rotation vector of R, an independent quaternion log, with
+    so3_log's sign rule within 2e-12 of pi: the first axis component above
+    1e-12 in magnitude positive."""
+    phi = Rotation.from_matrix(r).as_rotvec()
+    theta = np.linalg.norm(phi, axis=-1, keepdims=True)
+    axis = phi / np.where(theta > 0.0, theta, 1.0)
+    first = np.take_along_axis(
+        axis, np.argmax(np.abs(axis) > 1e-12, axis=-1)[..., None], axis=-1)
+    return np.where((np.pi - theta < 2e-12) & (first < 0), -phi, phi)
 
 
 def skew_reference(v: np.ndarray) -> np.ndarray:
@@ -452,24 +446,24 @@ def test_left_jacobian_inv_matches_closed_form(bucket):
 
 
 def test_so3_log_matches_quaternion_route():
-    """Within 1e-15 per radian of the quaternion log over the whole range
-    and on both sides of the switch; past the switch, at pi with its sign
-    rule included, it is that route bit for bit."""
+    """Within 1e-15 per radian of SciPy's quaternion log over the whole
+    range, on both sides of the switch to the symmetric-part axis and at and
+    near pi with its sign rule; unbatched as batched."""
     rng = np.random.default_rng(34)
-    switch = np.arccos(SO3_LOG_QUAT_COS)
+    switch = np.arccos(SO3_LOG_SYM_COS)
     angles = np.concatenate(
         [f(rng, 500) for f in ANGLE_BUCKETS.values()]
         + [switch * (1.0 + rng.uniform(-1e-3, 1e-3, 2000)),
-           switch * (1.0 + np.array([-1e-12, 1e-12])), np.full(50, np.pi)])
+           switch * (1.0 + np.array([-1e-12, 1e-12])),
+           np.pi - 10.0 ** rng.uniform(-15, -3, 500), np.full(50, np.pi)])
     r = rotation_exp(twists_at_angles(35, angles)[:, 3:])
     phi, theta = so3_log_angle(r)
-    ref = so3_log_quaternion(r)
+    ref = so3_log_scipy(r)
     assert np.all(np.max(np.abs(phi - ref), axis=1) <= 1e-15 * theta)
     assert np.all(np.abs(theta - np.linalg.norm(ref, axis=1)) <= 1e-15 * theta)
-    past = 0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0) < SO3_LOG_QUAT_COS
-    assert past.sum() > 1000 and (~past).sum() > 3000
-    assert np.array_equal(phi[past], ref[past])
-    assert np.array_equal(so3_log(r[-1]), ref[-1])
+    past = 0.5 * (np.trace(r, axis1=1, axis2=2) - 1.0) < SO3_LOG_SYM_COS
+    assert past.sum() > 1500 and (~past).sum() > 3000
+    assert np.array_equal(so3_log(r[-1]), phi[-1])
 
 
 def test_skew_builders_match_elementwise_reference():
@@ -493,8 +487,29 @@ def test_skew_builders_match_elementwise_reference():
 
 
 def test_quaternion_roundtrip():
-    for xi in random_twists(27, 100, np.pi * 0.999):
-        r = rotation_exp(xi[3:])
-        q = rotation_to_quaternion(r)
-        assert abs(np.linalg.norm(q) - 1.0) < 1e-12
-        assert np.allclose(quaternion_to_rotation(q), r, atol=1e-12)
+    """Unit norm and w > 0; R -> q -> R within 1e-12 at any angle, half
+    turns and rotations within 1e-9 of them included, and within 2e-15
+    outside 2e-12 of pi.  Inside that window, where the axis takes so3_log's
+    sign rule, q may stand for the rotation by -angle about the axis, which
+    moves R by at most 2 (pi - angle) < 4e-12.  Any finite, nonzero scale
+    of q, negative included, gives the same rotation: scaling by the largest
+    |component| first keeps the norm of 1e300 q from overflowing and that of
+    1e-300 q from underflowing."""
+    rng = np.random.default_rng(27)
+    angles = np.concatenate([rng.uniform(0.0, np.pi, 1000), [0.0],
+                             np.pi - rng.uniform(2.5e-12, 1e-9, 200),
+                             np.full(20, np.pi),
+                             np.pi - rng.uniform(0.0, 2e-12, 200)])
+    r = rotation_exp(twists_at_angles(28, angles)[:, 3:])
+    q = rotation_to_quaternion(r)
+    assert np.all(np.abs(np.linalg.norm(q, axis=1) - 1.0) < 1e-12)
+    assert np.all(q[:, 0] > 0.0)
+    err = np.max(np.abs(quaternion_to_rotation(q) - r), axis=(1, 2))
+    window = np.pi - so3_log_angle(r)[1] < 2e-12
+    assert np.array_equal(window, np.arange(len(r)) >= 1201)
+    assert np.all(err[:1221] < 1e-12)
+    assert np.all(err[~window] <= 2e-15) and np.all(err[window] <= 4e-12)
+    assert np.array_equal(rotation_to_quaternion(r[5]), q[5])
+    for scale in (1e-300, -3.0, 1e300):
+        assert np.allclose(quaternion_to_rotation(scale * q),
+                           quaternion_to_rotation(q), rtol=0, atol=2e-15)

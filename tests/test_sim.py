@@ -28,7 +28,7 @@ def planar_reference(cfg, s: float, t: float):
         return da * u * u / (2.0 * L)
 
     def integral(f):
-        return quad(f, 0.0, s, epsabs=1e-14, epsrel=1e-13, limit=200)[0]
+        return quad(f, 0.0, s, epsabs=1e-13, epsrel=1e-13, limit=200)[0]
 
     p = np.array([integral(lambda u: np.cos(theta(u))),
                   integral(lambda u: np.sin(theta(u))), 0.0])

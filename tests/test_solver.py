@@ -474,11 +474,11 @@ def test_gn_reports_step_halving_exhaustion(identity_params, monkeypatch):
     factors.measurement = build_measurement_factors(
         [Measurement("pose6", 0.0, 0.0, T, np.eye(6))], grid,
         identity_params)
-    opts = SolverOptions(max_iters=10, tol=1e-10, max_step_halvings=4)
+    opts = SolverOptions(max_iters=10, tol=1e-10)
     post = gauss_newton(grid, factors, identity_params, opts)
     assert not post.report.converged
     assert "step halving exhausted" in post.report.message
-    assert post.report.halvings[-1] == 4
+    assert post.report.halvings[-1] == solver.MAX_STEP_HALVINGS
     assert post.report.iterations == 1
 
 
