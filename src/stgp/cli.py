@@ -81,7 +81,7 @@ from .solver import (BLOCK, SLOTS, ConvergenceReport, CornerCovariances,
 # (major, minor) of each artifact kind
 SCHEMA_VERSIONS = {"config": (1, 0), "measurements": (1, 0),
                    "ground_truth": (1, 0), "estimate": (1, 0),
-                   "report": (1, 1), "posterior": (2, 0)}
+                   "report": (1, 2), "posterior": (2, 0)}
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -287,7 +287,8 @@ def load_posterior(path: str) -> Posterior:
     its knots are not finite and increasing, when an array's shape does
     not fit the knot counts or when the prior mean state is mis-shaped or
     not finite; ValueError when `PriorParams` refuses a PSD or p0.  A report
-    of stgp.report/1.0 loads with no decrements."""
+    of stgp.report/1.0 loads with no decrements, and one of 1.0 or 1.1 with
+    as many factorizations as iterations."""
     if not zipfile.is_zipfile(path):  # also false for a missing file
         raise OSError(f"cannot read {path}: missing or not a zip archive")
     try:
@@ -329,6 +330,9 @@ def load_posterior(path: str) -> Posterior:
             rep = json.loads(str(z["report"]))
         if rep.get("schema") == "stgp.report/1.0":
             rep.setdefault("decrements", [])  # added in 1.1
+        if rep.get("schema") in ("stgp.report/1.0", "stgp.report/1.1"):
+            # added in 1.2; until then every iteration factorized once
+            rep.setdefault("factorizations", rep.get("iterations"))
         fields = dataclasses.fields(ConvergenceReport)
         report = ConvergenceReport(**{f.name: rep[f.name] for f in fields})
     except zipfile.BadZipFile as exc:

@@ -113,7 +113,10 @@ class ScenarioConfig:
     `tol` (> 0) ends Gauss-Newton once the decrement delta^T H delta, the
     cost decrease the linearized step predicts, falls below it, in
     chi-square units: the returned state is then within sqrt(tol)
-    posterior standard deviations of the next iterate at every node.
+    posterior standard deviations of the next iterate at every node.  A
+    step that reuses an earlier factorization (a decrement
+    delta^T H_old delta) never ends the run; the stop is checked with H
+    factorized at the returned state.
     """
 
     length: float

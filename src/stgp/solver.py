@@ -1,6 +1,9 @@
 """Batch MAP estimation over the space-time grid.
 
-Gauss-Newton with step halving on top of a banded normal-equations solver.
+Gauss-Newton with step halving on top of a banded normal-equations solver;
+once a step lies inside the posterior's 1-sigma ellipsoid the factorization
+is kept for the next steps (chord steps), and convergence and the
+covariance always come from a fresh factorization at the returned states.
 
 Linearization has one batched path for every factor.  A factor family is
 a `graph.Family`: either a prior kind, which `graph.build_prior_factors`
@@ -65,6 +68,15 @@ FORWARD = ((1, 0), (-1, 1), (0, 1), (1, 1))
 SLOTS = 1 + len(FORWARD)
 # a Gauss-Newton step is halved at most this often before the run stops
 MAX_STEP_HALVINGS = 8
+# a fresh decrement below this keeps its factorization for the next steps
+# (see `gauss_newton`): the step lies inside the posterior's joint 1-sigma
+# ellipsoid.  Above it H may still move: at 1e2 fig3 halved a chord step,
+# and at 1e3 long_rod took 9 iterations and 4 halvings, not 7 and 0
+FREEZE_DECREMENT = 1.0
+# a frozen solve is stepped with only while its decrement stays below this
+# fraction of the previous iteration's; one that stops contracting is solved
+# again with a fresh factorization at the same state
+CHORD_CONTRACTION = 1.0
 
 
 class NotPositiveDefiniteError(RuntimeError):
@@ -489,7 +501,9 @@ class SolverOptions:
     """`tol` bounds the Gauss-Newton decrement at which the iteration stops,
     in chi-square units of the cost (see `gauss_newton`): every node of the
     returned state is within sqrt(tol) posterior standard deviations of the
-    next Gauss-Newton iterate."""
+    next Gauss-Newton iterate.  The stop is tested on a decrement from a
+    fresh factorization at the returned state, never on a frozen one's;
+    `max_iters` counts steps, however many of them reuse a factorization."""
 
     max_iters: int = 50
     tol: float = 1e-8
@@ -505,6 +519,7 @@ class SolverOptions:
 class ConvergenceReport:
     converged: bool
     iterations: int
+    factorizations: int         # banded Cholesky runs, the covariance's too
     initial_cost: float
     final_cost: float
     cost_trace: List[float]
@@ -577,11 +592,24 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
     standard deviations.  A step with delta . rhs < 0 is no descent
     direction and never counts as converged.
 
-    Convergence is declared before applying the final step, so the
-    returned covariance is evaluated at exactly the reported states.  When the
-    iteration cap is hit or halving fails, the last factorization is still
-    used for the covariance and the report flags the non-convergence; a
-    non-positive-definite system raises instead.
+    Chord steps (Kelley, Iterative Methods for Linear and Nonlinear
+    Equations, 1995, 5.4).  A fresh factorization whose decrement lies in
+    [0, FREEZE_DECREMENT) is kept for the iterations that follow: the step
+    is then inside the posterior's joint 1-sigma ellipsoid, which changes H
+    too little to be worth a new factorization.  A frozen solve takes
+    delta = H_old^-1 rhs at the current state, and its decrement is
+    delta^T H_old delta = delta . rhs.  It is refactorized at the same
+    state, and solved again, when that decrement does not fall below
+    CHORD_CONTRACTION times the previous iteration's or falls below tol; a
+    step that needs halving ends the freeze as well.  Each iteration
+    records the decrement of the solve it steps with, or stops on.
+
+    Convergence is tested only on a fresh decrement, so the sqrt(tol)
+    bound above holds with H at the returned states, and convergence is
+    declared before applying the final step.  Every exit, converged, at
+    the iteration cap or with halving exhausted, leaves the covariance a
+    factorization at exactly the returned states; the report flags the
+    non-convergence, and a non-positive-definite system raises instead.
     """
     opts = opts or SolverOptions()
     t0 = time.perf_counter()
@@ -592,31 +620,57 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
     decrements: List[float] = []
     halvings: List[int] = []
     tl = tf = ts = 0.0
-    converged = False
+    n_fact = 0
+    converged = accepted = frozen = False
     message = "iteration limit reached"
-    t = time.perf_counter()
-    system = _linearize(geom, grid)
-    tl += time.perf_counter() - t
-    cost = system.cost
-    trace.append(cost)
 
-    for iterations in range(1, opts.max_iters + 1):
+    def linearized(at: Grid) -> BlockBandedSystem:
+        nonlocal tl
         t = time.perf_counter()
-        fact = None  # the previous band goes before the next is built
-        fact = factorize(system)
+        out = _linearize(geom, at)
+        tl += time.perf_counter() - t
+        return out
+
+    def factorized(lin: BlockBandedSystem) -> BandedFactorization:
+        nonlocal tf, n_fact
+        t = time.perf_counter()
+        out = factorize(lin)
         tf += time.perf_counter() - t
-        # of the system only its cost is read after the step
-        rhs, system = system.rhs_flat(), None
+        n_fact += 1
+        return out
+
+    def solved(fact: BandedFactorization, rhs: np.ndarray):
+        nonlocal ts
         t = time.perf_counter()
         delta = solve_factorized(fact, rhs)
         ts += time.perf_counter() - t
-        norms.append(float(np.max(np.abs(delta))) if delta.size else 0.0)
         # elementwise: a BLAS dot this long (24NK >= 1e4 at long_rod's
         # 41x11) wakes numpy's BLAS threads, which then spin against the
         # next linearization on a small machine
-        decrement = float(np.sum(delta * rhs))
+        return delta, float(np.sum(delta * rhs))
+
+    system = linearized(grid)
+    cost = system.cost
+    trace.append(cost)
+    fact = None  # kept across iterations only while frozen
+
+    for iterations in range(1, opts.max_iters + 1):
+        frozen = fact is not None
+        if not frozen:
+            fact = factorized(system)
+        rhs = system.rhs_flat()
+        delta, decrement = solved(fact, rhs)
+        if frozen and not (opts.tol <= decrement
+                           < CHORD_CONTRACTION * decrements[-1]):
+            fact = None  # the frozen band goes before the fresh one is built
+            fact = factorized(system)
+            delta, decrement = solved(fact, rhs)
+            frozen = False
+        # of the system only its cost is read after the step
+        system = None
+        norms.append(float(np.max(np.abs(delta))) if delta.size else 0.0)
         decrements.append(decrement)
-        if 0.0 <= decrement < opts.tol:
+        if not frozen and 0.0 <= decrement < opts.tol:
             converged = True
             message = "Gauss-Newton decrement below tol"
             break
@@ -629,9 +683,7 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
         for nh in range(MAX_STEP_HALVINGS + 1):
             system = None  # a rejected trial's system goes before the next
             trial = apply_update(grid, scale * delta)
-            t = time.perf_counter()
-            system = _linearize(geom, trial)
-            tl += time.perf_counter() - t
+            system = linearized(trial)
             if system.cost <= cost * (1.0 + 1e-12) + 1e-300:
                 accepted = True
                 break
@@ -644,9 +696,22 @@ def gauss_newton(grid: Grid, factors: FactorSet, params: PriorParams,
         grid = trial
         cost = system.cost
         trace.append(cost)
+        if nh or not 0.0 <= decrement < FREEZE_DECREMENT:
+            fact = None
+
+    # the covariance needs a factorization at the returned states: after an
+    # accepted last step `system` is theirs, after exhausted halving only a
+    # frozen factorization is of an earlier state
+    if not converged and (accepted or frozen):
+        if not accepted:
+            system = None
+            system = linearized(grid)
+        fact = None
+        fact = factorized(system)
 
     report = ConvergenceReport(
         converged=converged, iterations=iterations,
+        factorizations=n_fact,
         initial_cost=trace[0], final_cost=trace[-1], cost_trace=trace,
         update_norms=norms, decrements=decrements, halvings=halvings,
         message=message,

@@ -75,9 +75,11 @@ def test_loaded_report_matches_report_json(run_dir):
     for f in dataclasses.fields(ConvergenceReport):
         assert getattr(post.report, f.name) == report[f.name], f.name
     assert post.report.time_total > 0
-    assert report["schema"] == "stgp.report/1.1"
+    assert report["schema"] == "stgp.report/1.2"
     assert len(post.report.decrements) == post.report.iterations
     assert 0 <= post.report.decrements[-1] < post.report.decrements[0]
+    # converged: the last factorization is the covariance's, none extra
+    assert 1 <= post.report.factorizations <= post.report.iterations
 
 
 def test_loads_report_1_0_without_decrements(run_dir, tmp_path):
@@ -104,6 +106,34 @@ def test_loads_report_1_0_without_decrements(run_dir, tmp_path):
         np.savez(fh, **payload)
     with pytest.raises(cli.SchemaError, match="decrements"):
         cli.load_posterior(str(tmp_path / "posterior.bin"))
+
+
+@pytest.mark.parametrize("schema", ["stgp.report/1.0", "stgp.report/1.1"],
+                         ids=["1.0", "1.1"])
+def test_loads_old_report_without_factorizations(run_dir, tmp_path, schema):
+    """A report that predates the factorization count (stgp.report/1.0 and
+    1.1) loads with one factorization per iteration, as those versions
+    ran, and every other field intact; a 1.2 report must carry it."""
+    _, out = run_dir
+    with np.load(os.path.join(out, "posterior.bin")) as z:
+        payload = {k: z[k] for k in z.files}
+    report = json.loads(str(payload["report"]))
+    del report["factorizations"]
+
+    def load(tag):
+        report["schema"] = tag
+        payload["report"] = json.dumps(report, sort_keys=True)
+        with open(tmp_path / "posterior.bin", "wb") as fh:
+            np.savez(fh, **payload)
+        return cli.load_posterior(str(tmp_path / "posterior.bin"))
+
+    post = load(schema)
+    assert post.report.factorizations == report["iterations"]
+    for f in dataclasses.fields(ConvergenceReport):
+        if f.name != "factorizations":
+            assert getattr(post.report, f.name) == report[f.name], f.name
+    with pytest.raises(cli.SchemaError, match="factorizations"):
+        load("stgp.report/1.2")
 
 
 def test_posterior_round_trips_bit_for_bit(linear_posterior, tmp_path):

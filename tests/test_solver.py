@@ -396,6 +396,8 @@ def test_gn_converges_with_nonincreasing_cost():
     rep = post.report
     assert rep.converged
     assert rep.iterations <= cfg.max_iters
+    # the local phase takes chord steps: 12 factorizations for 28 iterations
+    assert rep.factorizations < rep.iterations
     trace = np.array(rep.cost_trace)
     assert np.all(np.diff(trace) <= 1e-12 * trace[:-1] + 1e-300)
     assert rep.final_cost <= rep.initial_cost
@@ -490,6 +492,101 @@ def test_gn_iteration_cap_reported(identity_params):
     assert "iteration limit" in post.report.message
     with pytest.raises(ValueError, match="max_iters must be >= 1"):
         SolverOptions(max_iters=0)
+
+
+def _frozen_solves(monkeypatch, make_step):
+    """Wrap `solver.solve_factorized` so that a solve with a factorization
+    already solved with before, a frozen one, returns make_step(delta).
+    Returns the log of (fact, rhs, returned delta, frozen) per solve."""
+    import stgp.solver as solver
+    solve = solver.solve_factorized
+    log = []
+
+    def wrapped(fact, rhs):
+        delta = solve(fact, rhs)
+        frozen = any(f is fact for f, *_ in log)
+        if frozen:
+            delta = make_step(delta)
+        log.append((fact, rhs, delta, frozen))
+        return delta
+
+    monkeypatch.setattr(solver, "solve_factorized", wrapped)
+    return log
+
+
+def test_gn_refactorizes_when_frozen_decrement_does_not_contract(
+        monkeypatch):
+    """A frozen solve whose decrement does not fall below the previous
+    iteration's is solved again at the same state with a fresh
+    factorization, and the fresh decrement is the one recorded: with every
+    frozen decrement inflated, no frozen step is ever taken."""
+    cfg, params, truth, grid, factors = small_scenario()
+    log = _frozen_solves(monkeypatch, lambda delta: 1e6 * delta)
+    rep = gauss_newton(grid, factors, params,
+                       SolverOptions(max_iters=cfg.max_iters,
+                                     tol=cfg.tol)).report
+    assert rep.converged
+    assert rep.factorizations == rep.iterations
+    for (fact, rhs, _, frozen), nxt in zip(log, log[1:] + [None]):
+        if frozen:  # followed by a fresh solve of the same system
+            assert nxt is not None and not nxt[3] and nxt[0] is not fact
+            assert nxt[1] is rhs
+    assert any(frozen for *_, frozen in log)
+    taken = [float(np.sum(delta * rhs))
+             for _, rhs, delta, frozen in log if not frozen]
+    assert rep.decrements == taken
+
+
+def test_gn_halved_step_ends_freeze(monkeypatch):
+    """After a step that needed halving the next iteration factorizes
+    afresh; configs/linear.json halves three steps."""
+    cfg, params, truth, grid, factors = small_scenario()
+    log = _frozen_solves(monkeypatch, lambda delta: delta)
+    rep = gauss_newton(grid, factors, params,
+                       SolverOptions(max_iters=cfg.max_iters,
+                                     tol=cfg.tol)).report
+    # each iteration solves one system, twice when it refactorizes
+    first = []
+    for _, rhs, _, frozen in log:
+        if not first or rhs is not first[-1][0]:
+            first.append((rhs, frozen))
+    assert len(first) == rep.iterations
+    halved = [i for i, nh in enumerate(rep.halvings) if nh]
+    assert halved
+    for i in halved:
+        assert not first[i + 1][1]
+
+
+@pytest.mark.parametrize("case", ["converged", "cap-fresh", "cap-frozen",
+                                  "halving-fresh", "halving-frozen"])
+def test_gn_covariance_at_returned_states(case, monkeypatch):
+    """Every exit leaves the covariance of a factorization at the returned
+    states, bit for bit: on convergence, at the iteration cap after a fresh
+    or a frozen solve, and when no halving makes a step acceptable, with
+    the fresh factorization of the returned states in hand or a frozen one
+    of an earlier state (the failing steps have their sign flipped)."""
+    import stgp.solver as solver
+    cfg, params, truth, grid, factors = small_scenario()
+    log = _frozen_solves(monkeypatch, lambda delta: delta)
+    if case.startswith("halving"):
+        update = solver.apply_update
+        flip_all = case == "halving-fresh"
+        monkeypatch.setattr(
+            solver, "apply_update",
+            lambda g, step: update(g, -step if flip_all or log[-1][3]
+                                   else step))
+    max_iters = {"cap-fresh": 2, "cap-frozen": 6}.get(case, cfg.max_iters)
+    post = gauss_newton(grid, factors, params,
+                        SolverOptions(max_iters=max_iters, tol=cfg.tol))
+    rep = post.report
+    assert rep.converged == (case == "converged")
+    if case != "converged":
+        assert ("iteration limit" if case.startswith("cap")
+                else "step halving exhausted") in rep.message
+        assert log[-1][3] == case.endswith("frozen")  # the last step's solve
+    ref = corner_covariances(factorize(linearize(factors, post.grid)))
+    assert np.array_equal(post.cov.sig_diag, ref.sig_diag)
+    assert np.array_equal(post.cov.sig_off, ref.sig_off)
 
 
 # marginal covariances from the factorization
