@@ -41,8 +41,11 @@ positive definite; 2 invalid input, which is one of
   simulate       a sample off the rod or outside [0, duration], a rod that
                  turns more than the simulator integrates, or a ground-truth
                  value that is not finite
-  measurements   a record malformed, its value or noise_cov not finite, or
-                 a pose6 quaternion all zero
+  measurements   a record malformed; its s or t not a number (a string,
+                 null, a boolean or a list); a string in its value or
+                 noise_cov; its value or noise_cov not finite; or a pose6
+                 quaternion all zero.  The message names the first bad
+                 record in file order
   query          a point out of the hull or not finite; --grid given with
                  --s or --t
   posterior.bin  an array missing or of a shape that does not fit the knot
@@ -71,7 +74,8 @@ from .prior import PriorParams, StateArrays
 # query_state is kept only because the frozen bench/pipeline.py patches it
 from .query import (OutOfHullError, bind, query_state,  # noqa: F401
                     query_states)
-from .sensors import Measurement, build_measurement_factors
+from .sensors import (Measurement, build_measurement_factors, float_array,
+                      measurement_stack)
 from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
                   generate_measurements)
 from .solver import (BLOCK, SLOTS, ConvergenceReport, CornerCovariances,
@@ -182,19 +186,44 @@ def measurement_to_dict(m: Measurement) -> dict:
     return rec
 
 
-def measurement_from_dict(rec: dict) -> Measurement:
-    value = rec["value"]
-    if rec["kind"] == "pose6":
-        quat = np.asarray(value["quat_wxyz"], dtype=float)
-        if quat.shape != (4,) or not np.all(np.isfinite(quat)) \
-                or not np.any(quat):
+def _read_stack(kind, recs) -> List[Measurement]:
+    """Records of one kind and one mask as stacked arrays: the coordinates,
+    the values (pose6 quaternions through one `quaternion_to_rotation` and
+    `pose_matrix`), the noise covariances and the masks, checked by
+    `sensors.measurement_stack`."""
+    values = [rec["value"] for rec in recs]
+    if kind == "pose6":
+        quat = float_array("pose6 quat_wxyz", [v["quat_wxyz"] for v in values])
+        if quat.shape[1:] != (4,) or not np.all(np.isfinite(quat)) \
+                or not np.all(np.any(quat, axis=1)):
             raise ValueError("pose6 quat_wxyz must hold 4 finite numbers,"
                              " not all zero")
-        value = pose_matrix(quaternion_to_rotation(quat),
-                            np.asarray(value["translation"], dtype=float))
-    return Measurement(rec["kind"], rec["s"], rec["t"], value,
-                       np.asarray(rec["noise_cov"], dtype=float),
-                       mask=rec.get("mask"))
+        values = pose_matrix(quaternion_to_rotation(quat), float_array(
+            "pose6 translation", [v["translation"] for v in values]))
+    masks = None if recs[0].get("mask") is None \
+        else [rec["mask"] for rec in recs]
+    return measurement_stack(kind, [rec["s"] for rec in recs],
+                             [rec["t"] for rec in recs], values,
+                             [rec["noise_cov"] for rec in recs], masks)
+
+
+def measurement_from_dict(rec: dict) -> Measurement:
+    """The measurement of one file record, read as a stack of one."""
+    return _read_stack(rec["kind"], [rec])[0]
+
+
+def _read_records(records) -> List[Measurement]:
+    """The records in file order, read as one stack per (kind, mask)."""
+    groups = {}
+    for i, rec in enumerate(records):
+        kind, mask = rec["kind"], rec.get("mask")
+        key = (kind, tuple(mask) if isinstance(mask, list) else mask)
+        groups.setdefault(key, []).append(i)
+    out = [None] * len(records)
+    for (kind, _), idx in groups.items():
+        for i, m in zip(idx, _read_stack(kind, [records[i] for i in idx])):
+            out[i] = m
+    return out
 
 
 def save_measurements(path: str, measurements: Sequence[Measurement]) -> None:
@@ -204,14 +233,32 @@ def save_measurements(path: str, measurements: Sequence[Measurement]) -> None:
 
 
 def load_measurements(path: str) -> List[Measurement]:
+    """The measurements of the file at `path`, in file order, read as one
+    stack per kind and mask (`_read_records`), so each stack is checked and
+    its pose6 quaternions converted by one batched call.  A file that does
+    not read that way is read again record by record, each a stack of one,
+    and the first record in file order that fails names itself in the
+    ConfigError, with the same message `Measurement(...)` gives it."""
     with open(path, "r", encoding="utf-8") as fh:
         raw = json.load(fh)
     check_schema(raw.get("schema") if isinstance(raw, dict) else None,
                  "measurements")
+    records = raw.get("measurements")
+    if not isinstance(records, list):
+        raise ConfigError("invalid measurements: the file holds no "
+                          "measurement list")
     try:
-        return [measurement_from_dict(rec) for rec in raw["measurements"]]
-    except (KeyError, TypeError, ValueError) as exc:
-        raise ConfigError(f"invalid measurements: {exc!r}") from exc
+        return _read_records(records)
+    except (KeyError, TypeError, ValueError):
+        pass
+    out = []
+    for i, rec in enumerate(records):
+        try:
+            out.append(measurement_from_dict(rec))
+        except (KeyError, TypeError, ValueError) as exc:
+            raise ConfigError(
+                f"invalid measurements: record {i}: {exc!r}") from exc
+    return out
 
 
 # ---------------------------------------------------------------------------

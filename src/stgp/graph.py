@@ -86,7 +86,11 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
     per diagonal: a node on the first time row takes a spatial step from its
     left neighbour, one on the first arclength column a temporal step from
     the node before it, and an interior node is the corner that zeroes its
-    cell factor, in the chart of the cell's (0, 0) corner.
+    cell factor, in the chart of the cell's (0, 0) corner.  Along a
+    diagonal n rises, so its first node is the one on the first column
+    (when d < K) and its last the one on the first row (when d < N); the
+    interior nodes' two neighbours are encoded about their bases in one
+    call, and every node of the diagonal is decoded in one more.
     """
     s_knots = np.asarray(s_knots, dtype=float).reshape(-1)
     t_knots = np.asarray(t_knots, dtype=float).reshape(-1)
@@ -98,20 +102,23 @@ def build_grid(s_knots: Sequence[float], t_knots: Sequence[float],
     ms, mt = integrator(np.diff(s_knots)), integrator(np.diff(t_knots))
     for d in range(1, N + K - 1):
         n = np.arange(max(0, d - K + 1), min(d, N - 1) + 1)
-        k = d - n
-        i = k * N + n
-        row, col, inner = k == 0, n == 0, (n > 0) & (k > 0)
-        base = sa.take(i - N * (k > 0) - (n > 0))
+        i = (d - n) * N + n
+        col, row = d < K, d < N
+        base = sa.take(i - N * (n < d) - (n > 0))
         z = base.chart_origin()
-        z[row] = apply_pair(ms[n[row] - 1], z[row], 2)
-        z[col] = apply_pair(mt[k[col] - 1], z[col], 1)
-        if inner.any():
-            msi, mti = ms[n[inner] - 1], mt[k[inner] - 1]
+        if col:
+            z[:1] = apply_pair(mt[d - 1:d], z[:1], 1)
+        if row:
+            z[-1:] = apply_pair(ms[d - 1:d], z[-1:], 2)
+        inner = slice(int(col), len(n) - int(row))
+        if inner.start < inner.stop:
+            ni = n[inner]
+            msi, mti = ms[ni - 1], mt[d - ni - 1]
             Rb, tb = base.R[inner], base.t[inner]
-            z10 = encode_with_jacobians_batch(sa.take(i[inner] - N), Rb, tb,
-                                              want_jac=False)[0]
-            z01 = encode_with_jacobians_batch(sa.take(i[inner] - 1), Rb, tb,
-                                              want_jac=False)[0]
+            z10, z01 = np.split(encode_with_jacobians_batch(
+                sa.take(np.concatenate([i[inner] - N, i[inner] - 1])),
+                np.concatenate([Rb, Rb]), np.concatenate([tb, tb]),
+                want_jac=False)[0], 2)
             z[inner] = (apply_pair(msi, z01, 2) + apply_pair(mti, z10, 1)
                         - apply_pair(mti, apply_pair(msi, z[inner], 2), 1))
         sa.put(i, decode_with_jacobians_batch(z, base.R, base.t,

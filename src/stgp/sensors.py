@@ -9,13 +9,20 @@ and `DIMS`:
   gyro3      body-frame angular rate
   strain6    body-frame strain, optionally masked to a component subset
 
+Measurements are checked by one rule set on stacks of one kind
+(`measurement_stack`): the file reader and the simulator check a kind's
+records together, with one batched Cholesky for positive definiteness, and
+a single `Measurement(...)` is a stack of one, so each record gets the same
+message either way.
+
 `build_measurement_factors` binds every measurement in one `query.bind`
 call, the same binding posterior queries use: a measurement at a grid node
 binds to that node, one on a knot line to the two nodes of that edge, and
 one inside a cell to its four corners, so the factor constrains the nodes
 that determine the continuous state at the sample point.  A factor is a
-record of the measurement, its weight, its nodes and its slice of the stage
-gains.
+record of the measurement, its weight (the inverse noise covariance, from
+one `np.linalg.inv` per noise dimension), its nodes and its slice of the
+stage gains.
 
 Every measurement goes through one batched path.  `group_measurements`
 stacks the factors once by sensor kind and binding shape, gains included,
@@ -32,6 +39,7 @@ onto that corner.
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import List, Optional, Tuple
 
@@ -53,7 +61,8 @@ KINDS = tuple(DIMS)
 
 @dataclass
 class Measurement:
-    """One sensor sample at continuous coordinates (s, t)."""
+    """One sensor sample at continuous coordinates (s, t), checked as a
+    stack of one by the rule set of `measurement_stack`."""
 
     kind: str
     s: float
@@ -63,38 +72,11 @@ class Measurement:
     mask: Optional[np.ndarray] = None
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        self.value = np.asarray(self.value, dtype=float)
-        shape = VALUE_SHAPES[self.kind]
-        if self.value.shape != shape:
-            raise ValueError(f"{self.kind} value must have shape {shape}, "
-                             f"got {self.value.shape}")
-        if self.mask is not None and self.kind != "strain6":
-            raise ValueError("mask applies to strain6 only")
-        if self.kind == "strain6":
-            m = np.ones(6, dtype=bool) if self.mask is None \
-                else np.asarray(self.mask, dtype=bool).reshape(6)
-            if not m.any():
-                raise ValueError("strain6 mask selects no components")
-            self.mask = m
-        self.noise_cov = np.asarray(self.noise_cov, dtype=float)
-        if not (np.all(np.isfinite(self.value))
-                and np.all(np.isfinite(self.noise_cov))):
-            raise ValueError(f"{self.kind} value and noise_cov must be finite")
-        if self.kind == "pose6" and not np.array_equal(self.value[3],
-                                                       [0.0, 0.0, 0.0, 1.0]):
-            raise ValueError("pose6 value's last row must be (0, 0, 0, 1)")
-        d = self.dim
-        if self.noise_cov.shape == ():
-            self.noise_cov = float(self.noise_cov) * np.eye(d)
-        if self.noise_cov.shape != (d, d):
-            raise ValueError(
-                f"noise_cov must be {d}x{d} for {self.kind}, got "
-                f"{self.noise_cov.shape}")
-        if np.max(np.abs(self.noise_cov - self.noise_cov.T)) > 0:
-            raise ValueError("noise_cov must be symmetric")
-        np.linalg.cholesky(self.noise_cov)
+        values, covs, masks = _check_stack(
+            self.kind, [self.s], [self.t], [self.value], [self.noise_cov],
+            None if self.mask is None else [self.mask])
+        self.value, self.noise_cov = values[0], covs[0]
+        self.mask = None if masks is None else masks[0]
 
     @property
     def rows(self):
@@ -102,11 +84,89 @@ class Measurement:
         all of them."""
         return slice(None) if self.mask is None else self.mask
 
-    @property
-    def dim(self) -> int:
-        if self.kind == "strain6":
-            return int(np.count_nonzero(self.mask))
-        return DIMS[self.kind]
+
+def float_array(name: str, a) -> np.ndarray:
+    """`a` as a float array; ValueError if it holds a string (None reads as
+    nan)."""
+    a = np.asarray(a)
+    if a.dtype.kind in "US" or a.dtype.kind == "O" \
+            and any(isinstance(x, str) for x in a.flat):
+        raise ValueError(f"{name} must hold numbers, got a string")
+    return np.asarray(a, dtype=float)
+
+
+def _check_numbers(name: str, xs) -> None:
+    if not set(map(type, xs)) <= {float, int}:
+        for x in xs:
+            if isinstance(x, bool) or not isinstance(x, numbers.Real):
+                raise ValueError(f"{name} must be a number, got {x!r}")
+
+
+def _check_stack(kind, s, t, values, noise_covs, masks):
+    """The measurement rule set, applied to stacked records of one kind:
+    (values, noise covariances, masks or None) as arrays, or ValueError
+    with the first broken rule, in this order: a known kind, s and t
+    numbers, the value's shape, a mask on strain6 only and selecting a
+    component, value and noise_cov finite, a pose6 last row of
+    (0, 0, 0, 1), noise_cov d x d (a number is a variance of every
+    component), exactly symmetric and, by one batched Cholesky, positive
+    definite.  A stack's masks are all equal, so its records share one
+    noise dimension d."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown measurement kind {kind!r}")
+    _check_numbers("s", s)
+    _check_numbers("t", t)
+    values = float_array(f"{kind} value", values)
+    B, shape = len(values), VALUE_SHAPES[kind]
+    if values.shape[1:] != shape:
+        raise ValueError(f"{kind} value must have shape {shape}, "
+                         f"got {values.shape[1:]}")
+    if masks is not None and kind != "strain6":
+        raise ValueError("mask applies to strain6 only")
+    if kind == "strain6":
+        masks = np.ones((B, 6), dtype=bool) if masks is None \
+            else np.asarray(masks, dtype=bool).reshape(B, 6)
+        if not np.all(np.any(masks, axis=1)):
+            raise ValueError("strain6 mask selects no components")
+        if np.any(masks != masks[:1]):
+            raise ValueError("a measurement stack holds one strain6 mask")
+    covs = float_array("noise_cov", noise_covs)
+    if not (np.all(np.isfinite(values)) and np.all(np.isfinite(covs))):
+        raise ValueError(f"{kind} value and noise_cov must be finite")
+    if kind == "pose6" and np.any(values[:, 3] != [0.0, 0.0, 0.0, 1.0]):
+        raise ValueError("pose6 value's last row must be (0, 0, 0, 1)")
+    d = DIMS[kind] if masks is None else int(np.count_nonzero(masks[0]))
+    if covs.shape == (B,):
+        covs = covs[:, None, None] * np.eye(d)
+    if covs.shape[1:] != (d, d):
+        raise ValueError(f"noise_cov must be {d}x{d} for {kind}, got "
+                         f"{covs.shape[1:]}")
+    if np.any(covs != np.swapaxes(covs, 1, 2)):
+        raise ValueError("noise_cov must be symmetric")
+    np.linalg.cholesky(covs)
+    return values, covs, masks
+
+
+def measurement_stack(kind: str, s, t, values, noise_covs,
+                      masks=None) -> List[Measurement]:
+    """The `Measurement`s of B records of one sensor kind, given as stacks:
+    s and t (B,) numbers, values (B, *VALUE_SHAPES[kind]), noise_covs
+    (B, d, d) or (B,) variances, and masks (B, 6), all equal, or None.  One
+    rule set checks the whole stack (`_check_stack`, the same one a single
+    `Measurement` runs as a stack of one) and raises ValueError with the
+    message of the rule broken; each record then holds views of the
+    stacks.  An empty stack has nothing to check."""
+    if not len(s):
+        return []
+    values, covs, masks = _check_stack(kind, s, t, values, noise_covs, masks)
+    out = []
+    for j, (sj, tj) in enumerate(zip(s, t)):
+        m = object.__new__(Measurement)  # checked above as part of the stack
+        vars(m).update(kind=kind, s=sj, t=tj, value=values[j],
+                       noise_cov=covs[j],
+                       mask=None if masks is None else masks[j])
+        out.append(m)
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -224,17 +284,27 @@ def _item(gain: Optional[Gain], j: int) -> Optional[Gain]:
 
 def build_measurement_factors(measurements, grid: Grid,
                               params: PriorParams) -> list:
-    """Bind every measurement to the grid, in order, with one `bind` call
-    (`params` is unread; the frozen bench/pipeline.py passes it)."""
+    """Bind every measurement to the grid, in order, with one `bind` call,
+    and weight each by its inverse noise covariance, from one
+    `np.linalg.inv` per noise dimension (`params` is unread; the frozen
+    bench/pipeline.py passes it)."""
     measurements = list(measurements)
+    by_dim = {}
+    for i, m in enumerate(measurements):
+        by_dim.setdefault(len(m.noise_cov), []).append(i)
+    weights = [None] * len(measurements)
+    for idx in by_dim.values():
+        inv = np.linalg.inv(np.stack([measurements[i].noise_cov
+                                      for i in idx]))
+        for i, w in zip(idx, inv):
+            weights[i] = w
     factors = [None] * len(measurements)
     for b in bind(grid.s_knots, grid.t_knots, [m.s for m in measurements],
                   [m.t for m in measurements]):
         cls = NodeMeasurementFactor if len(b.nodes) == 1 \
             else InterpolatedMeasurementFactor
         for j, i in enumerate(b.index):
-            meas = measurements[i]
-            factors[i] = cls(meas, tuple(b.nodes[:, j].tolist()),
-                             np.linalg.inv(meas.noise_cov),
-                             _item(b.temporal, j), _item(b.spatial, j))
+            factors[i] = cls(measurements[i], tuple(b.nodes[:, j].tolist()),
+                             weights[i], _item(b.temporal, j),
+                             _item(b.spatial, j))
     return factors

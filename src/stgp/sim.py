@@ -23,7 +23,7 @@ import numpy as np
 
 from .liegroup import adjoint, pose_matrix, se3_exp
 from .prior import PriorParams, StateArrays
-from .sensors import DIMS, KINDS, Measurement
+from .sensors import DIMS, KINDS, Measurement, measurement_stack
 
 # one 32-node Gauss-Legendre panel on [0, 1]; a panel covers at most
 # _PANEL_TURNING rad of the rod's turning, and at most _MAX_PANELS of them
@@ -278,9 +278,10 @@ def generate_measurements(config: ScenarioConfig,
     Deterministic under the scenario seed: sensors are drawn in list order,
     samples in schedule order, and the std scales a unit normal draw so equal
     seeds share noise shapes across noise levels (std 0 gives exact values).
-    All samples are simulated in one `GroundTruth.states` call, and each
+    All samples are simulated in one `GroundTruth.states` call; each
     sensor draws its noise as one (samples, dim) block, the same stream as
-    a draw per sample.
+    a draw per sample, and its measurements are checked as one
+    `sensors.measurement_stack`.
     """
     rng = np.random.default_rng(config.seed)
     points = [spec.sample_points(config) for spec in config.sensors]
@@ -299,7 +300,9 @@ def generate_measurements(config: ScenarioConfig,
         noise = spec.std * rng.standard_normal((len(pts), dim))
         x = states.take(np.arange(start, start + len(pts)))
         start += len(pts)
-        out += [Measurement(spec.kind, si, ti, value, cov, mask=mask)
-                for (si, ti), value in zip(pts, _measured_values(
-                    spec.kind, x, noise, mask))]
+        out += measurement_stack(spec.kind, [p[0] for p in pts],
+                                 [p[1] for p in pts],
+                                 _measured_values(spec.kind, x, noise, mask),
+                                 [cov] * len(pts),
+                                 None if mask is None else [mask] * len(pts))
     return out

@@ -1,15 +1,16 @@
 """Shared helpers: seeded random states, their stacking and their
 retraction, small default prior parameters, one measurement factor
-evaluated on its own, and the dense reference views of a stencil-layout
-system."""
+evaluated on its own, the dense reference views of a stencil-layout
+system, and a closed-form ground truth that leaves the plane."""
 
 import numpy as np
 import pytest
 
-from stgp.liegroup import Pose, se3_exp
+from stgp.liegroup import Pose, adjoint, se3_exp
 from stgp.prior import (NodeState, PriorParams, StateArrays,
                         decode_with_jacobians_batch)
 from stgp.sensors import group_measurements
+from stgp.sim import GroundTruth
 from stgp.solver import BLOCK, FORWARD, stencil_slot
 
 
@@ -102,6 +103,31 @@ def matvec(system, x: np.ndarray) -> np.ndarray:
         if j != i:
             y[j] += blk.T @ xr[i]
     return y.reshape(np.shape(x))
+
+
+class SpatialTruth(GroundTruth):
+    """A rod that leaves the plane, with a still base: T(s, t) =
+    exp(s xi0) exp(g xia), g = sin(2 pi t / period) s^2 / (2 L).  With
+    A = exp(s xi0) and u = Ad(A) xia, the world strain is xi0 + g_s u, the
+    velocity g_t u and the strain rate g_st u, each zero-rate at s = 0 like
+    the planar truth.  On fig3's rod the tip leaves the plane by up to
+    178 mm."""
+
+    XI0 = np.array([1.0, 0.0, 0.0, 0.4, 0.5, 0.8])
+    XIA = np.array([0.0, 0.0, 0.0, 0.3, 0.2, 0.4])
+
+    def states(self, s, t) -> StateArrays:
+        cfg = self.config
+        L, w = cfg.length, 2.0 * np.pi / cfg.period
+        s = np.asarray(s, dtype=float).reshape(-1, 1)
+        t = np.asarray(t, dtype=float).reshape(-1, 1)
+        a, da = np.sin(w * t), w * np.cos(w * t)
+        A = se3_exp(s * self.XI0)
+        T = A @ se3_exp(a * s * s / (2.0 * L) * self.XIA)
+        u = adjoint(A) @ self.XIA
+        return StateArrays(T[:, :3, :3], T[:, :3, 3],
+                           self.XI0 + a * s / L * u,
+                           da * s * s / (2.0 * L) * u, da * s / L * u)
 
 
 @pytest.fixture

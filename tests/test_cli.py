@@ -11,12 +11,12 @@ import numpy as np
 import pytest
 
 from stgp import cli
-from stgp.liegroup import (pose_matrix, rotation_to_quaternion,
-                           se3_exp_with_jacobian)
+from stgp.liegroup import (pose_matrix, quaternion_to_rotation,
+                           rotation_to_quaternion, se3_exp_with_jacobian)
 from stgp.prior import StateArrays
 from stgp.query import bind, query_state, query_states
-from stgp.sensors import Measurement
-from stgp.sim import GroundTruth
+from stgp.sensors import KINDS, Measurement
+from stgp.sim import GroundTruth, SensorSpec, generate_measurements
 from stgp.solver import ConvergenceReport, NotPositiveDefiniteError
 
 CONFIG = os.path.join(os.path.dirname(__file__), "..", "configs",
@@ -391,6 +391,130 @@ def test_exit_invalid_nonfinite_measurement(run_dir, tmp_path, capsys,
     assert captured.err.startswith("error: invalid measurements:")
     assert "must be finite" in captured.err and captured.out == ""
     assert not os.path.exists(tmp_path / "run" / "report.json")
+
+
+def with_record(out, tmp_path, i, rec, later=None) -> str:
+    """The run's measurements.json with `rec` inserted as record i and
+    `later`, if given, appended; returns the new file's path."""
+    with open(os.path.join(out, "measurements.json"), encoding="utf-8") as fh:
+        raw = json.load(fh)
+    raw["measurements"].insert(i, rec)
+    if later is not None:
+        raw["measurements"].append(later)
+    path = str(tmp_path / "measurements.json")
+    with open(path, "w", encoding="utf-8") as fh:
+        json.dump(raw, fh)
+    return path
+
+
+POSITION3 = {"kind": "position3", "s": 0.3, "t": 0.5, "value": [0.1, 0.2, 0.0],
+             "noise_cov": np.eye(3).tolist()}
+NON_NUMERIC = {"s-str": ("s", "0.5"), "s-null": ("s", None),
+               "s-bool": ("s", True), "s-list": ("s", [0.5]),
+               "t-str": ("t", "0.5"), "t-null": ("t", None),
+               "t-bool": ("t", False), "t-list": ("t", [0.5]),
+               "value-str": ("value", [0.1, "0.2", 0.0]),
+               "noise_cov-str": ("noise_cov", [[1, 0, 0], [0, "1", 0],
+                                               [0, 0, 1]])}
+
+
+@pytest.mark.parametrize("case", NON_NUMERIC)
+def test_exit_invalid_non_numeric_measurement(run_dir, tmp_path, capsys,
+                                              case):
+    """A coordinate that is a string, null, a boolean or a list, and a
+    string inside a value or a noise covariance, exit 2 with one error line
+    that names the record.  (A string s once read as its number, a list
+    failed inside `bind` and null read as nan.)"""
+    _, out = run_dir
+    field, bad = NON_NUMERIC[case]
+    path = with_record(out, tmp_path, 5, {**POSITION3, field: bad})
+    assert cli.main(["estimate", "--config", CONFIG, "--out",
+                     str(tmp_path / "run"), "--measurements", path]) \
+        == cli.EXIT_INVALID
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: invalid measurements: record 5:")
+    assert len(captured.err.splitlines()) == 1 and captured.out == ""
+    assert not os.path.exists(tmp_path / "run" / "report.json")
+
+
+QUAT_RECORD = {"kind": "pose6", "s": 0.0, "t": 0.0,
+               "noise_cov": np.eye(6).tolist()}
+# the refusals of test_measurement_validation, test_strain_mask and
+# test_exit_invalid_input_files that a measurement file can hold
+FILE_REFUSED = {
+    "unknown-kind": {**POSITION3, "kind": "unknown"},
+    "not-positive-definite": {**POSITION3,
+                              "noise_cov": (-np.eye(3)).tolist()},
+    "pose6-not-finite": {**QUAT_RECORD, "value": {
+        "quat_wxyz": [1, 0, 0, 0], "translation": [float("nan"), 0, 0]}},
+    "strain6-empty-mask": {"kind": "strain6", "s": 0.3, "t": 0.5,
+                           "value": [0.0] * 6, "noise_cov": [[1.0]],
+                           "mask": [False] * 6},
+    "no-value": {k: v for k, v in POSITION3.items() if k != "value"},
+    **{f"quat-{name}": {**QUAT_RECORD, "value": {"quat_wxyz": quat,
+                                                 "translation": [0, 0, 0]}}
+       for name, quat in (("three", [1, 0, 0]), ("zero", [0, 0, 0, 0]),
+                          ("inf", [float("inf"), 0, 0, 0]))},
+}
+
+
+@pytest.mark.parametrize("case", FILE_REFUSED)
+def test_reader_names_first_bad_record(run_dir, tmp_path, case):
+    """The reader refuses a file at its first bad record in file order,
+    named, with the message the record gives alone: `Measurement(...)` for
+    a vector sample, the one-record reader where the record needs the
+    file's form (a pose6 quaternion, a missing value).  A bad strain6
+    record after it, whose kind is stacked first, does not take its
+    place."""
+    _, out = run_dir
+    rec = FILE_REFUSED[case]
+    later = {"kind": "strain6", "s": 0.3, "t": 0.5,
+             "value": [float("nan")] * 6, "noise_cov": np.eye(6).tolist()}
+    path = with_record(out, tmp_path, 7, rec, later)
+    with pytest.raises((KeyError, ValueError)) as alone:
+        if rec["kind"] == "pose6" or "value" not in rec:
+            cli.measurement_from_dict(rec)
+        else:
+            Measurement(rec["kind"], rec["s"], rec["t"], rec["value"],
+                        rec["noise_cov"], mask=rec.get("mask"))
+    with pytest.raises(cli.ConfigError) as got:
+        cli.load_measurements(path)
+    assert str(got.value) \
+        == f"invalid measurements: record 7: {alone.value!r}"
+
+
+def test_measurement_file_round_trip_every_kind(tmp_path):
+    """load_measurements(save_measurements(ms)) gives back
+    generate_measurements' kind, s, t, value, noise_cov and mask bit for
+    bit on a scenario of every kind, strain6 under two masks and none.  The
+    file holds a pose6 rotation as its quaternion, so a pose6 value comes
+    back as that quaternion read alone, bit for bit, within 1e-15 of the
+    generated one."""
+    cfg = dataclasses.replace(cli.load_config(CONFIG), sensors=[
+        SensorSpec("strain6", 0.02, rate=2.0, locations="knots",
+                   mask=[True, False, False, False, False, True]),
+        SensorSpec("strain6", 0.03, rate=3.3, locations=[0.05, 0.41],
+                   mask=[False, True, True, True, True, False]),
+        SensorSpec("strain6", 0.02, rate=2.7, locations=[0.33]),
+        SensorSpec("pose6", 0.01, rate=3.1, locations=[0.6, 0.27]),
+        SensorSpec("gyro3", 0.01, rate=4.0, locations=[0.3, 0.55]),
+        SensorSpec("position3", 0.002, samples=[(0.6, 0.31), (0.45, 0.6)])])
+    generated = generate_measurements(cfg, GroundTruth(cfg))
+    path = str(tmp_path / "measurements.json")
+    cli.save_measurements(path, generated)
+    loaded = cli.load_measurements(path)
+    assert {m.kind for m in loaded} == set(KINDS)
+    for a, b in zip(generated, loaded, strict=True):
+        assert (a.kind, a.s, a.t) == (b.kind, b.s, b.t)
+        assert np.array_equal(a.noise_cov, b.noise_cov)
+        assert (a.mask is None and b.mask is None) \
+            or np.array_equal(a.mask, b.mask)
+        if a.kind == "pose6":
+            R = quaternion_to_rotation(rotation_to_quaternion(a.value[:3, :3]))
+            assert np.array_equal(b.value, pose_matrix(R, a.value[:3, 3]))
+            assert np.max(np.abs(b.value - a.value)) < 1e-15
+        else:
+            assert np.array_equal(a.value, b.value)
 
 
 @pytest.mark.parametrize("keep", ["empty", "few", "half"])

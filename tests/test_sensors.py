@@ -8,9 +8,11 @@ from stgp.graph import build_grid, build_prior_factors
 from stgp.liegroup import Pose, adjoint, pose_matrix, se3_exp
 from stgp.oracle import dense_condition_query
 from stgp.prior import NodeState, StateArrays
-from stgp.sensors import (KINDS, InterpolatedMeasurementFactor, Measurement,
-                          NodeMeasurementFactor, build_measurement_factors,
-                          group_measurements, sensor_model)
+from stgp.sensors import (DIMS, KINDS, VALUE_SHAPES,
+                          InterpolatedMeasurementFactor,
+                          Measurement, NodeMeasurementFactor,
+                          build_measurement_factors, group_measurements,
+                          measurement_stack, sensor_model)
 from stgp.solver import apply_update
 from conftest import (factor_terms, random_state, random_states, retract,
                       stack_states)
@@ -111,6 +113,58 @@ def test_measurement_validation():
     for value in (T[:3], T[None], bad_row, not_finite):
         with pytest.raises(ValueError):
             Measurement("pose6", 0, 0, value, np.eye(6))
+
+
+POSE = se3_exp(np.array([0.1, -0.2, 0.3, 0.2, 0.1, -0.3]))
+
+
+def changed(a, index, x):
+    a = a.copy()
+    a[index] = x
+    return a
+
+
+# every record test_measurement_validation and test_strain_mask refuse, as
+# (kind, value, noise_cov, mask)
+REFUSED = {
+    "unknown-kind": ("unknown", np.zeros(3), np.eye(3), None),
+    "not-positive-definite": ("position3", np.zeros(3), -np.eye(3), None),
+    "pose6-vector": ("pose6", np.zeros(6), np.eye(6), None),
+    "pose6-3x4": ("pose6", POSE[:3], np.eye(6), None),
+    "pose6-1x4x4": ("pose6", POSE[None], np.eye(6), None),
+    "pose6-last-row": ("pose6", changed(POSE, (3, 0), 1e-12), np.eye(6),
+                       None),
+    "pose6-not-finite": ("pose6", changed(POSE, (0, 3), np.nan), np.eye(6),
+                         None),
+    "strain6-empty-mask": ("strain6", np.zeros(6), np.eye(6),
+                           np.zeros(6, dtype=bool)),
+}
+# a good record of each kind, for a refused one to sit between
+ACCEPTED = {"position3": (np.ones(3), np.eye(3), None),
+            "pose6": (POSE, np.eye(6), None),
+            "strain6": (np.ones(6), np.eye(6), np.ones(6, dtype=bool))}
+
+
+@pytest.mark.parametrize("case", REFUSED)
+def test_stack_refuses_with_the_record_message(case):
+    """A refused record raises the same message inside a stack of its kind
+    (`measurement_stack`, the reader's path) as alone (`Measurement`):
+    between two good records where its value has the kind's shape, else in
+    a stack of three copies."""
+    kind, value, cov, mask = REFUSED[case]
+    with pytest.raises(ValueError) as alone:
+        Measurement(kind, 0.0, 0.0, value, cov, mask=mask)
+    good = ACCEPTED.get(kind)
+    if good is None or np.shape(value) != VALUE_SHAPES[kind]:
+        records = [(value, cov, mask)] * 3
+    else:
+        records = [good, (value, cov, mask), good]
+    values, covs, masks = zip(*records)
+    with pytest.raises(ValueError) as stacked:
+        measurement_stack(kind, [0.0, 0.5, 1.0], [0.0] * 3, list(values),
+                          list(covs), None if mask is None else list(masks))
+    assert str(stacked.value) == str(alone.value)
+    assert type(stacked.value) is type(alone.value)
 
 
 # Jacobians by central differences in the state's own chart
@@ -251,6 +305,34 @@ def test_bind_many_in_input_order(params):
             for op, op_ref in zip(got or (), want or ()):
                 assert np.max(np.abs(op - op_ref)) \
                     <= 1e-15 * np.max(np.abs(op_ref))
+
+
+def test_weights_are_inverse_noise_covariances(params):
+    """Each factor's weight is np.linalg.inv of its own noise covariance,
+    bit for bit, though the weights come from one inverse per noise
+    dimension: every kind, strain6 under two masks of three components
+    and one of two among them, random covariances."""
+    grid = make_test_grid(params)
+    rng = np.random.default_rng(12)
+    masks = [None, np.array([1, 0, 1, 0, 0, 1], dtype=bool),
+             np.array([0, 1, 0, 1, 1, 0], dtype=bool),
+             np.array([1, 0, 0, 0, 0, 1], dtype=bool)]
+    meas = []
+    for i in range(24):
+        kind = KINDS[i % 4]
+        mask = masks[i // 4 % 4] if kind == "strain6" else None
+        dim = DIMS[kind] if mask is None else int(mask.sum())
+        c = rng.standard_normal((dim, dim))
+        cov = 0.5 * (c @ c.T + (c @ c.T).T) + dim * np.eye(dim)
+        value = POSE if kind == "pose6" else rng.standard_normal(
+            VALUE_SHAPES[kind])
+        meas.append(Measurement(kind, rng.uniform(0.0, 1.0),
+                                rng.uniform(0.0, 2.0), value, cov,
+                                mask=mask))
+    factors = build_measurement_factors(meas, grid, params)
+    assert len({f.weight.shape for f in factors}) == 3
+    for f, m in zip(factors, meas, strict=True):
+        assert np.array_equal(f.weight, np.linalg.inv(m.noise_cov))
 
 
 def test_one_family_per_kind_and_binding_shape(params):
