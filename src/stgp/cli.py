@@ -10,9 +10,11 @@
 
 All artifacts are schema-versioned ("stgp.<kind>/<major>.<minor>", per kind
 in SCHEMA_VERSIONS); readers reject unknown majors.  JSON files are written
-with sorted keys so identical inputs produce bit-identical bytes.  CSV files
-carry a leading "# schema" comment, a header row, and floats formatted with
-%.17g (exact round-trip).
+with sorted keys so identical inputs produce bit-identical bytes at a fixed
+BLAS thread count: estimate outputs can differ in their last bits between
+one BLAS thread and several, so CI runs tier-1 at both.  CSV files carry a
+leading "# schema" comment, a header row, and floats formatted with %.17g
+(exact round-trip).
 
 posterior.bin is a NumPy .npz archive:
   schema            stgp.posterior tag
@@ -72,8 +74,8 @@ from .liegroup import (pose_matrix, quaternion_to_rotation,
                        rotation_to_quaternion)
 from .prior import PriorParams, StateArrays
 # query_state is kept only because the frozen bench/pipeline.py patches it
-from .query import (OutOfHullError, bind, query_state,  # noqa: F401
-                    query_states)
+from .query import (OutOfHullError, answer, bind,  # noqa: F401
+                    query_state)
 from .sensors import (Measurement, build_measurement_factors, float_array,
                       measurement_stack)
 from .sim import (GroundTruth, ScenarioConfig, SensorSpec,
@@ -93,7 +95,7 @@ EXIT_IO = 3
 EXIT_NO_CONVERGENCE = 4
 EXIT_NOT_PD = 5
 
-# points per query_states call in cmd_query, and rows per text slice of a
+# points per `answer` call in cmd_query, and rows per text slice of a
 # state table.  A call's traced peak is about 185 KB per point, 11.9 MB at 64
 # on fig3; fig3's whole `query --grid 20x20` took 228, 170, 149 and 160 ms
 # at 16, 32, 64 and 128 (medians of 20 rounds interleaved in one process,
@@ -474,17 +476,18 @@ def cmd_query(out_dir: str, s: Optional[float] = None,
     else:
         s_vals, t_vals = np.array([s], dtype=float), np.array([t], dtype=float)
     # every point is answered before the first line is written; of each
-    # slice's covariances only the standard deviations are kept.  Each
-    # binding shape's points are sliced apart, so no slice mixes shapes
-    groups = [b.index for b in bind(post.grid.s_knots, post.grid.t_knots,
-                                    s_vals, t_vals)]
+    # slice's covariances only the standard deviations are kept.  The
+    # points are bound once and each binding shape is sliced apart, so no
+    # slice mixes shapes
+    bindings = bind(post.grid.s_knots, post.grid.t_knots, s_vals, t_vals)
     means = post.grid.states.take(np.zeros(len(s_vals), dtype=int))
     stds = np.empty((len(s_vals), 24))
-    for sl in (g[lo:lo + CHUNK] for g in groups
-               for lo in range(0, len(g), CHUNK)):
-        mean, covs = query_states(post, s_vals[sl], t_vals[sl])
-        means.put(sl, mean)
-        stds[sl] = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
+    for part in (b.take(slice(lo, lo + CHUNK)) for b in bindings
+                 for lo in range(0, len(b.index), CHUNK)):
+        mean, covs = answer(post, part)
+        means.put(part.index, mean)
+        stds[part.index] = np.sqrt(np.maximum(
+            np.einsum("...ii->...i", covs), 0.0))
         del mean, covs  # freed before the next slice's are made
     stream.write(",".join(STATE_COLUMNS + STD_COLUMNS) + "\n")
     for text in state_rows(s_vals, t_vals, means, stds):

@@ -144,7 +144,9 @@ class Family:
     node-state stacks last, in the manner of `functools.partial`: for a
     prior kind `args` is `PriorParams`, the steps' (B, 2, 2) integrators and
     the pair layout of `prior.apply_pair`, or the cell kind's steps ds and
-    dt.
+    dt.  `reads`, when given, replaces `nodes` as the rows of node ids
+    gathered for the kernel: a measurement group reads its distinct
+    temporal bridges' ends (`query.Binding`).
     """
 
     kind: str
@@ -152,6 +154,7 @@ class Family:
     weights: np.ndarray
     kernel: Callable
     args: tuple
+    reads: Optional[np.ndarray] = None
 
     def __len__(self) -> int:
         return self.nodes.shape[1]
@@ -159,7 +162,8 @@ class Family:
     def evaluate(self, sa: StateArrays):
         """(errors, J_0, ..., J_m-1) at node states `sa`: the (B, d) errors
         and each J_i the (B, d, 24) Jacobian onto slot i's node chart."""
-        return self.kernel(*self.args, *[sa.take(n) for n in self.nodes])
+        reads = self.nodes if self.reads is None else self.reads
+        return self.kernel(*self.args, *[sa.take(n) for n in reads])
 
 
 @dataclass

@@ -39,6 +39,7 @@ CHART_ANGLE_LIMIT = 0.9 * np.pi
 STATE_DIM = 24
 _I3 = np.eye(3)
 _I2 = np.eye(2)
+_STEP = np.array([[0.0, 1.0], [0.0, 0.0]])  # d(M(d))/dd
 _I6 = np.eye(6)
 
 
@@ -128,13 +129,6 @@ class StateArrays:
         idx = np.asarray(idx, dtype=int)
         return StateArrays(self.R[idx], self.t[idx], self.eps[idx],
                            self.vel[idx], self.sv[idx])
-
-    @staticmethod
-    def concat(parts) -> "StateArrays":
-        """The states of `parts`, one stack after another."""
-        return StateArrays(*(
-            np.concatenate([getattr(p, f.name) for p in parts])
-            for f in fields(StateArrays)))
 
     def put(self, idx, other: "StateArrays") -> None:
         """Overwrite the states at `idx` with `other`'s, in order."""
@@ -290,7 +284,7 @@ def encode_self_jacobian_batch(sa: StateArrays) -> np.ndarray:
 def integrator(d: np.ndarray) -> np.ndarray:
     """M(d) = [[1, d], [0, 1]] for each step in d: the transition of one
     (level, derivative) pair over a step d."""
-    return _I2 + np.multiply.outer(d, [[0.0, 1.0], [0.0, 0.0]])
+    return _I2 + np.multiply.outer(d, _STEP)
 
 
 def _sym2(a, b, c) -> np.ndarray:
@@ -313,7 +307,7 @@ def k_matrix_inv(d) -> np.ndarray:
     """K(d)^-1 = [[12/d^3, -6/d^2], [-6/d^2, 4/d]] for each step in d,
     shaped as `k_matrix`; ValueError unless every step is > 0."""
     d = np.asarray(d, dtype=float)
-    if np.any(d <= 0):
+    if (d <= 0).any():
         raise ValueError("step must be > 0")
     d2 = d * d
     return _sym2(12.0 / (d2 * d), -6.0 / d2, 4.0 / d)

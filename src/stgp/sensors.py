@@ -28,13 +28,16 @@ Every measurement goes through one batched path.  `group_measurements`
 stacks the factors once by sensor kind and binding shape, gains included,
 into `graph.Family` items whose kernel is `measurement_batch`: the batched
 chain (`query.interpolate`), then `sensor_model`, which evaluates all four
-kinds with one branch per kind, and the composed Jacobians.  A group holds
-every factor of its key however many share one node set, so the chain runs
-once per group; `solver._scatter_family` adds the factors that share nodes
-in separate rounds.  A masked strain factor keeps all six error rows and a
-weight that is zero outside its mask.  A factor whose sample coincides with
-a node reduces to the on-node factor exactly, because the gains collapse
-onto that corner.
+kinds with one branch per kind, and the composed Jacobians.  Like `bind`
+for a query batch, it finds each group's distinct temporal bridges once
+(`query.temporal_bridges`), and the family reads their ends' states
+(`Family.reads`), so samples that share a bridge condition it once.  A
+group holds every factor of its key however many share one node set, so
+the chain runs once per group; `solver._scatter_family` adds the factors
+that share nodes in separate rounds.  A masked strain factor keeps all six
+error rows and a weight that is zero outside its mask.  A factor whose
+sample coincides with a node reduces to the on-node factor exactly,
+because the gains collapse onto that corner.
 """
 
 from __future__ import annotations
@@ -51,7 +54,8 @@ from .liegroup import (ad6, hat3, pose_matrix, se3_left_jacobian_inv,
 from .prior import PriorParams, StateArrays
 # make_interpolant is kept only because the frozen bench/pipeline.py
 # patches it here
-from .query import Gain, bind, interpolate, make_interpolant  # noqa: F401
+from .query import (Gain, bind, interpolate,  # noqa: F401
+                    make_interpolant, temporal_bridges)
 
 DIMS = {"pose6": 6, "position3": 3, "gyro3": 3, "strain6": 6}
 VALUE_SHAPES = {"pose6": (4, 4), "position3": (3,), "gyro3": (3,),
@@ -207,13 +211,14 @@ def sensor_model(kind: str, x: StateArrays, values: np.ndarray):
 
 
 def measurement_batch(kind: str, values: np.ndarray, temporal: Optional[Gain],
-                      spatial: Optional[Gain], *corners: StateArrays):
+                      spatial: Optional[Gain], columns: Optional[np.ndarray],
+                      *ends: StateArrays):
     """(errors, J_0, ..., J_m-1) of B measurements of one sensor kind and
-    one binding shape, `corners` their m gathered corner-state stacks and
-    `temporal`/`spatial` their stacked stage gains (R goes unused, as only
-    `query.query_states` forms the conditioning residual).  Each J_i is the
-    (B, d, 24) Jacobian onto corner i's chart."""
-    x, chain, _ = interpolate(corners, temporal, spatial)
+    one binding shape: `ends`, `temporal`, `spatial` and `columns` are laid
+    out as a `query.Binding`'s, the ends' states gathered (R goes unused, as
+    only `query.query_states` forms the conditioning residual).  Each J_i is
+    the (B, d, 24) Jacobian onto corner i's chart."""
+    x, chain, _ = interpolate(ends, temporal, spatial, columns)
     e, Jm = sensor_model(kind, x, values)
     return (e, *(Jm @ J for J in chain))
 
@@ -232,22 +237,32 @@ def _stack_gains(gains) -> Optional[Gain]:
     return tuple(np.stack(ops) for ops in zip(*gains))
 
 
+def _family(kind: str, fs) -> Family:
+    nodes = np.array([f.nodes for f in fs]).T
+    temporal = _stack_gains([f.temporal for f in fs])
+    ends, columns = nodes, None
+    if temporal is not None:
+        ends, temporal, columns = temporal_bridges(
+            nodes, np.array([f.meas.t for f in fs], dtype=float), temporal)
+    return Family(kind, nodes, np.stack([_full_weight(f) for f in fs]),
+                  measurement_batch,
+                  (kind, np.stack([f.meas.value for f in fs]), temporal,
+                   _stack_gains([f.spatial for f in fs]), columns), ends)
+
+
 def group_measurements(factors) -> List[Family]:
     """Stack measurement factors by (sensor kind, binding shape), in order of
     first appearance, each group a `Family` of `measurement_batch` with
-    (B, d, d) weights that are zero outside a strain mask.  Factors that
+    (B, d, d) weights that are zero outside a strain mask and, as `bind`
+    gives a query batch, its distinct temporal bridges
+    (`query.temporal_bridges`) as the node states it reads.  Factors that
     share their nodes stay in one group; the solver's scatter keeps them
     apart."""
     buckets = {}
     for f in factors:
         key = (f.meas.kind, f.temporal is None, f.spatial is None)
         buckets.setdefault(key, []).append(f)
-    return [Family(kind, np.array([f.nodes for f in fs]).T,
-                   np.stack([_full_weight(f) for f in fs]), measurement_batch,
-                   (kind, np.stack([f.meas.value for f in fs]),
-                    _stack_gains([f.temporal for f in fs]),
-                    _stack_gains([f.spatial for f in fs])))
-            for (kind, *_), fs in buckets.items()]
+    return [_family(kind, fs) for (kind, *_), fs in buckets.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -305,6 +320,7 @@ def build_measurement_factors(measurements, grid: Grid,
             else InterpolatedMeasurementFactor
         for j, i in enumerate(b.index):
             factors[i] = cls(measurements[i], tuple(b.nodes[:, j].tolist()),
-                             weights[i], _item(b.temporal, j),
+                             weights[i], None if b.temporal is None
+                             else _item(b.temporal, b.columns[0, j]),
                              _item(b.spatial, j))
     return factors

@@ -14,7 +14,7 @@ from stgp import cli
 from stgp.liegroup import (pose_matrix, quaternion_to_rotation,
                            rotation_to_quaternion, se3_exp_with_jacobian)
 from stgp.prior import StateArrays
-from stgp.query import bind, query_state, query_states
+from stgp.query import answer, bind, query_state, query_states
 from stgp.sensors import KINDS, Measurement
 from stgp.sim import GroundTruth, SensorSpec, generate_measurements
 from stgp.solver import ConvergenceReport, NotPositiveDefiniteError
@@ -589,28 +589,33 @@ def state_row(s: float, t: float, x, stds=None) -> str:
 
 def test_query_grid_rows_match_one_batch(run_dir, monkeypatch):
     """cmd_query answers a grid slice by slice in binding-shape order, no
-    slice mixing shapes, yet prints byte for byte the rows of one
-    query_states call over all of its points, in grid order: on a grid of
-    one slice and on one of three slices, the last partial."""
+    slice mixing shapes or holding more than CHUNK points, yet prints byte
+    for byte the rows of one query_states call over all of its points, in
+    grid order: on a grid of one slice and on one of three slices, the last
+    partial."""
     _, out = run_dir
     post = cli.load_posterior(os.path.join(out, "posterior.bin"))
-    shapes = []
+    slices = []
 
-    def recording(post, s, t):
-        shapes.append(len(bind(post.grid.s_knots, post.grid.t_knots, s, t)))
-        return query_states(post, s, t)
+    def recording(post, b):
+        slices.append(b.index)
+        return answer(post, b)
 
-    monkeypatch.setattr(cli, "query_states", recording)
+    monkeypatch.setattr(cli, "answer", recording)
     for ns, nt in ((7, 5), (13, 11)):
         buf = io.StringIO()
-        shapes.clear()
+        slices.clear()
         assert cli.cmd_query(out, grid_arg=f"{ns}x{nt}", stream=buf) \
             == cli.EXIT_OK
         s = np.tile(np.linspace(post.grid.s_knots[0], post.grid.s_knots[-1],
                                 ns), nt)
         t = np.repeat(np.linspace(post.grid.t_knots[0],
                                   post.grid.t_knots[-1], nt), ns)
-        assert set(shapes) == {1}
+        for index in slices:
+            assert 0 < len(index) <= cli.CHUNK
+            assert len(bind(post.grid.s_knots, post.grid.t_knots, s[index],
+                            t[index])) == 1
+        assert sorted(np.concatenate(slices)) == list(range(ns * nt))
         assert len(bind(post.grid.s_knots, post.grid.t_knots, s, t)) > 1
         means, covs = query_states(post, s, t)
         stds = np.sqrt(np.maximum(np.einsum("...ii->...i", covs), 0.0))
@@ -670,15 +675,15 @@ def test_query_grid_memory_per_point(run_dir, monkeypatch):
     per point (the covariances alone take 4.6 KB)."""
     _, out = run_dir
 
-    def answers(post, s, t):
-        return (post.grid.states.take(np.zeros(len(s), dtype=int)),
-                np.tile(np.eye(24), (len(s), 1, 1)))
+    def answers(post, b):
+        return (post.grid.states.take(np.zeros(len(b.index), dtype=int)),
+                np.tile(np.eye(24), (len(b.index), 1, 1)))
 
     class Discard:
         def write(self, text):
             pass
 
-    monkeypatch.setattr(cli, "query_states", answers)
+    monkeypatch.setattr(cli, "answer", answers)
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -268,14 +268,6 @@ def test_grid_states_index_and_iterate():
     assert np.array_equal(g.states[-1].pose.t, g.states.t[g.n_nodes - 1])
     with pytest.raises(IndexError):
         g.states[g.n_nodes]
-    # concatenated takes are the take of the concatenated indices, bit for
-    # bit, also with an empty part
-    i, j = np.array([4, 0, 5]), np.array([2, 2])
-    for a, b in ((i, j), (i, j[:0]), (i[:0], j)):
-        got = StateArrays.concat([g.states.take(a), g.states.take(b)])
-        ref = g.states.take(np.concatenate([a, b]))
-        for f in ("R", "t", "eps", "vel", "sv"):
-            assert np.array_equal(getattr(got, f), getattr(ref, f))
     with pytest.raises(ValueError):
         Grid(g.s_knots, g.t_knots[:1], g.states)
 

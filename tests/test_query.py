@@ -14,12 +14,17 @@ from stgp.oracle import (dense_condition_query, dense_prior_covariance,
 from stgp.prior import StateArrays, chart_encode
 from stgp.sensors import (InterpolatedMeasurementFactor, Measurement,
                           build_measurement_factors)
+from stgp import query
 from stgp.query import (HULL_TOL, OutOfHullError, _bridge, bind, locate,
                         query_mean, query_state, query_states)
-from stgp.solver import corner_covariances, factorize, gauss_newton
+from stgp.sim import GroundTruth, generate_measurements
+from stgp.solver import (SolverOptions, corner_covariances, factorize,
+                         gauss_newton)
 from test_solver import random_banded_system
 
 FIG3 = os.path.join(os.path.dirname(__file__), "..", "configs", "fig3.json")
+LINEAR = os.path.join(os.path.dirname(__file__), "..", "configs",
+                      "linear.json")
 
 I2, I6, I12, I24 = np.eye(2), np.eye(6), np.eye(12), np.eye(24)
 
@@ -178,10 +183,12 @@ def test_bind_matches_point_by_point_reference(params):
             nodes, temporal, spatial = reference_binding(
                 s_knots, t_knots, params, *pts[i])
             assert tuple(b.nodes[:, j]) == nodes, pts[i]
-            for got, ref, lift in ((b.temporal, temporal, lift_temporal),
-                                   (b.spatial, spatial, lift_spatial)):
+            for got, ref, lift, row in (
+                    (b.temporal, temporal, lift_temporal,
+                     None if b.columns is None else b.columns[0, j]),
+                    (b.spatial, spatial, lift_spatial, j)):
                 assert (got is None) == (ref is None), pts[i]
-                got = lift([g[j] for g in got], params) if got else ()
+                got = lift([g[row] for g in got], params) if got else ()
                 # R is a difference of terms that cancel: allow 1e-12
                 for op, op_ref in zip(got, ref or ()):
                     assert np.max(np.abs(op - op_ref)) \
@@ -223,11 +230,14 @@ def test_bind_gains_are_per_stage_bridges(knots):
     assert {len(b.nodes) for b in bindings} == {1, 2, 4}
     for b in bindings:
         i = b.index
-        for got, knots_, cell, off in ((b.temporal, t_knots, k, tau),
-                                       (b.spatial, s_knots, n, sigma)):
+        for got, knots_, cell, off, rows in (
+                (b.temporal, t_knots, k, tau,
+                 None if b.columns is None else b.columns[0]),
+                (b.spatial, s_knots, n, sigma, slice(None))):
             if got is not None:
                 ref = _bridge(knots_[cell[i] + 1] - knots_[cell[i]], off[i])
-                assert all(np.array_equal(g, r) for g, r in zip(got, ref))
+                assert all(np.array_equal(g[rows], r)
+                           for g, r in zip(got, ref))
 
 
 def test_push_matches_dense_joint():
@@ -272,6 +282,70 @@ def test_query_states_matches_single_points(linear_posterior):
         assert np.max(np.abs(covs[i] - c)) < 1e-12 * np.max(np.abs(c))
     with pytest.raises(OutOfHullError):
         query_states(post, np.append(s, 0.1), np.append(t, np.nan))
+
+
+@pytest.fixture(scope="module")
+def nonuniform_posterior():
+    """Converged posterior of the bundled small scenario's measurements on
+    a non-uniform 6x4 lattice, its samples off the knots."""
+    cfg = load_config(LINEAR)
+    params = cfg.prior_params()
+    grid = build_grid([0.0, 0.07, 0.2, 0.29, 0.45, 0.6],
+                      [0.0, 0.3, 0.45, 1.0], params.prior_mean)
+    factors = build_prior_factors(grid, params)
+    factors.measurement = build_measurement_factors(
+        generate_measurements(cfg, GroundTruth(cfg)), grid, params)
+    post = gauss_newton(grid, factors, params,
+                        SolverOptions(max_iters=cfg.max_iters, tol=cfg.tol))
+    assert post.report.converged
+    return post
+
+
+def test_shape_query_conditions_each_bridge_once(nonuniform_posterior,
+                                                 monkeypatch):
+    """The rod's shape at three instants (41 arclengths each, some on a
+    knot), plus s-knot-line, t-knot-line and node points, in one batch: the
+    temporal stage conditions each binding shape's distinct (column, cell,
+    offset) bridges once each, fewer than two per four-node point and one
+    per s-knot-line point, and every point's answer is the one it gets
+    alone."""
+    post = nonuniform_posterior
+    g = post.grid
+    arc = np.linspace(g.s_knots[0], g.s_knots[-1], 41)
+    s = np.concatenate([np.tile(arc, 3), g.s_knots, np.full(3, 0.33),
+                        g.s_knots[[1, 4]]])
+    t = np.concatenate([np.repeat([0.1, 0.37, 0.8], 41),
+                        np.full(len(g.s_knots), 0.37), g.t_knots[1:],
+                        g.t_knots[[2, 1]]])
+    n, _, keep_s = locate(g.s_knots, s, "s")
+    k, tau, keep_t = locate(g.t_knots, t, "t")
+    bridges = {(bool(ks), int(c), int(kk), float(u))
+               for nn, ks, kk, u in zip(n[keep_t], keep_s[keep_t], k[keep_t],
+                                        tau[keep_t])
+               for c in ((nn, nn + 1) if ks else (nn,))}
+    per_point = int(np.sum(keep_t * (1 + keep_s)))
+    assert len(bridges) < per_point
+    assert {(bool(a), bool(b)) for a, b in zip(keep_s, keep_t)} == {
+        (False, False), (True, False), (False, True), (True, True)}
+
+    conditioned = []
+    pair_state = query._pair_state
+
+    def counting(a, b, gain, outer):
+        if outer == 1:
+            conditioned.append(len(a))
+        return pair_state(a, b, gain, outer)
+
+    monkeypatch.setattr(query, "_pair_state", counting)
+    means, covs = query_states(post, s, t)
+    assert sum(conditioned) == len(bridges)
+    monkeypatch.undo()
+    for i in range(len(s)):
+        x, c = query_state(post, s[i], t[i])
+        assert np.max(np.abs(means.R[i] - x.pose.R)) < 1e-14
+        assert np.max(np.abs(means.sv[i] - x.strain_velocity)) \
+            < 1e-12 * max(1.0, np.max(np.abs(x.strain_velocity)))
+        assert np.max(np.abs(covs[i] - c)) < 1e-12 * np.max(np.abs(c))
 
 
 # conditioning weights against closed forms and the dense oracle

@@ -11,9 +11,9 @@ import pytest
 from stgp.graph import FactorSet, Grid, build_grid, build_prior_factors
 from stgp.liegroup import se3_exp
 from stgp.oracle import dense_prior_precision
-from stgp.prior import StateArrays, chart_encode
+from stgp.prior import ChartRangeError, StateArrays, chart_encode
 from stgp.sensors import Measurement, NodeMeasurementFactor, \
-    build_measurement_factors
+    build_measurement_factors, group_measurements
 from stgp.sim import GroundTruth, generate_measurements
 from stgp.solver import (BLOCK, BlockBandedSystem, NotPositiveDefiniteError,
                          SolverOptions, _band_layout, apply_update,
@@ -206,7 +206,9 @@ def brute_force_normal_equations(factors, grid):
 def test_linearize_matches_brute_force_with_measurements(params):
     """Every measurement group against per-factor normal equations: each
     sensor kind on a node, on both kinds of knot line and inside a cell,
-    masked strain, and groups with up to three factors on one node set."""
+    masked strain, groups with up to three factors on one node set, and two
+    gyro3 samples at one off-knot point, whose four-node family conditions
+    their shared bridges once."""
     s = np.linspace(0.0, 1.0, 3)
     t = np.linspace(0.0, 0.8, 2)
     states = random_states(11, 6, angle=0.15, trans=0.1, deriv=0.2)
@@ -236,11 +238,15 @@ def test_linearize_matches_brute_force_with_measurements(params):
     ms += [meas(kind, si, ti) for kind, si, ti in [
         ("gyro3", 0.5, 0.1), ("pose6", 0.3, 0.3), ("gyro3", 0.8, 0.2),
         ("position3", 0.2, 0.8), ("gyro3", 0.6, 0.7)]]
+    ms += [meas("gyro3", 0.25, 0.45) for _ in range(2)]
     factors = build_prior_factors(grid, params)
     mf = build_measurement_factors(ms, grid, params)
     assert sorted({len(f.nodes) for f in mf}) == [1, 2, 4]
     shared = Counter(f.nodes for f in mf if f.meas.kind == "gyro3")
-    assert sorted(len(n) for n, c in shared.items() if c == 3) == [2, 4]
+    assert sorted(len(n) for n, c in shared.items() if c == 3) == [2, 4, 4]
+    (gyro4,) = [f for f in group_measurements(mf)
+                if f.kind == "gyro3" and len(f.nodes) == 4]
+    assert gyro4.reads.shape == (2, 2 * len(gyro4) - 2)
     factors = FactorSet(factors.unary, factors.binary_spatial,
                         factors.binary_temporal, factors.quaternary, mf)
     system = linearize(factors, grid)
@@ -250,6 +256,23 @@ def test_linearize_matches_brute_force_with_measurements(params):
     assert np.max(np.abs(system.rhs_flat() - g_ref)) < 1e-12 * scale
     assert abs(system.cost - cost_ref) < 1e-9 * max(1.0, cost_ref)
     assert abs(evaluate_cost(factors, grid) - cost_ref) < 1e-9 * cost_ref
+
+
+def test_chart_range_names_a_factor_on_the_failing_bridge(params):
+    """A temporal bridge whose ends turn past the chart range stops a
+    four-node measurement family's linearization, and the error names the
+    nodes of a factor on that bridge, although the family conditions its
+    distinct bridges as a batch of their own."""
+    states = StateArrays.identity().take(np.zeros(6, dtype=int))
+    states.R[5] = se3_exp(np.array([0.0, 0.0, 0.0, 0.0, 0.0, 2.9]))[:3, :3]
+    grid = Grid(np.linspace(0.0, 1.0, 3), np.linspace(0.0, 0.8, 2), states)
+    # the first sample is the one whose right column, nodes 2 and 5, turns
+    ms = [Measurement("gyro3", si, ti, np.zeros(3), np.eye(3))
+          for si, ti in [(0.7, 0.4), (0.2, 0.1), (0.3, 0.2), (0.4, 0.3)]]
+    mf = build_measurement_factors(ms, grid, params)
+    assert [f.nodes for f in mf] == [(1, 2, 4, 5)] + [(0, 1, 3, 4)] * 3
+    with pytest.raises(ChartRangeError, match=r"at nodes \[1, 2, 4, 5\]"):
+        linearize(FactorSet(measurement=mf), grid)
 
 
 def test_one_family_factor_sets_add_up(params):
